@@ -10,8 +10,6 @@ sitting on cell boundaries are duplicated into every touching bucket.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,8 +23,6 @@ from .geom import (
     plane_through_lines,
     point_on_line,
 )
-
-THREADS_ENV = "INCILAB_THREADS"
 
 
 class InvalidConfigurationError(ValueError):
@@ -127,33 +123,21 @@ def _on_line_int(prep, lrep) -> bool:
     )
 
 
-def _thread_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def count_incidences(
     cfg: Configuration,
     strategy: str = "naive",
     cell_width: Fraction | None = None,
     bbox: tuple | None = None,
-    threads: int | None = None,
 ) -> IncidenceTally:
     """Exact incidence tally; `strategy` is "naive" or "grid".
 
-    Both strategies return identical tallies.  INCILAB_THREADS (or the
-    `threads` argument) caps the worker pool used to spread lines across
-    threads; the merge is associative, so results do not depend on it.
+    Both strategies return identical tallies.
     """
     cfg.validate()
     if strategy == "naive":
-        points_by_line = _count_naive(cfg, _thread_count(threads))
+        points_by_line = _count_naive(cfg)
     elif strategy == "grid":
-        points_by_line = _count_grid(cfg, cell_width, bbox, _thread_count(threads))
+        points_by_line = _count_grid(cfg, cell_width, bbox)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     per_point = [0] * cfg.m
@@ -169,29 +153,12 @@ def count_incidences(
     )
 
 
-def _count_naive(cfg: Configuration, threads: int) -> list[list[int]]:
+def _count_naive(cfg: Configuration) -> list[list[int]]:
     preps = _point_reps(cfg.points)
-    lreps = _line_reps(cfg.lines)
-
-    def work(chunk):
-        out = []
-        for lrep in chunk:
-            out.append([i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)])
-        return out
-
-    return _map_line_chunks(lreps, work, threads)
-
-
-def _map_line_chunks(lreps, work, threads: int) -> list[list[int]]:
-    if threads <= 1 or len(lreps) < 64:
-        return work(lreps)
-    size = -(-len(lreps) // threads)
-    chunks = [lreps[i : i + size] for i in range(0, len(lreps), size)]
-    out: list[list[int]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(work, chunks):
-            out.extend(part)
-    return out
+    return [
+        [i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)]
+        for lrep in _line_reps(cfg.lines)
+    ]
 
 
 def _axis_cells(coord: Fraction, width: Fraction) -> tuple[int, ...]:
@@ -205,7 +172,6 @@ def _count_grid(
     cfg: Configuration,
     cell_width: Fraction | None,
     bbox: tuple | None,
-    threads: int,
 ) -> list[list[int]]:
     if cfg.m == 0 or cfg.n == 0:
         return [[] for _ in cfg.lines]
@@ -223,7 +189,8 @@ def _count_grid(
         for i, c in enumerate(coords)
         if all(lo[a] <= c[a] <= hi[a] for a in range(3))
     ]
-    residual = [i for i in range(cfg.m) if i not in set(inside)]
+    inside_set = set(inside)
+    residual = [i for i in range(cfg.m) if i not in inside_set]
     if cell_width is None:
         diam = max(hi[a] - lo[a] for a in range(3))
         k = 1
@@ -242,70 +209,56 @@ def _count_grid(
                 for iz in _axis_cells(c[2], width):
                     buckets.setdefault((ix, iy, iz), []).append(i)
 
-    lines = cfg.lines
-
-    def work(chunk):
-        out = []
-        for lrep, line in chunk:
-            base = line.base.coords
-            direc = line.dir
-            t_lo: Fraction | None = None
-            t_hi: Fraction | None = None
-            empty = False
+    out = []
+    for lrep, line in zip(lreps, cfg.lines):
+        base = line.base.coords
+        direc = line.dir
+        t_lo: Fraction | None = None
+        t_hi: Fraction | None = None
+        empty = False
+        for a in range(3):
+            if direc[a] == 0:
+                if not (lo[a] <= base[a] <= hi[a]):
+                    empty = True
+                    break
+                continue
+            ta = (lo[a] - base[a]) / direc[a]
+            tb = (hi[a] - base[a]) / direc[a]
+            if ta > tb:
+                ta, tb = tb, ta
+            t_lo = ta if t_lo is None else max(t_lo, ta)
+            t_hi = tb if t_hi is None else min(t_hi, tb)
+        candidates: set[int] = set()
+        if not empty and t_lo is not None and t_lo <= t_hi:
+            cuts = {t_lo, t_hi}
             for a in range(3):
                 if direc[a] == 0:
-                    if not (lo[a] <= base[a] <= hi[a]):
-                        empty = True
-                        break
                     continue
-                ta = (lo[a] - base[a]) / direc[a]
-                tb = (hi[a] - base[a]) / direc[a]
-                if ta > tb:
-                    ta, tb = tb, ta
-                t_lo = ta if t_lo is None else max(t_lo, ta)
-                t_hi = tb if t_hi is None else min(t_hi, tb)
-            candidates: set[int] = set()
-            if not empty and t_lo is not None and t_lo <= t_hi:
-                cuts = {t_lo, t_hi}
-                for a in range(3):
-                    if direc[a] == 0:
-                        continue
-                    ca = base[a] + t_lo * direc[a]
-                    cb = base[a] + t_hi * direc[a]
-                    if ca > cb:
-                        ca, cb = cb, ca
-                    k0 = math.ceil(ca / width)
-                    k1 = math.floor(cb / width)
-                    for k in range(k0, k1 + 1):
-                        cuts.add((k * width - base[a]) / direc[a])
-                ts = sorted(cuts)
-                probes = []
-                if len(ts) == 1:
-                    probes.append(ts[0])
-                for ta, tb in zip(ts, ts[1:]):
-                    probes.append((ta + tb) / 2)
-                for t in probes:
-                    pt = tuple(base[a] + t * direc[a] for a in range(3))
-                    for ix in _axis_cells(pt[0], width):
-                        for iy in _axis_cells(pt[1], width):
-                            for iz in _axis_cells(pt[2], width):
-                                candidates.update(buckets.get((ix, iy, iz), ()))
-            hits = [i for i in sorted(candidates) if _on_line_int(preps[i], lrep)]
-            for i in residual:
-                if _on_line_int(preps[i], lrep):
-                    hits.append(i)
-            out.append(sorted(hits))
-        return out
-
-    pairs = list(zip(lreps, lines))
-    if threads <= 1 or len(pairs) < 64:
-        return work(pairs)
-    size = -(-len(pairs) // threads)
-    chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-    out: list[list[int]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(work, chunks):
-            out.extend(part)
+                ca = base[a] + t_lo * direc[a]
+                cb = base[a] + t_hi * direc[a]
+                if ca > cb:
+                    ca, cb = cb, ca
+                k0 = math.ceil(ca / width)
+                k1 = math.floor(cb / width)
+                for k in range(k0, k1 + 1):
+                    cuts.add((k * width - base[a]) / direc[a])
+            ts = sorted(cuts)
+            probes = []
+            if len(ts) == 1:
+                probes.append(ts[0])
+            for ta, tb in zip(ts, ts[1:]):
+                probes.append((ta + tb) / 2)
+            for t in probes:
+                pt = tuple(base[a] + t * direc[a] for a in range(3))
+                for ix in _axis_cells(pt[0], width):
+                    for iy in _axis_cells(pt[1], width):
+                        for iz in _axis_cells(pt[2], width):
+                            candidates.update(buckets.get((ix, iy, iz), ()))
+        hits = [i for i in sorted(candidates) if _on_line_int(preps[i], lrep)]
+        for i in residual:
+            if _on_line_int(preps[i], lrep):
+                hits.append(i)
+        out.append(sorted(hits))
     return out
 
 
@@ -360,84 +313,57 @@ def rich_points_per_line(cfg: Configuration, threshold: int = 2) -> list[int]:
     return out
 
 
-# -- first-come-first-serve plane assignment ----------------------------------
+# -- first-come-first-serve component assignment -----------------------------
 
 
 @dataclass
-class PlaneAssignment:
-    point_plane: list[int | None]
-    line_plane: list[int | None]
-    per_plane_points: list[list[int]]
-    per_plane_lines: list[list[int]]
+class ComponentAssignment:
+    point_comp: list[int | None]
+    line_comp: list[int | None]
+    within_incidences: list[int]
     cross_charges: int
-    within_plane_incidences: list[int]
-    sub_configurations: list[Configuration]
 
 
-def assign_to_planes(
+def assign_to_components(
     points: Sequence[Rational3Point],
     lines: Sequence[RationalLine],
-    planes: Sequence[RationalPlane],
-) -> PlaneAssignment:
-    """Assign each point/line to the first plane containing it.
+    comps: Sequence,
+    points_by_line: Sequence[Sequence[int]],
+) -> ComponentAssignment:
+    """Assign each point/line to the first component containing it.
 
-    Cross-charges count incidences (p, l) whose point is assigned to a plane
-    that does not fully contain l.  Together with the within-plane incidences
-    and the incidences at unassigned points this partitions every incidence
-    of the input sets exactly once.
+    A component is anything with `contains_point` and `contains_line`
+    (planes, quadrics, the pipeline's surface components).  `points_by_line`
+    is the incidence tally of `points` and `lines`.  Cross-charges count
+    incidences (p, l) whose point is assigned to a component that l is not
+    assigned to.  Together with the within-component incidences and the
+    incidences at unassigned points this partitions every incidence of the
+    input sets exactly once.
     """
-    if len(set(planes)) != len(planes):
-        raise ValueError("planes must be distinct")
-    point_plane: list[int | None] = []
-    for p in points:
-        point_plane.append(
-            next((k for k, pl in enumerate(planes) if pl.contains_point(p)), None)
-        )
-    line_plane: list[int | None] = []
-    for l in lines:
-        line_plane.append(
-            next((k for k, pl in enumerate(planes) if pl.contains_line(l)), None)
-        )
-    per_plane_points = [[] for _ in planes]
-    for i, k in enumerate(point_plane):
-        if k is not None:
-            per_plane_points[k].append(i)
-    per_plane_lines = [[] for _ in planes]
-    for i, k in enumerate(line_plane):
-        if k is not None:
-            per_plane_lines[k].append(i)
-
-    preps = _point_reps(points)
-    lreps = _line_reps(lines)
+    point_comp = [
+        next((k for k, c in enumerate(comps) if c.contains_point(p)), None)
+        for p in points
+    ]
+    line_comp = [
+        next((k for k, c in enumerate(comps) if c.contains_line(l)), None)
+        for l in lines
+    ]
+    within = [0] * len(comps)
     cross = 0
-    within = [0] * len(planes)
-    for j, lrep in enumerate(lreps):
-        for i, prep in enumerate(preps):
-            if not _on_line_int(prep, lrep):
-                continue
-            k = point_plane[i]
+    for j, hits in enumerate(points_by_line):
+        for i in hits:
+            k = point_comp[i]
             if k is None:
                 continue
-            if line_plane[j] == k:
+            if line_comp[j] == k:
                 within[k] += 1
             else:
                 cross += 1
-    subs = [
-        Configuration(
-            points=tuple(points[i] for i in per_plane_points[k]),
-            lines=tuple(lines[i] for i in per_plane_lines[k]),
-            meta={"plane": list(planes[k].coeffs)},
-        )
-        for k in range(len(planes))
-    ]
-    return PlaneAssignment(
-        point_plane=point_plane,
-        line_plane=line_plane,
-        per_plane_points=per_plane_points,
-        per_plane_lines=per_plane_lines,
+    return ComponentAssignment(
+        point_comp=point_comp,
+        line_comp=line_comp,
+        within_incidences=within,
         cross_charges=cross,
-        within_plane_incidences=within,
-        sub_configurations=subs,
     )
 
 

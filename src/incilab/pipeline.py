@@ -3,10 +3,15 @@
 Stage 1 partitions the points with a polynomial of the planned degree,
 splits entities by the zero set, prunes plane/cone/regulus components of
 the surface under first-come-first-serve assignment, and buckets every
-incidence of the input into pruned / cross-charge / residual, so the books
-always balance against an independent oracle recount.  Stage 2 repeats the
-partitioning on the residual at the window degree E and reports per-class
-occupancy and line-crossing counts against their target quotas.
+incidence of the input into pruned / cross-charge / residual.  Stage 2
+repeats the partitioning on the residual at the window degree E and reports
+per-class occupancy and line-crossing counts against their target quotas.
+
+Both stages share one skeleton: a single incidence count per stage, whose
+points_by_line is walked once to bucket every incidence by the surface/cell
+and contained/crossing index sets.  The books balance when those buckets
+add up to the count, which checks that the split covers every point and
+line exactly once.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .geom import RationalLine, RationalPlane, Rational3Point, plane_through_lin
 from .incidence import (
     Configuration,
     DegeneracyError,
+    assign_to_components,
     count_incidences,
     max_coplanar_lines,
     regulus_through,
@@ -59,8 +65,8 @@ class WindowError(ValueError):
 class SurfaceComponent:
     cause: str  # planar | conic | regulus
     description: str
-    has_point: Callable[[Rational3Point], bool]
-    has_line: Callable[[RationalLine], bool]
+    contains_point: Callable[[Rational3Point], bool]
+    contains_line: Callable[[RationalLine], bool]
 
 
 def _levels_for_degree(d: int) -> int:
@@ -73,17 +79,6 @@ def _levels_for_degree(d: int) -> int:
     while t < raw and degree_budget(t + 1) <= d:
         t += 1
     return t
-
-
-def _pair_count(cfg: Configuration, point_idx, line_idx) -> int:
-    sub = Configuration(
-        points=tuple(cfg.points[i] for i in point_idx),
-        lines=tuple(cfg.lines[i] for i in line_idx),
-        meta={},
-    )
-    if sub.m == 0 or sub.n == 0:
-        return 0
-    return count_incidences(sub).total
 
 
 @dataclass
@@ -257,6 +252,88 @@ def _detect_reguli(
     return out
 
 
+def _split_and_ledger(
+    report: StageReport,
+    cfg: Configuration,
+    epsilon: Fraction,
+    seed: int,
+    part: PartitionPoly | None = None,
+):
+    """The skeleton both stages share.
+
+    Builds a partition at the report's degree target unless one is given,
+    splits the points and lines by its zero set, fills the counts,
+    occupancy and root certificate, and counts incidences once.  Returns
+    (tally, surface_idx, cell_idx, contained, crossing_idx), or None for an
+    input without points or lines.
+    """
+    if cfg.m == 0 or cfg.n == 0:
+        report.identity = {
+            "I": 0,
+            "surface_surface": 0,
+            "surface_crossing": 0,
+            "cells_crossing": 0,
+            "cells_contained": 0,
+        }
+        return None
+    if part is None:
+        t = _levels_for_degree(report.degree_target)
+        part = build_partition(cfg.points, t, epsilon, seed)
+    report.partition = part
+    report.t = part.t
+    report.degree_used = part.degree
+
+    surface_idx, cell_idx = classify_points(part, cfg.points)
+    lc = classify_lines(part, cfg.lines)
+    contained = lc.contained
+    crossing_idx = [i for i, _ in lc.crossing]
+    report.max_cross_roots = lc.max_roots
+    report.counts = {
+        "P_surface": len(surface_idx),
+        "P_cells": len(cell_idx),
+        "L_contained": len(contained),
+        "L_crossing": len(crossing_idx),
+    }
+
+    occ, on_surface = cell_occupancy(part, cfg.points)
+    report.occupancy = occ
+    report.on_surface_points = on_surface
+    report.occupancy_max = max(occ.values(), default=0)
+    report.occupancy_bound = _occupancy_bound(cfg.m, part.t, epsilon)
+
+    # Bucket every incidence by membership of its point in the surface or
+    # cell set and of its line in the contained or crossing set, so a point
+    # or line in both sets or in neither breaks I == ss + sc + cc.
+    tally = count_incidences(cfg)
+    surface, cells = set(surface_idx), set(cell_idx)
+    contained_set, crossing_set = set(contained), set(crossing_idx)
+    ss = sc = cc = c1 = 0
+    for li, hits in enumerate(tally.points_by_line):
+        at_surface = sum(1 for pi in hits if pi in surface)
+        at_cells = sum(1 for pi in hits if pi in cells)
+        if li in contained_set:
+            ss += at_surface
+            c1 += at_cells
+        if li in crossing_set:
+            sc += at_surface
+            cc += at_cells
+    report.identity = {
+        "I": tally.total,
+        "surface_surface": ss,
+        "surface_crossing": sc,
+        "cells_crossing": cc,
+        "cells_contained": c1,
+    }
+    if c1 != 0:
+        raise AssertionError(
+            f"stage {report.stage}: a cell point claims to lie on a fully "
+            "contained line"
+        )
+    if tally.total != ss + sc + cc:
+        raise AssertionError(f"stage-{report.stage} accounting identity failed")
+    return tally, surface_idx, cell_idx, contained, crossing_idx
+
+
 def run_stage1(
     cfg: Configuration,
     D_override: int | None = None,
@@ -289,73 +366,19 @@ def run_stage1(
     report = StageReport(
         stage="1", degree_target=D, degree_used=0, t=0, plan=plan
     )
-    if m == 0 or n == 0:
-        report.identity = {
-            "I": 0,
-            "surface_surface": 0,
-            "surface_crossing": 0,
-            "cells_crossing": 0,
-            "cells_contained": 0,
-        }
+    split = _split_and_ledger(report, cfg, epsilon, seed, partition_override)
+    if split is None:
         report.residual = Configuration((), (), {})
         return report
-
-    if partition_override is not None:
-        part = partition_override
-        t = part.t
-    else:
-        t = _levels_for_degree(D)
-        part = build_partition(cfg.points, t, epsilon, seed)
+    tally, surface_idx, cell_idx, contained, _crossing = split
+    part = report.partition
     f = part.f
-    report.partition = part
-    report.t = t
-    report.degree_used = part.degree
-
-    surface_idx, cell_idx = classify_points(part, cfg.points)
-    lc = classify_lines(part, cfg.lines)
-    contained = lc.contained
-    crossing_idx = [i for i, _ in lc.crossing]
-    report.max_cross_roots = lc.max_roots
-    report.counts = {
-        "P_surface": len(surface_idx),
-        "P_cells": len(cell_idx),
-        "L_contained": len(contained),
-        "L_crossing": len(crossing_idx),
-    }
-
-    occ, on_surface = cell_occupancy(part, cfg.points)
-    report.occupancy = occ
-    report.on_surface_points = on_surface
-    report.occupancy_max = max(occ.values(), default=0)
-    report.occupancy_bound = _occupancy_bound(m, t, epsilon)
-
-    tally = count_incidences(cfg)
-    total = tally.total
-    id_ss = _pair_count(cfg, surface_idx, contained)
-    id_sc = _pair_count(cfg, surface_idx, crossing_idx)
-    id_cc = _pair_count(cfg, cell_idx, crossing_idx)
-    id_c1 = _pair_count(cfg, cell_idx, contained)
-    report.identity = {
-        "I": total,
-        "surface_surface": id_ss,
-        "surface_crossing": id_sc,
-        "cells_crossing": id_cc,
-        "cells_contained": id_c1,
-    }
-    if id_c1 != 0:
-        raise AssertionError(
-            "a cell point claims to lie on a fully contained line"
-        )
-    if total != id_ss + id_sc + id_cc:
-        raise AssertionError("stage-1 accounting identity failed")
 
     # component inventory, first-come-first-serve
     richness_l1: dict[int, int] = {}
-    contained_set = set(contained)
-    for li, hits in enumerate(tally.points_by_line):
-        if li in contained_set:
-            for pi in hits:
-                richness_l1[pi] = richness_l1.get(pi, 0) + 1
+    for li in contained:
+        for pi in tally.points_by_line[li]:
+            richness_l1[pi] = richness_l1.get(pi, 0) + 1
     planes, truncated = _detect_planes(f, cfg.lines, contained)
     cones = _detect_cones(part, cfg.points, surface_idx, richness_l1)
     want_reguli = (
@@ -370,8 +393,8 @@ def run_stage1(
             SurfaceComponent(
                 cause="planar",
                 description=f"plane {pl.coeffs}",
-                has_point=pl.contains_point,
-                has_line=pl.contains_line,
+                contains_point=pl.contains_point,
+                contains_line=pl.contains_line,
             )
         )
     for g, apex in cones:
@@ -379,8 +402,8 @@ def run_stage1(
             SurfaceComponent(
                 cause="conic",
                 description=f"cone apex ({qstr(apex.x)},{qstr(apex.y)},{qstr(apex.z)})",
-                has_point=lambda p, g=g: g.evaluate_point(p) == 0,
-                has_line=lambda l, g=g: line_in_zero_set(g, l),
+                contains_point=lambda p, g=g: g.evaluate_point(p) == 0,
+                contains_line=lambda l, g=g: line_in_zero_set(g, l),
             )
         )
     for quad in reguli:
@@ -388,61 +411,39 @@ def run_stage1(
             SurfaceComponent(
                 cause="regulus",
                 description=f"regulus {quad.coeffs}",
-                has_point=quad.contains_point,
-                has_line=quad.contains_line,
+                contains_point=quad.contains_point,
+                contains_line=quad.contains_line,
             )
         )
     report.components = [(c.cause, c.description) for c in comps]
     if truncated:
         report.flags.append("plane-pair search truncated")
 
-    point_comp: dict[int, int] = {}
-    for i in surface_idx:
-        p = cfg.points[i]
-        for ci, comp in enumerate(comps):
-            if comp.has_point(p):
-                point_comp[i] = ci
-                break
-    line_comp: dict[int, int] = {}
-    for i in contained:
-        l = cfg.lines[i]
-        for ci, comp in enumerate(comps):
-            if comp.has_line(l):
-                line_comp[i] = ci
-                break
-
+    # Every component divides f, so only surface points and contained lines
+    # can be assigned; cell incidences are residual by the identity.
+    assign = assign_to_components(cfg.points, cfg.lines, comps, tally.points_by_line)
+    if any(assign.point_comp[i] is not None for i in cell_idx):
+        raise AssertionError("a cell point lies on a pruned surface component")
     pruned: dict[str, int] = {"planar": 0, "conic": 0, "regulus": 0}
-    cross = 0
-    res_surface = 0
-    res_cells = 0
-    cell_set = set(cell_idx)
-    for li, hits in enumerate(tally.points_by_line):
-        for pi in hits:
-            if pi in cell_set:
-                res_cells += 1
-            elif pi in point_comp:
-                ci = point_comp[pi]
-                if line_comp.get(li) == ci:
-                    pruned[comps[ci].cause] += 1
-                else:
-                    cross += 1
-            else:
-                res_surface += 1
+    for comp, within in zip(comps, assign.within_incidences):
+        pruned[comp.cause] += within
+    ident = report.identity
     report.pruned_by_cause = pruned
-    report.cross_charges = cross
-    report.residual_surface_incidences = res_surface
-    report.residual_cell_incidences = res_cells
-    if report.pruned_total + cross + res_surface + res_cells != total:
-        raise AssertionError("pruned + cross-charge + residual != I")
+    report.cross_charges = assign.cross_charges
+    report.residual_surface_incidences = (
+        ident["surface_surface"]
+        + ident["surface_crossing"]
+        - report.pruned_total
+        - assign.cross_charges
+    )
+    report.residual_cell_incidences = ident["cells_crossing"]
 
-    res_points = [i for i in range(m) if i not in point_comp]
-    res_lines = [i for i in range(n) if i not in line_comp]
     report.residual = Configuration(
-        points=tuple(cfg.points[i] for i in res_points),
-        lines=tuple(cfg.lines[i] for i in res_lines),
+        points=tuple(p for p, c in zip(cfg.points, assign.point_comp) if c is None),
+        lines=tuple(l for l, c in zip(cfg.lines, assign.line_comp) if c is None),
         meta={"residual_of": cfg.meta.get("family", "custom")},
     )
-    res_contained = [i for i in contained if i not in line_comp]
+    res_contained = [i for i in contained if assign.line_comp[i] is None]
     if not truncated:
         s_res, _w = max_coplanar_lines([cfg.lines[i] for i in res_contained])
         report.residual_contained_max_coplanar = s_res
@@ -492,59 +493,15 @@ def run_stage2(
     report = StageReport(
         stage="2", degree_target=E, degree_used=0, t=0, E=E, plan=plan, flags=flags
     )
-    m, n = residual.m, residual.n
-    if m == 0 or n == 0:
-        report.identity = {
-            "I": 0,
-            "surface_surface": 0,
-            "surface_crossing": 0,
-            "cells_crossing": 0,
-            "cells_contained": 0,
-        }
+    split = _split_and_ledger(report, residual, epsilon, seed)
+    if split is None:
         return report
+    _tally, _surface, _cells, _contained, crossing_idx = split
+    part = report.partition
+    report.class_point_quota = Fraction(residual.m, E ** 3)
+    report.class_line_quota = Fraction(residual.n, E * E)
 
-    t = _levels_for_degree(E)
-    part = build_partition(residual.points, t, epsilon, seed)
-    report.partition = part
-    report.t = t
-    report.degree_used = part.degree
-
-    surface_idx, cell_idx = classify_points(part, residual.points)
-    lc = classify_lines(part, residual.lines)
-    contained = lc.contained
-    crossing_idx = [i for i, _ in lc.crossing]
-    report.max_cross_roots = lc.max_roots
-    report.counts = {
-        "P_surface": len(surface_idx),
-        "P_cells": len(cell_idx),
-        "L_contained": len(contained),
-        "L_crossing": len(crossing_idx),
-    }
-
-    total = count_incidences(residual).total
-    id_ss = _pair_count(residual, surface_idx, contained)
-    id_sc = _pair_count(residual, surface_idx, crossing_idx)
-    id_cc = _pair_count(residual, cell_idx, crossing_idx)
-    id_c1 = _pair_count(residual, cell_idx, contained)
-    report.identity = {
-        "I": total,
-        "surface_surface": id_ss,
-        "surface_crossing": id_sc,
-        "cells_crossing": id_cc,
-        "cells_contained": id_c1,
-    }
-    if id_c1 != 0 or total != id_ss + id_sc + id_cc:
-        raise AssertionError("stage-2 accounting identity failed")
-
-    occ, on_surface = cell_occupancy(part, residual.points)
-    report.occupancy = occ
-    report.on_surface_points = on_surface
-    report.occupancy_max = max(occ.values(), default=0)
-    report.occupancy_bound = _occupancy_bound(m, t, epsilon)
-    report.class_point_quota = Fraction(m, E ** 3)
-    report.class_line_quota = Fraction(n, E * E)
-
-    class_lines: dict[tuple, int] = {key: 0 for key in occ}
+    class_lines: dict[tuple, int] = {key: 0 for key in report.occupancy}
     for i in crossing_idx:
         for sv in classes_crossed(part, residual.lines[i]):
             class_lines[sv] = class_lines.get(sv, 0) + 1
@@ -656,18 +613,16 @@ def full_report(
     epsilon: Fraction = Fraction(1, 10),
     include_reguli: bool | None = None,
 ) -> IncidenceReport:
-    """Counting (both strategies, checked equal), coplanarity, bounds, and
-    optionally the two-stage pipeline."""
+    """Counting (naive strategy), coplanarity, bounds, and optionally the
+    two-stage pipeline.  `incilab verify` cross-checks the counting
+    strategies."""
     cfg.validate()
     m, n = cfg.m, cfg.n
     flags: list[str] = []
-    naive = count_incidences(cfg, strategy="naive")
-    grid = count_incidences(cfg, strategy="grid")
-    if naive.points_by_line != grid.points_by_line:
-        raise AssertionError("grid and naive strategies disagree")
-    I = naive.total
+    tally = count_incidences(cfg)
+    I = tally.total
     s, witness = max_coplanar_lines(cfg.lines)
-    hist = richness_histogram(naive)
+    hist = richness_histogram(tally)
     max_rich = max((k for k, v in hist.items() if v and k > 0), default=0)
 
     bound_st2d = bound_gk = bound_trivial = bound_mid = ratio = None

@@ -1,6 +1,7 @@
 """Generator families, JSON round trips, and input validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,5 +185,23 @@ def test_load_rejects_non_canonical_rationals(tmp_path):
     base = config_to_json_dict(gen("grid3d", N=1))
     base["points"][0][0] = "1.5"
     path.write_text(json.dumps(base))
+    with pytest.raises(ConfigParseError):
+        load_config(path)
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.m, cfg.n) == (3, 1)
+    assert count_incidences(cfg).total == 2
+
+    # the object form the README once showed is rejected
+    data = json.loads(example)
+    data["points"][0] = {"x": "1/2", "y": "0", "z": "-3"}
+    path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ConfigParseError):
         load_config(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incilab.configs import GeneratorSpec, generate
-from incilab.geom import Rational3Point, RationalLine, RationalPlane
+from incilab.geom import Rational3Point, RationalLine, RationalPlane, point_on_line
 from incilab.incidence import (
     Configuration,
     DegeneracyError,
@@ -14,7 +14,7 @@ from incilab.incidence import (
     InvalidConfigurationError,
     MONOMIALS_DEG2,
     Quadric,
-    assign_to_planes,
+    assign_to_components,
     count_incidences,
     max_coplanar_lines,
     one_poor_count,
@@ -85,22 +85,6 @@ def test_grid_strategy_with_boundary_aligned_cells():
     assert a.points_by_line == b.points_by_line == c.points_by_line
 
 
-def test_thread_count_does_not_change_answer():
-    cfg = generate(GeneratorSpec("random", {"m": 80, "n": 150}, seed=4))
-    one = count_incidences(cfg, threads=1)
-    four = count_incidences(cfg, threads=4)
-    assert one.points_by_line == four.points_by_line
-
-
-def test_thread_env_cap(monkeypatch):
-    monkeypatch.setenv("INCILAB_THREADS", "2")
-    cfg = generate(GeneratorSpec("random", {"m": 40, "n": 130}, seed=9))
-    assert (
-        count_incidences(cfg).points_by_line
-        == count_incidences(cfg, threads=1).points_by_line
-    )
-
-
 def test_unknown_strategy_rejected(cross_pair):
     with pytest.raises(ValueError):
         count_incidences(cross_pair, strategy="fast")
@@ -153,30 +137,84 @@ def test_rich_points_per_line():
     assert rich_points_per_line(grid, threshold=4) == [0] * 12
 
 
-# -- plane assignment ------------------------------------------------------------
+# -- component assignment --------------------------------------------------------
 
 
-def test_assign_to_planes_first_come_first_serve(cross_pair):
+def test_assign_to_components_first_come_first_serve(cross_pair):
     planes = [RationalPlane(0, 0, 1, 0), RationalPlane(0, 0, 1, -1)]
-    pa = assign_to_planes(cross_pair.points, cross_pair.lines, planes)
-    assert pa.point_plane == [0, 0, 1, 1]
-    assert pa.line_plane == [0, 1, None]  # the vertical rung fits neither plane
-    assert pa.within_plane_incidences == [2, 2]
-    assert pa.cross_charges == 2
-    subs = pa.sub_configurations
-    assert [(s.m, s.n) for s in subs] == [(2, 1), (2, 1)]
-    total = count_incidences(cross_pair).total
-    assert sum(pa.within_plane_incidences) + pa.cross_charges == total
+    tally = count_incidences(cross_pair)
+    ca = assign_to_components(
+        cross_pair.points, cross_pair.lines, planes, tally.points_by_line
+    )
+    assert ca.point_comp == [0, 0, 1, 1]
+    assert ca.line_comp == [0, 1, None]  # the vertical rung fits neither plane
+    assert ca.within_incidences == [2, 2]
+    assert ca.cross_charges == 2
+    assert sum(ca.within_incidences) + ca.cross_charges == tally.total
 
 
-def test_assign_to_planes_duplicate_membership_goes_to_first():
+def test_assign_to_components_duplicate_membership_goes_to_first():
     # a line in both planes of a pencil is charged to the first listed plane
     pts = (P(0, 0, 0),)
     lns = (L(P(0, 0, 0), (1, 0, 0)),)
     planes = [RationalPlane(0, 0, 1, 0), RationalPlane(0, 1, 0, 0)]
-    pa = assign_to_planes(pts, lns, planes)
-    assert pa.line_plane == [0]
-    assert pa.point_plane == [0]
+    ca = assign_to_components(pts, lns, planes, [[0]])
+    assert ca.line_comp == [0]
+    assert ca.point_comp == [0]
+    assert ca.within_incidences == [1, 0] and ca.cross_charges == 0
+
+
+def test_assign_to_components_takes_quadrics():
+    saddle = Quadric((0, 0, 0, 1, 0, 0, 0, 0, -1, 0))  # z = x y
+    plane = RationalPlane(0, 0, 1, 0)
+    pts = (P(0, 0, 0), P(2, 3, 6), P(1, 1, 5))
+    lns = (L(P(2, 0, 0), (0, 1, 2)), L(P(0, 0, 0), (1, 0, 0)))
+    cfg = small_config(pts, lns)
+    ca = assign_to_components(
+        pts, lns, [saddle, plane], count_incidences(cfg).points_by_line
+    )
+    assert ca.point_comp == [0, 0, None]
+    assert ca.line_comp == [0, 0]
+    assert ca.within_incidences == [2, 0] and ca.cross_charges == 0
+
+
+small = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 3)
+PLANES = [RationalPlane(*c) for c in ((0, 0, 1, 0), (0, 0, 1, -1), (1, 0, 0, 0), (1, -1, 0, 0), (1, 1, 1, 0))]
+# directions inside one or two of the planes above, and one inside none
+DIRS = [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, -2), (0, 1, -1), (1, 2, 3)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small, min_size=1, max_size=12, unique=True),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(DIRS)), min_size=1, max_size=10),
+    st.permutations(PLANES),
+    st.integers(min_value=0, max_value=len(PLANES)),
+)
+def test_assign_to_components_matches_pairwise_oracle(pts, raw_lines, planes, k):
+    # lines through configuration points, so assigned points carry incidences
+    planes = planes[:k]
+    lines = {L(P(*pts[i % len(pts)]), d) for i, d in raw_lines}
+    cfg = small_config([P(*c) for c in pts], lines)
+    ca = assign_to_components(
+        cfg.points, cfg.lines, planes, count_incidences(cfg).points_by_line
+    )
+
+    def first(test):
+        return next((c for c, pl in enumerate(planes) if test(pl)), None)
+
+    point_comp = [first(lambda pl: pl.contains_point(p)) for p in cfg.points]
+    line_comp = [first(lambda pl: pl.contains_line(l)) for l in cfg.lines]
+    within, cross = [0] * len(planes), 0
+    for p, pc in zip(cfg.points, point_comp):
+        for l, lc in zip(cfg.lines, line_comp):
+            if pc is not None and point_on_line(p, l):
+                if pc == lc:
+                    within[pc] += 1
+                else:
+                    cross += 1
+    assert (ca.point_comp, ca.line_comp) == (point_comp, line_comp)
+    assert (ca.within_incidences, ca.cross_charges) == (within, cross)
 
 
 # -- configuration validation ------------------------------------------------------

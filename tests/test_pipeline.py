@@ -2,14 +2,17 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incilab.algebra import TriPoly, X, Y, Z
 from incilab.bounds import OutOfRangeError
 from incilab.configs import GeneratorSpec, generate
+from incilab.geom import Rational3Point, RationalLine
 from incilab.incidence import Configuration, count_incidences
-from incilab.partition import PartitionPoly
+from incilab.partition import PartitionPoly, classify_lines, classify_points
 from incilab.pipeline import (
     CSV_COLUMNS,
     PipelineError,
@@ -120,6 +123,86 @@ def test_stage1_empty_input_yields_zero_report():
     st = run_stage1(Configuration((), (), {}), D_override=1)
     assert st.identity["I"] == 0
     assert st.residual.m == 0
+
+
+def _recount(cfg, point_idx, line_idx):
+    """Incidences between two index subsets, counted on the sub-configuration."""
+    sub = Configuration(
+        tuple(cfg.points[i] for i in point_idx),
+        tuple(cfg.lines[i] for i in line_idx),
+        {},
+    )
+    return count_incidences(sub).total if sub.m and sub.n else 0
+
+
+ONE = TriPoly.constant(1)
+# (level, point on its zero set at parameters (a, b), a line through that
+# point lying in the zero set): two planes, a saddle and a cone at the origin
+SURFACES = (
+    (Z, lambda a, b: (a, b, 0), lambda a, b: ((a, b, 0), (1, a, 0))),
+    (X - ONE, lambda a, b: (1, a, b), lambda a, b: ((1, a, b), (0, 1, b))),
+    (X * Y - Z, lambda a, b: (a, b, a * b), lambda a, b: ((a, b, a * b), (0, 1, a))),
+    (
+        Y * Y - X * Z,
+        lambda a, b: (a * a, a * b, b * b),
+        lambda a, b: ((0, 0, 0), (a * a, a * b, b * b) if a or b else (1, 0, 0)),
+    ),
+)
+rational = st.sampled_from(
+    [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
+)
+rpoint = st.builds(Rational3Point, rational, rational, rational)
+direction = st.sampled_from([d for d in product(range(-2, 3), repeat=3) if any(d)])
+
+
+@st.composite
+def ledger_inputs(draw):
+    """Points and lines on and off one or two low-degree level surfaces,
+    with integer and non-integer coordinates, concurrent and parallel lines."""
+    surfaces = draw(st.lists(st.sampled_from(SURFACES), min_size=1, max_size=2, unique=True))
+    points = draw(st.lists(rpoint, max_size=6))
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        _level, on_surface, ruling = draw(st.sampled_from(surfaces))
+        a, b = draw(rational), draw(rational)
+        points.append(Rational3Point(*on_surface(a, b)))
+        if draw(st.booleans()):
+            base, d = ruling(a, b)
+            points.append(Rational3Point(*base))
+            lines.append(RationalLine(Rational3Point(*base), d))
+    points = list(dict.fromkeys(points))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(RationalLine(draw(st.sampled_from(points)), draw(direction)))
+    hub = draw(st.sampled_from(points))  # concurrent lines through one point
+    lines += [RationalLine(hub, d) for d in draw(st.lists(direction, max_size=3))]
+    shared = draw(direction)  # parallel lines
+    lines += [RationalLine(b, shared) for b in draw(st.lists(rpoint, max_size=3))]
+    lines = list(dict.fromkeys(lines)) or [RationalLine(points[0], (1, 0, 0))]
+    cfg = Configuration(tuple(points), tuple(lines), {})
+    return cfg, [level for level, _p, _r in surfaces]
+
+
+@settings(deadline=None, max_examples=80)
+@given(ledger_inputs())
+def test_stage1_ledger_matches_sub_configuration_recount(inputs):
+    cfg, levels = inputs
+    part = PartitionPoly.from_levels(levels)
+    st1 = run_stage1(cfg, partition_override=part, include_reguli=True)
+
+    surface, cells = classify_points(part, cfg.points)
+    lc = classify_lines(part, cfg.lines)
+    crossing = [i for i, _ in lc.crossing]
+    total = count_incidences(cfg).total
+    assert st1.identity == {
+        "I": total,
+        "surface_surface": _recount(cfg, surface, lc.contained),
+        "surface_crossing": _recount(cfg, surface, crossing),
+        "cells_crossing": _recount(cfg, cells, crossing),
+        "cells_contained": _recount(cfg, cells, lc.contained),
+    }
+    assert st1.pruned_total + st1.cross_charges + st1.residual_incidences == total
+    assert st1.residual_cell_incidences == _recount(cfg, cells, range(cfg.n))
+    assert min(st1.residual_surface_incidences, st1.cross_charges) >= 0
 
 
 # -- stage 2 -----------------------------------------------------------------------
