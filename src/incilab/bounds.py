@@ -82,7 +82,10 @@ def amn_coefficient(m: int, n: int, b=Fraction(2)) -> tuple[Fraction, Fraction]:
 
     e = log(m^2 n)/log(n^3/m^2) below the m = n^{3/2} boundary and
     e = log(m^3/n^4)/log(m^2/n^3) above it; exact rationals whenever m is a
-    rational power of n.
+    rational power of n.  Otherwise e is the float estimate rounded up to a
+    multiple of 1/256 and then raised until the defining inequality,
+    (n^3/m^2)^e >= m^2 n below the boundary and (m^2/n^3)^e >= m^3/n^4
+    above it, holds exactly.
     """
     if m < 2 or n < 2:
         raise ValueError("m and n must be at least 2")
@@ -102,9 +105,15 @@ def amn_coefficient(m: int, n: int, b=Fraction(2)) -> tuple[Fraction, Fraction]:
         raw = (2 * lm + ln) / (3 * ln - 2 * lm) if m2 < n3 else (
             3 * lm - 4 * ln
         ) / (2 * lm - 3 * ln)
-        # round the float exponent up on a coarse dyadic grid: the reported
-        # pair stays an upper bound and b^e stays cheap to extract
+        # round the float exponent up on a coarse dyadic grid, which keeps
+        # b^e cheap to extract, and certify the upper bound exactly
         e = Fraction(math.ceil(raw * 256), 256)
+        if m2 < n3:
+            base, target = Fraction(n3, m2), Fraction(m2 * n)
+        else:
+            base, target = Fraction(m2, n3), Fraction(m**3, n**4)
+        while cmp_power_products([(base, e)], [(target, 1)]) < 0:
+            e += Fraction(1, 256)
     return e, qpow(b, e, "up")
 
 

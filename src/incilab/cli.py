@@ -11,7 +11,12 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .bounds import MidrangeError, OutOfRangeError
 from .configs import GeneratorSpec, generate, load_config, save_config
-from .incidence import count_incidences, max_coplanar_lines, richness_histogram
+from .incidence import (
+    _max_coplanar_lines_pairwise,
+    count_incidences,
+    max_coplanar_lines,
+    richness_histogram,
+)
 from .partition import build_partition, cell_occupancy, classify_lines
 from .pipeline import (
     PipelineError,
@@ -155,8 +160,12 @@ def _cmd_verify(args) -> int:
         naive.points_by_line == grid.points_by_line,
         f"I={naive.total}",
     )
-    s, _ = max_coplanar_lines(cfg.lines)
-    check("coplanarity measured", True, f"s={s}")
+    s, witness = max_coplanar_lines(cfg.lines)
+    check(
+        "coplanarity agrees",
+        (s, witness) == _max_coplanar_lines_pairwise(cfg.lines),
+        f"s={s}",
+    )
     if cfg.m >= 1 and cfg.n >= 1:
         denom = ratio_denominator(cfg.m, cfg.n, max(s, 1))
         ratio = Fraction(naive.total) / denom

@@ -5,6 +5,13 @@ arithmetic.  The grid strategy buckets points into axis-aligned cells and
 walks each line through the cells it meets; it is a pure speedup and agrees
 with the naive count exactly, including on degenerate inputs, because points
 sitting on cell boundaries are duplicated into every touching bucket.
+
+Coplanarity clears each line's denominators once into integer Pluecker data
+(base B over w, primitive direction d, moment B x d).  One integer
+reciprocal-product test rejects a skew pair, and a coplanar pair is keyed by
+the primitive integer coefficients of its plane, so no `Fraction` or plane
+object is built per pair.  The pairwise `plane_through_lines` bucketing
+stays as the reference that `incilab verify` checks the kernel against.
 """
 
 from __future__ import annotations
@@ -281,6 +288,45 @@ def one_poor_count(hist: dict[int, int]) -> int:
     return sum(v for k, v in hist.items() if k <= 1)
 
 
+def plucker_reps(lines: Sequence[RationalLine]):
+    """Per line (w, B, d, M): the base is B/w with B integer, d is the
+    primitive direction and M = B x d, so the line's moment is M/w."""
+    reps = []
+    for bx, by, bz, w, dx, dy, dz in _line_reps(lines):
+        moment = (by * dz - bz * dy, bz * dx - bx * dz, bx * dy - by * dx)
+        reps.append((w, (bx, by, bz), (dx, dy, dz), moment))
+    return reps
+
+
+def plane_key(ri, rj) -> tuple[int, int, int, int] | None:
+    """`RationalPlane.coeffs` of the plane through two lines given by
+    `plucker_reps`, or None when they are skew or identical."""
+    wi, bi, di, mi = ri
+    wj, bj, dj, mj = rj
+    # Reciprocal product of the Pluecker coordinates, denominators cleared:
+    # zero exactly when the lines meet or are parallel.
+    if wi * (di[0] * mj[0] + di[1] * mj[1] + di[2] * mj[2]) + wj * (
+        dj[0] * mi[0] + dj[1] * mi[1] + dj[2] * mi[2]
+    ):
+        return None
+    v = dj
+    if di == dj:
+        # Parallel lines share their canonical direction, so the normal
+        # leaves the offset between the bases; identical lines have none.
+        v = (wi * bj[0] - wj * bi[0], wi * bj[1] - wj * bi[1], wi * bj[2] - wj * bi[2])
+    n0 = di[1] * v[2] - di[2] * v[1]
+    n1 = di[2] * v[0] - di[0] * v[2]
+    n2 = di[0] * v[1] - di[1] * v[0]
+    if not (n0 or n1 or n2):
+        return None
+    a, b, c = wi * n0, wi * n1, wi * n2
+    d = -(n0 * bi[0] + n1 * bi[1] + n2 * bi[2])
+    g = math.gcd(a, b, c, d)
+    if (a or b or c) < 0:
+        g = -g
+    return (a // g, b // g, c // g, d // g)
+
+
 def max_coplanar_lines(
     lines: Sequence[RationalLine],
 ) -> tuple[int, RationalPlane | None]:
@@ -288,8 +334,29 @@ def max_coplanar_lines(
 
     Returns (0, None) for no lines and (1, None) when no two lines are
     coplanar.  Intersecting or parallel pairs pin down their common plane,
-    so bucketing pairs by that plane finds the maximum exactly.
+    so bucketing pairs by that plane finds the maximum exactly.  Each pair
+    is tested and keyed on integer Pluecker data (`plane_key`); ties go to
+    the larger coefficient tuple and only the witness becomes a plane.
     """
+    if not lines:
+        return 0, None
+    reps = plucker_reps(lines)
+    buckets: dict[tuple[int, int, int, int], set[int]] = {}
+    for i, ri in enumerate(reps):
+        for j in range(i + 1, len(reps)):
+            key = plane_key(ri, reps[j])
+            if key is not None:
+                buckets.setdefault(key, set()).update((i, j))
+    if not buckets:
+        return 1, None
+    key, members = max(buckets.items(), key=lambda kv: (len(kv[1]), kv[0]))
+    return len(members), RationalPlane(*key)
+
+
+def _max_coplanar_lines_pairwise(
+    lines: Sequence[RationalLine],
+) -> tuple[int, RationalPlane | None]:
+    """Reference for `max_coplanar_lines`: one `plane_through_lines` per pair."""
     if not lines:
         return 0, None
     buckets: dict[RationalPlane, set[int]] = {}

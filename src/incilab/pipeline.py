@@ -35,6 +35,8 @@ from .incidence import (
     assign_to_components,
     count_incidences,
     max_coplanar_lines,
+    plane_key,
+    plucker_reps,
     regulus_through,
     richness_histogram,
 )
@@ -173,22 +175,24 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 def _detect_planes(f: TriPoly, lines: Sequence[RationalLine], contained: list[int]):
     """Planes spanned by coplanar pairs of contained lines that divide f."""
     found: list[RationalPlane] = []
-    seen: set[RationalPlane] = set()
+    seen: set[tuple[int, int, int, int]] = set()
     truncated = False
     budget = 5000
     pairs = 0
+    reps = plucker_reps([lines[i] for i in contained])
     for ai in range(len(contained)):
         for bi in range(ai + 1, len(contained)):
             pairs += 1
             if pairs > budget:
                 truncated = True
                 break
-            res = plane_through_lines(lines[contained[ai]], lines[contained[bi]])
-            if not isinstance(res, RationalPlane) or res in seen:
+            key = plane_key(reps[ai], reps[bi])
+            if key is None or key in seen:
                 continue
-            seen.add(res)
-            if divides_by_plane(f, res):
-                found.append(res)
+            seen.add(key)
+            plane = RationalPlane(*key)
+            if divides_by_plane(f, plane):
+                found.append(plane)
         if truncated:
             break
     return found, truncated

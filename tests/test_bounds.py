@@ -19,7 +19,8 @@ from incilab.bounds import (
     st2d_bound,
     trivial_bound,
 )
-from incilab.powers import cmp_power_products, qpow
+from incilab import bounds
+from incilab.powers import cmp_power_products, float_log, qpow, rational_log
 
 
 # -- closed-form evaluators ------------------------------------------------------
@@ -75,6 +76,37 @@ def test_amn_off_power_inputs_still_evaluate():
     assert e > 0 and coeff > 1
     e, coeff = amn_coefficient(10, 9)
     assert e > 0 and coeff > 1
+
+
+@pytest.mark.parametrize("log_digits", [None, 5])
+def test_amn_off_power_exponents_are_certified_upper_bounds(log_digits, monkeypatch):
+    if log_digits is not None:
+        # coarse logarithms put some float guesses below the true exponent
+        monkeypatch.setattr(
+            bounds, "float_log", lambda v: round(float_log(v), log_digits)
+        )
+    # Within 5% of m^2 = n^3 the exponent grows like 1/log(n^3/m^2) and one
+    # exact comparison costs seconds; (226, 37), 0.8% off, stands in for them.
+    sweep = [(m, n) for n in range(2, 40, 4) for m in range(3, 300, 13)]
+    sweep = [(m, n) for m, n in sweep if abs(m * m - n**3) * 20 > n**3]
+    sweep += [(1000, 400), (226, 37), (10**6, 999), (12345, 678)]
+    checked = {"below": 0, "above": 0}
+    for m, n in sweep:
+        if rational_log(m, n) is not None:
+            continue
+        e, _ = amn_coefficient(m, n)
+        assert e.denominator <= 256
+        if m * m < n**3:
+            base, target = Fraction(n**3, m * m), Fraction(m * m * n)
+            checked["below"] += 1
+        else:
+            base, target = Fraction(m * m, n**3), Fraction(m**3, n**4)
+            checked["above"] += 1
+        assert cmp_power_products([(base, e)], [(target, 1)]) >= 0
+        if log_digits is None:
+            # at most one grid step above the tightest dyadic exponent
+            assert cmp_power_products([(base, e - Fraction(2, 256))], [(target, 1)]) < 0
+    assert checked["below"] > 50 and checked["above"] > 50
 
 
 def test_amn_boundary_and_validation():

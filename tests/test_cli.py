@@ -103,7 +103,15 @@ def test_verify_passes_on_shipped_config(grid_cfg, capsys):
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 0
     assert "[ok] strategies agree" in out
+    assert "[ok] coplanarity agrees: s=6" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_fails_when_coplanarity_disagrees(grid_cfg, capsys, monkeypatch):
+    monkeypatch.setattr("incilab.cli.max_coplanar_lines", lambda lines: (10, None))
+    code, out, _ = run(capsys, "verify", str(grid_cfg))
+    assert code == 1
+    assert "[FAIL] coplanarity agrees: s=10" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

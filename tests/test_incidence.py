@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incilab.configs import GeneratorSpec, generate
-from incilab.geom import Rational3Point, RationalLine, RationalPlane, point_on_line
+from incilab.geom import (
+    Rational3Point,
+    RationalLine,
+    RationalPlane,
+    plane_through_lines,
+    point_on_line,
+)
 from incilab.incidence import (
     Configuration,
     DegeneracyError,
@@ -129,6 +135,87 @@ def test_max_coplanar_lines_on_families():
     assert witness.coeffs == (0, 0, 1, 0)
     grid = generate(GeneratorSpec("grid3d", {"N": 2}))
     assert max_coplanar_lines(grid.lines)[0] == 4
+
+
+def pairwise_max_coplanar(lines):
+    """Oracle: bucket every pair by its `plane_through_lines` plane."""
+    if not lines:
+        return 0, None
+    buckets = {}
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            res = plane_through_lines(lines[i], lines[j])
+            if isinstance(res, RationalPlane):
+                buckets.setdefault(res, set()).update((i, j))
+    if not buckets:
+        return 1, None
+    best = max(buckets.items(), key=lambda kv: (len(kv[1]), kv[0].coeffs))
+    return len(best[1]), best[0]
+
+
+# rationals with assorted denominators, so line bases clear to different w
+rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 12]))
+rat_pt = st.tuples(rat, rat, rat)
+small_dir = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+@st.composite
+def line_family(draw):
+    kind = draw(st.sampled_from(["free", "parallel", "pencil", "planar"]))
+    size = draw(st.integers(1, 5))
+    if kind == "free":
+        return [L(P(*draw(rat_pt)), draw(small_dir)) for _ in range(size)]
+    if kind == "parallel":
+        d = draw(small_dir)
+        return [L(P(*draw(rat_pt)), d) for _ in range(size)]
+    if kind == "pencil":
+        apex = P(*draw(rat_pt))
+        return [L(apex, draw(small_dir)) for _ in range(size)]
+    # lines inside the plane through o spanned by u and v
+    o, u, v = draw(rat_pt), draw(small_dir), draw(small_dir)
+    if not any(_cross(u, v)):
+        v = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if any(_cross(u, e)))
+    out = []
+    for _ in range(size):
+        a, b = draw(rat), draw(rat)
+        al, be = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        d = tuple(al * u[k] + be * v[k] for k in range(3))
+        if any(d):
+            out.append(L(P(*(o[k] + a * u[k] + b * v[k] for k in range(3))), d))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(line_family(), min_size=0, max_size=4), st.randoms(use_true_random=False))
+def test_max_coplanar_lines_matches_pairwise_oracle(families, rnd):
+    lines = [l for fam in families for l in fam]
+    rnd.shuffle(lines)
+    assert max_coplanar_lines(lines) == pairwise_max_coplanar(lines)
+
+
+def test_max_coplanar_lines_tie_break_and_rational_bases():
+    # two planes with four lines each; the larger coefficient tuple wins
+    lo = [L(P(0, Fraction(k, 3), 0), (1, 0, 0)) for k in range(4)]
+    hi = [L(P(Fraction(1, 2), 0, Fraction(k + 1, 5)), (0, 1, 0)) for k in range(4)]
+    s, witness = max_coplanar_lines(lo + hi)
+    assert (s, witness) == pairwise_max_coplanar(lo + hi)
+    assert s == 4 and witness.coeffs == (2, 0, 0, -1)
+    # pair normals with a negative leading entry still key the canonical plane
+    side = [L(P(0, 0, 7), (1, 0, k)) for k in range(3)]
+    floor = [L(P(0, 5, 0), d) for d in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    assert max_coplanar_lines(side + floor) == (3, RationalPlane(0, 1, 0, 0))
+    assert pairwise_max_coplanar(side + floor) == (3, RationalPlane(0, 1, 0, 0))
+    # a crossing pair whose bases have different denominators
+    pair = [
+        L(P(Fraction(1, 2), 0, 0), (0, 1, 1)),
+        L(P(0, Fraction(1, 3), Fraction(1, 3)), (1, 0, 0)),
+    ]
+    assert max_coplanar_lines(pair) == pairwise_max_coplanar(pair)
+    assert max_coplanar_lines(pair)[0] == 2
 
 
 def test_rich_points_per_line():
