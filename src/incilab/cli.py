@@ -13,6 +13,7 @@ from .bounds import MidrangeError, OutOfRangeError
 from .configs import GeneratorSpec, generate, load_config, save_config
 from .incidence import (
     _max_coplanar_lines_pairwise,
+    _points_by_line_pairwise,
     count_incidences,
     max_coplanar_lines,
     richness_histogram,
@@ -61,13 +62,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_count(args) -> int:
     cfg = load_config(args.config)
-    tally = count_incidences(cfg, strategy=args.strategy)
+    tally = count_incidences(cfg)
     hist = richness_histogram(tally)
     _emit(
         {
             "m": cfg.m,
             "n": cfg.n,
-            "strategy": args.strategy,
             "I": tally.total,
             "max_richness": max((k for k in hist if k > 0), default=0),
             "richness": {str(k): v for k, v in sorted(hist.items())},
@@ -153,12 +153,11 @@ def _cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    naive = count_incidences(cfg, strategy="naive")
-    grid = count_incidences(cfg, strategy="grid")
+    tally = count_incidences(cfg)
     check(
-        "strategies agree",
-        naive.points_by_line == grid.points_by_line,
-        f"I={naive.total}",
+        "incidences agree",
+        tally.points_by_line == _points_by_line_pairwise(cfg),
+        f"I={tally.total}",
     )
     s, witness = max_coplanar_lines(cfg.lines)
     check(
@@ -168,7 +167,7 @@ def _cmd_verify(args) -> int:
     )
     if cfg.m >= 1 and cfg.n >= 1:
         denom = ratio_denominator(cfg.m, cfg.n, max(s, 1))
-        ratio = Fraction(naive.total) / denom
+        ratio = Fraction(tally.total) / denom
         check("ratio finite", True, f"ratio={float(ratio):.4f}")
         try:
             st1 = run_stage1(cfg, D_override=args.D, seed=args.seed)
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count incidences in a configuration")
     p.add_argument("config")
-    p.add_argument("--strategy", choices=("naive", "grid"), default="naive")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds")

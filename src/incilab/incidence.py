@@ -1,10 +1,9 @@
 """Exact incidence counting and structure detection for point/line sets.
 
-The naive strategy tests every point against every line with integer
-arithmetic.  The grid strategy buckets points into axis-aligned cells and
-walks each line through the cells it meets; it is a pure speedup and agrees
-with the naive count exactly, including on degenerate inputs, because points
-sitting on cell boundaries are duplicated into every touching bucket.
+Counting tests every point against every line with integer arithmetic:
+each point and each line base is cleared to integers once, and a pair is
+one cross-product test.  The pairwise `point_on_line` count stays as the
+`Fraction` reference that `incilab verify` checks the tally against.
 
 Coplanarity clears each line's denominators once into integer Pluecker data
 (base B over w, primitive direction d, moment B x d).  One integer
@@ -130,23 +129,14 @@ def _on_line_int(prep, lrep) -> bool:
     )
 
 
-def count_incidences(
-    cfg: Configuration,
-    strategy: str = "naive",
-    cell_width: Fraction | None = None,
-    bbox: tuple | None = None,
-) -> IncidenceTally:
-    """Exact incidence tally; `strategy` is "naive" or "grid".
-
-    Both strategies return identical tallies.
-    """
+def count_incidences(cfg: Configuration) -> IncidenceTally:
+    """Exact incidence tally: every point is tested against every line."""
     cfg.validate()
-    if strategy == "naive":
-        points_by_line = _count_naive(cfg)
-    elif strategy == "grid":
-        points_by_line = _count_grid(cfg, cell_width, bbox)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    preps = _point_reps(cfg.points)
+    points_by_line = [
+        [i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)]
+        for lrep in _line_reps(cfg.lines)
+    ]
     per_point = [0] * cfg.m
     per_line = [len(pl) for pl in points_by_line]
     for pl in points_by_line:
@@ -160,113 +150,12 @@ def count_incidences(
     )
 
 
-def _count_naive(cfg: Configuration) -> list[list[int]]:
-    preps = _point_reps(cfg.points)
+def _points_by_line_pairwise(cfg: Configuration) -> list[list[int]]:
+    """Reference for `count_incidences`: one `point_on_line` per pair."""
     return [
-        [i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)]
-        for lrep in _line_reps(cfg.lines)
+        [i for i, p in enumerate(cfg.points) if point_on_line(p, l)]
+        for l in cfg.lines
     ]
-
-
-def _axis_cells(coord: Fraction, width: Fraction) -> tuple[int, ...]:
-    q = coord / width
-    f = math.floor(q)
-    # A coordinate exactly on a cell wall belongs to both neighbouring cells.
-    return (f - 1, f) if q == f else (f,)
-
-
-def _count_grid(
-    cfg: Configuration,
-    cell_width: Fraction | None,
-    bbox: tuple | None,
-) -> list[list[int]]:
-    if cfg.m == 0 or cfg.n == 0:
-        return [[] for _ in cfg.lines]
-    preps = _point_reps(cfg.points)
-    lreps = _line_reps(cfg.lines)
-    coords = [p.coords for p in cfg.points]
-    if bbox is None:
-        lo = tuple(min(c[i] for c in coords) for i in range(3))
-        hi = tuple(max(c[i] for c in coords) for i in range(3))
-    else:
-        lo = tuple(Fraction(v) for v in bbox[0])
-        hi = tuple(Fraction(v) for v in bbox[1])
-    inside = [
-        i
-        for i, c in enumerate(coords)
-        if all(lo[a] <= c[a] <= hi[a] for a in range(3))
-    ]
-    inside_set = set(inside)
-    residual = [i for i in range(cfg.m) if i not in inside_set]
-    if cell_width is None:
-        diam = max(hi[a] - lo[a] for a in range(3))
-        k = 1
-        while k ** 3 < cfg.m + cfg.n:
-            k += 1
-        cell_width = diam / k if diam > 0 else Fraction(1)
-    width = Fraction(cell_width)
-    if width <= 0:
-        raise ValueError("cell width must be positive")
-
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i in inside:
-        c = coords[i]
-        for ix in _axis_cells(c[0], width):
-            for iy in _axis_cells(c[1], width):
-                for iz in _axis_cells(c[2], width):
-                    buckets.setdefault((ix, iy, iz), []).append(i)
-
-    out = []
-    for lrep, line in zip(lreps, cfg.lines):
-        base = line.base.coords
-        direc = line.dir
-        t_lo: Fraction | None = None
-        t_hi: Fraction | None = None
-        empty = False
-        for a in range(3):
-            if direc[a] == 0:
-                if not (lo[a] <= base[a] <= hi[a]):
-                    empty = True
-                    break
-                continue
-            ta = (lo[a] - base[a]) / direc[a]
-            tb = (hi[a] - base[a]) / direc[a]
-            if ta > tb:
-                ta, tb = tb, ta
-            t_lo = ta if t_lo is None else max(t_lo, ta)
-            t_hi = tb if t_hi is None else min(t_hi, tb)
-        candidates: set[int] = set()
-        if not empty and t_lo is not None and t_lo <= t_hi:
-            cuts = {t_lo, t_hi}
-            for a in range(3):
-                if direc[a] == 0:
-                    continue
-                ca = base[a] + t_lo * direc[a]
-                cb = base[a] + t_hi * direc[a]
-                if ca > cb:
-                    ca, cb = cb, ca
-                k0 = math.ceil(ca / width)
-                k1 = math.floor(cb / width)
-                for k in range(k0, k1 + 1):
-                    cuts.add((k * width - base[a]) / direc[a])
-            ts = sorted(cuts)
-            probes = []
-            if len(ts) == 1:
-                probes.append(ts[0])
-            for ta, tb in zip(ts, ts[1:]):
-                probes.append((ta + tb) / 2)
-            for t in probes:
-                pt = tuple(base[a] + t * direc[a] for a in range(3))
-                for ix in _axis_cells(pt[0], width):
-                    for iy in _axis_cells(pt[1], width):
-                        for iz in _axis_cells(pt[2], width):
-                            candidates.update(buckets.get((ix, iy, iz), ()))
-        hits = [i for i in sorted(candidates) if _on_line_int(preps[i], lrep)]
-        for i in residual:
-            if _on_line_int(preps[i], lrep):
-                hits.append(i)
-        out.append(sorted(hits))
-    return out
 
 
 # -- richness and coplanarity -------------------------------------------------

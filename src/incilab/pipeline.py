@@ -176,16 +176,9 @@ def _detect_planes(f: TriPoly, lines: Sequence[RationalLine], contained: list[in
     """Planes spanned by coplanar pairs of contained lines that divide f."""
     found: list[RationalPlane] = []
     seen: set[tuple[int, int, int, int]] = set()
-    truncated = False
-    budget = 5000
-    pairs = 0
     reps = plucker_reps([lines[i] for i in contained])
     for ai in range(len(contained)):
         for bi in range(ai + 1, len(contained)):
-            pairs += 1
-            if pairs > budget:
-                truncated = True
-                break
             key = plane_key(reps[ai], reps[bi])
             if key is None or key in seen:
                 continue
@@ -193,9 +186,7 @@ def _detect_planes(f: TriPoly, lines: Sequence[RationalLine], contained: list[in
             plane = RationalPlane(*key)
             if divides_by_plane(f, plane):
                 found.append(plane)
-        if truncated:
-            break
-    return found, truncated
+    return found
 
 
 def _detect_cones(
@@ -383,7 +374,7 @@ def run_stage1(
     for li in contained:
         for pi in tally.points_by_line[li]:
             richness_l1[pi] = richness_l1.get(pi, 0) + 1
-    planes, truncated = _detect_planes(f, cfg.lines, contained)
+    planes = _detect_planes(f, cfg.lines, contained)
     cones = _detect_cones(part, cfg.points, surface_idx, richness_l1)
     want_reguli = (
         include_reguli
@@ -420,8 +411,6 @@ def run_stage1(
             )
         )
     report.components = [(c.cause, c.description) for c in comps]
-    if truncated:
-        report.flags.append("plane-pair search truncated")
 
     # Every component divides f, so only surface points and contained lines
     # can be assigned; cell incidences are residual by the identity.
@@ -448,10 +437,9 @@ def run_stage1(
         meta={"residual_of": cfg.meta.get("family", "custom")},
     )
     res_contained = [i for i in contained if assign.line_comp[i] is None]
-    if not truncated:
-        s_res, _w = max_coplanar_lines([cfg.lines[i] for i in res_contained])
-        report.residual_contained_max_coplanar = s_res
-        report.residual_coplanar_within_degree = s_res <= max(part.degree, 1)
+    s_res, _w = max_coplanar_lines([cfg.lines[i] for i in res_contained])
+    report.residual_contained_max_coplanar = s_res
+    report.residual_coplanar_within_degree = s_res <= max(part.degree, 1)
     return report
 
 
@@ -617,9 +605,9 @@ def full_report(
     epsilon: Fraction = Fraction(1, 10),
     include_reguli: bool | None = None,
 ) -> IncidenceReport:
-    """Counting (naive strategy), coplanarity, bounds, and optionally the
-    two-stage pipeline.  `incilab verify` cross-checks the counting
-    strategies."""
+    """Counting, coplanarity, bounds, and optionally the two-stage pipeline.
+    `incilab verify` checks the count and the coplanarity against their
+    pairwise `Fraction` references."""
     cfg.validate()
     m, n = cfg.m, cfg.n
     flags: list[str] = []

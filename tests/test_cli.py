@@ -7,6 +7,7 @@ import pytest
 
 from incilab.cli import main
 from incilab.configs import load_config
+from incilab.incidence import count_incidences
 from incilab.partition import PartitionPoly, degree_budget
 
 
@@ -42,13 +43,16 @@ def test_generate_accepts_string_params(tmp_path, capsys):
     assert load_config(path).meta["params"] == {"kind": "hp", "k": 6}
 
 
-def test_count_both_strategies(grid_cfg, capsys):
-    for strategy in ("naive", "grid"):
-        code, out, _ = run(capsys, "count", str(grid_cfg), "--strategy", strategy)
-        assert code == 0
-        data = json.loads(out)
-        assert data["I"] == 81
-        assert data["strategy"] == strategy
+def test_count_reports_tally(grid_cfg, capsys):
+    code, out, _ = run(capsys, "count", str(grid_cfg))
+    assert code == 0
+    assert json.loads(out) == {
+        "m": 27,
+        "n": 27,
+        "I": 81,
+        "max_richness": 3,
+        "richness": {"3": 27},
+    }
 
 
 def test_bounds_reports_golden_values(capsys):
@@ -102,7 +106,7 @@ def test_pipeline_writes_report_and_csv(grid_cfg, tmp_path, capsys):
 def test_verify_passes_on_shipped_config(grid_cfg, capsys):
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 0
-    assert "[ok] strategies agree" in out
+    assert "[ok] incidences agree: I=81" in out
     assert "[ok] coplanarity agrees: s=6" in out
     assert "[FAIL]" not in out
 
@@ -112,6 +116,19 @@ def test_verify_fails_when_coplanarity_disagrees(grid_cfg, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 1
     assert "[FAIL] coplanarity agrees: s=10" in out
+
+
+def test_verify_fails_when_count_disagrees(grid_cfg, capsys, monkeypatch):
+    def drop_one(cfg):
+        tally = count_incidences(cfg)
+        tally.points_by_line[0].pop()
+        tally.total -= 1
+        return tally
+
+    monkeypatch.setattr("incilab.cli.count_incidences", drop_one)
+    code, out, _ = run(capsys, "verify", str(grid_cfg))
+    assert code == 1
+    assert "[FAIL] incidences agree: I=80" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

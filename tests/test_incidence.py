@@ -20,6 +20,7 @@ from incilab.incidence import (
     InvalidConfigurationError,
     MONOMIALS_DEG2,
     Quadric,
+    _points_by_line_pairwise,
     assign_to_components,
     count_incidences,
     max_coplanar_lines,
@@ -75,41 +76,39 @@ def test_strategies_agree_on_generated_families():
         GeneratorSpec("random", {"m": 150, "n": 90}, seed=11),
     ):
         cfg = generate(spec)
-        a = count_incidences(cfg, strategy="naive")
-        b = count_incidences(cfg, strategy="grid")
-        assert a.points_by_line == b.points_by_line
+        assert count_incidences(cfg).points_by_line == _points_by_line_pairwise(cfg)
 
 
-def test_grid_strategy_with_boundary_aligned_cells():
-    # integer points with cell width 1 put every point on a cell wall
-    cfg = generate(GeneratorSpec("grid3d", {"N": 3}))
-    a = count_incidences(cfg, strategy="naive")
-    b = count_incidences(cfg, strategy="grid", cell_width=Fraction(1))
-    c = count_incidences(
-        cfg, strategy="grid", cell_width=Fraction(1, 3), bbox=((0, 0, 0), (1, 1, 1))
-    )
-    assert a.points_by_line == b.points_by_line == c.points_by_line
+rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+rpoint = st.builds(P, rational, rational, rational)
+direction = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
 
 
-def test_unknown_strategy_rejected(cross_pair):
-    with pytest.raises(ValueError):
-        count_incidences(cross_pair, strategy="fast")
+@st.composite
+def incidence_inputs(draw):
+    """Rational points (denominators 1-6), possibly none, and lines: free
+    ones, lines through two of the points, a concurrent family through one
+    point and a parallel family, any of them possibly empty."""
+    points = draw(st.lists(rpoint, max_size=12))
+    lines = [L(draw(rpoint), draw(direction)) for _ in range(draw(st.integers(0, 3)))]
+    if len(points) >= 2:
+        for a, b in draw(st.lists(st.tuples(*[st.sampled_from(points)] * 2), max_size=4)):
+            if a != b:
+                lines.append(L(a, (b.x - a.x, b.y - a.y, b.z - a.z)))
+    if points:
+        hub = draw(st.sampled_from(points))
+        lines += [L(hub, d) for d in draw(st.lists(direction, max_size=4))]
+        shared = draw(direction)
+        lines += [L(b, shared) for b in draw(st.lists(st.sampled_from(points), max_size=4))]
+    return small_config(dict.fromkeys(points), dict.fromkeys(lines))
 
 
-coords = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3)
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    st.lists(coords, min_size=1, max_size=12, unique=True),
-    st.lists(st.tuples(coords, coords.filter(lambda v: any(v))), min_size=1, max_size=10),
-)
-def test_grid_matches_naive_on_random_input(pts, raw_lines):
-    lines = tuple({L(P(*b), d) for b, d in raw_lines})
-    cfg = small_config([P(*c) for c in pts], lines)
-    a = count_incidences(cfg, strategy="naive")
-    b = count_incidences(cfg, strategy="grid")
-    assert a.points_by_line == b.points_by_line
+@settings(deadline=None, max_examples=80)
+@given(incidence_inputs())
+def test_count_matches_pairwise_on_random_input(cfg):
+    tally = count_incidences(cfg)
+    assert tally.points_by_line == _points_by_line_pairwise(cfg)
+    assert tally.total == sum(tally.per_point) == sum(tally.per_line)
 
 
 # -- richness and coplanarity ----------------------------------------------------

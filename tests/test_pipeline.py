@@ -17,6 +17,7 @@ from incilab.pipeline import (
     CSV_COLUMNS,
     PipelineError,
     WindowError,
+    _detect_planes,
     full_report,
     ratio_denominator,
     run_stage1,
@@ -109,6 +110,19 @@ def test_stage1_accounting_on_random_config():
     assert st.pruned_total + st.cross_charges + st.residual_incidences == total
     assert st.occupancy_max <= st.occupancy_bound
     assert st.max_cross_roots <= st.degree_used
+
+
+def test_plane_search_scans_every_contained_pair():
+    # 40 lines in each plane of z (z - 1) (x - 100), listed plane by plane:
+    # 6360 pairs come before the first pair inside x = 100
+    f = Z * (Z - TriPoly.constant(1)) * (X - TriPoly.constant(100))
+    lines = (
+        [RationalLine(Rational3Point(0, i, 0), (1, 0, 0)) for i in range(40)]
+        + [RationalLine(Rational3Point(0, i, 1), (1, 1, 0)) for i in range(40)]
+        + [RationalLine(Rational3Point(100, i, 0), (0, 0, 1)) for i in range(40)]
+    )
+    planes = _detect_planes(f, lines, list(range(120)))
+    assert [p.coeffs for p in planes] == [(0, 0, 1, 0), (0, 0, 1, -1), (1, 0, 0, -100)]
 
 
 def test_stage1_requires_a_degree_source():
