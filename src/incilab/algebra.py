@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geom import Rational3Point, RationalLine, RationalPlane
+from .qformat import qstr
 
 NEG_INF = float("-inf")  # degree marker of the zero polynomial
 
@@ -184,7 +185,7 @@ class TriPoly:
         recs = []
         for e in sorted(self._terms):
             c = self._terms[e]
-            recs.append({"e": list(e), "c": _qstr(c)})
+            recs.append({"e": list(e), "c": qstr(c)})
         return recs
 
     @classmethod
@@ -198,10 +199,6 @@ class TriPoly:
         for e in sorted(self._terms, reverse=True):
             bits.append(f"{self._terms[e]}*x^{e[0]}y^{e[1]}z^{e[2]}")
         return "TriPoly(" + " + ".join(bits) + ")"
-
-
-def _qstr(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 X = TriPoly.variable(0)

@@ -3,15 +3,18 @@
 A partition of depth t is a sequence g_1..g_t where g_j splits every class
 of points carved out by the signs of g_1..g_{j-1} into two sides of
 near-equal size.  Points where some g_j vanishes migrate to the surface set
-of the product f = g_1 * ... * g_t.  Cells are the full-sign classes in
+Z(f) of the product f = g_1 * ... * g_t.  Cells are the full-sign classes in
 {-,+}^t; a line not inside Z(f) meets at most 1 + deg f of them, certified
 per line by a real root count.
 
+f is never expanded: Z(f) is the union of the levels' zero sets, and the
+restriction of f to a line is the product of the levels' restrictions.
+
 The bisector search is deterministic given the seed: candidate polynomials
 are enumerated family by family (median planes and plane sweeps, slab
-products, spheres, then interpolation through class midpoints in the lifted
-monomial space) and the first candidate within the slack wins, preferring
-candidates that vanish on no input point.
+products, spheres, then lifted directions on which every class has the same
+mean) and the first candidate within the slack wins, preferring candidates
+that vanish on no input point.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .algebra import (
     TriPoly,
     UniPoly,
     count_real_roots,
+    # not called here; kept so the trace target partition.line_in_zero_set
+    # in perfbench/tracing.py still resolves
     line_in_zero_set,
     primitive_normalize,
     restrict_to_line,
@@ -81,10 +86,6 @@ class PartitionPoly:
     @property
     def t(self) -> int:
         return len(self.levels)
-
-    @property
-    def f(self) -> TriPoly:
-        return reduce(lambda a, b: a * b, self.levels)
 
     @property
     def degree(self) -> int:
@@ -267,7 +268,6 @@ class _Search:
             self._slabs,
             self._spheres,
             self._balanced,
-            self._lifted,
         )
         for fam in fams:
             for g in fam():
@@ -454,48 +454,6 @@ class _Search:
             for cthr in thresholds:
                 yield shape - TriPoly.constant(cthr)
 
-    # family: interpolation through class-pair midpoints in the lifted
-    # monomial basis of degree = cap
-    def _lifted(self):
-        d = self.cap
-        exps = [
-            (i, j, k)
-            for i in range(d + 1)
-            for j in range(d + 1 - i)
-            for k in range(d + 1 - i - j)
-        ]
-        exps.sort()
-        rows_needed = len(exps) - 1
-        for _ in range(24):
-            anchors = []
-            guard = 0
-            while len(anchors) < rows_needed and guard < rows_needed * 4:
-                guard += 1
-                cls_ = self.classes[len(anchors) % len(self.classes)]
-                if len(cls_) >= 2:
-                    i, j = self.rng.sample(cls_, 2)
-                else:
-                    i = j = cls_[0]
-                a = self.coords[i]
-                b = self.coords[j]
-                mid = tuple((a[k] + b[k]) / 2 for k in range(3))
-                jitter = tuple(
-                    m + Fraction(self.rng.randint(-1, 1), 97) for m in mid
-                )
-                if jitter not in anchors:
-                    anchors.append(jitter)
-            if len(anchors) < min(rows_needed, 3):
-                continue
-            rows = [
-                [p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2] for e in exps]
-                for p in anchors
-            ]
-            basis = nullspace(rows)
-            for vec in basis[:2]:
-                terms = {e: c for e, c in zip(exps, vec) if c != 0}
-                if terms:
-                    yield TriPoly(terms)
-
 
 def build_partition(
     points: Sequence[Rational3Point],
@@ -605,23 +563,39 @@ class LineClassification:
         return max((r for _, r in self.crossing), default=0)
 
 
+def _restrict_levels(
+    part: PartitionPoly, line: RationalLine
+) -> tuple[list[UniPoly], UniPoly]:
+    """Each level restricted to the line, and the restriction of f.
+
+    Restricting to a line is a ring homomorphism, so the restriction of f
+    is the product of the levels' restrictions; it is zero exactly when
+    some level vanishes on the whole line.
+    """
+    restrictions = [restrict_to_line(g, line) for g in part.levels]
+    return restrictions, reduce(lambda a, b: a * b, restrictions, UniPoly([1]))
+
+
 def classify_lines(
     part: PartitionPoly, lines: Sequence[RationalLine]
 ) -> LineClassification:
     """Split lines into those inside Z(f) and those crossing it.
 
-    For each crossing line the number of distinct real roots of f along the
-    line is certified to be at most deg f.
+    Each level is restricted to each line once and f is never expanded: a
+    line lies in Z(f) when some level's restriction is zero, and for each
+    crossing line the number of distinct real roots of f along the line,
+    counted on the product of the restrictions, is certified to be at most
+    deg f.
     """
-    f = part.f
     d = part.degree
     contained = []
     crossing = []
     for i, line in enumerate(lines):
-        if line_in_zero_set(f, line):
+        _restrictions, on_line = _restrict_levels(part, line)
+        if on_line.is_zero():
             contained.append(i)
             continue
-        roots = count_real_roots(restrict_to_line(f, line))
+        roots = count_real_roots(on_line)
         if roots > d:
             raise AssertionError(
                 f"root count {roots} exceeds degree {d}; restriction is broken"
@@ -638,12 +612,11 @@ def classes_crossed(
     Sample parameters are taken strictly inside every root gap of f along
     the line, so each sample sees a nonzero sign from every level.
     """
-    restrictions = [restrict_to_line(g, line) for g in part.levels]
-    product = reduce(lambda a, b: a * b, restrictions, UniPoly([1]))
-    if product.is_zero():
+    restrictions, on_line = _restrict_levels(part, line)
+    if on_line.is_zero():
         raise ValueError("line lies inside the zero set")
     seen: set[tuple[int, ...]] = set()
-    for tval in sign_gap_samples(product):
+    for tval in sign_gap_samples(on_line):
         sv = tuple(
             1 if r.evaluate(tval) > 0 else -1 if r.evaluate(tval) < 0 else 0
             for r in restrictions

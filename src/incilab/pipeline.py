@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
-from .algebra import TriPoly, divides_by_plane, is_cone_with_apex, line_in_zero_set, tp_divides
+from .algebra import divides_by_plane, is_cone_with_apex, line_in_zero_set, tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point, plane_through_lines
 from .incidence import (
@@ -172,7 +172,16 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
     return math.ceil((Fraction(1, 2) + Fraction(epsilon)) ** t * m)
 
 
-def _detect_planes(f: TriPoly, lines: Sequence[RationalLine], contained: list[int]):
+# A plane or regulus divides f = g_1 * ... * g_t exactly when it divides some
+# level: a linear form is prime in Q[x,y,z], and a quadric through three
+# pairwise skew lines is irreducible over Q, since two rational planes
+# holding the three lines would hold two of them together, making those two
+# coplanar.  So f is never expanded to test a component.
+
+
+def _detect_planes(
+    part: PartitionPoly, lines: Sequence[RationalLine], contained: list[int]
+):
     """Planes spanned by coplanar pairs of contained lines that divide f."""
     found: list[RationalPlane] = []
     seen: set[tuple[int, int, int, int]] = set()
@@ -184,7 +193,7 @@ def _detect_planes(f: TriPoly, lines: Sequence[RationalLine], contained: list[in
                 continue
             seen.add(key)
             plane = RationalPlane(*key)
-            if divides_by_plane(f, plane):
+            if any(divides_by_plane(g, plane) for g in part.levels):
                 found.append(plane)
     return found
 
@@ -218,7 +227,7 @@ def _detect_cones(
 
 
 def _detect_reguli(
-    f: TriPoly, lines: Sequence[RationalLine], contained: list[int], seed: int
+    part: PartitionPoly, lines: Sequence[RationalLine], contained: list[int], seed: int
 ):
     """Quadrics through seeded skew triples of contained lines dividing f."""
     if len(contained) < 3:
@@ -242,7 +251,7 @@ def _detect_reguli(
         if quad in seen:
             continue
         seen.add(quad)
-        if tp_divides(quad.poly, f):
+        if any(tp_divides(quad.poly, g) for g in part.levels):
             out.append(quad)
     return out
 
@@ -367,21 +376,20 @@ def run_stage1(
         return report
     tally, surface_idx, cell_idx, contained, _crossing = split
     part = report.partition
-    f = part.f
 
     # component inventory, first-come-first-serve
     richness_l1: dict[int, int] = {}
     for li in contained:
         for pi in tally.points_by_line[li]:
             richness_l1[pi] = richness_l1.get(pi, 0) + 1
-    planes = _detect_planes(f, cfg.lines, contained)
+    planes = _detect_planes(part, cfg.lines, contained)
     cones = _detect_cones(part, cfg.points, surface_idx, richness_l1)
     want_reguli = (
         include_reguli
         if include_reguli is not None
         else (plan is not None and plan.regime == "large-m")
     )
-    reguli = _detect_reguli(f, cfg.lines, contained, seed) if want_reguli else []
+    reguli = _detect_reguli(part, cfg.lines, contained, seed) if want_reguli else []
     comps: list[SurfaceComponent] = []
     for pl in planes:
         comps.append(

@@ -2,17 +2,33 @@
 
 import json
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incilab.algebra import TriPoly, X, Y, Z
+from incilab.algebra import (
+    TriPoly,
+    X,
+    Y,
+    Z,
+    count_real_roots,
+    divides_by_plane,
+    line_in_zero_set,
+    restrict_to_line,
+    sign_gap_samples,
+)
 from incilab.bounds import OutOfRangeError
 from incilab.configs import GeneratorSpec, generate
-from incilab.geom import Rational3Point, RationalLine
+from incilab.geom import Rational3Point, RationalLine, RationalPlane, plane_through_lines
 from incilab.incidence import Configuration, count_incidences
-from incilab.partition import PartitionPoly, classify_lines, classify_points
+from incilab.partition import (
+    PartitionPoly,
+    classes_crossed,
+    classify_lines,
+    classify_points,
+)
 from incilab.pipeline import (
     CSV_COLUMNS,
     PipelineError,
@@ -87,9 +103,15 @@ def test_forced_cone_surface_prunes_concurrent_family():
     assert st.components == [("conic", "cone apex (0,0,0)")]
 
 
-def test_forced_saddle_surface_prunes_both_rulings_as_regulus():
+@pytest.mark.parametrize(
+    # x = 100 misses every point of the configuration (1 <= x <= 4)
+    "levels",
+    [[X * Y - Z], [X * Y - Z, X - TriPoly.constant(100)]],
+    ids=["saddle", "saddle-and-far-plane"],
+)
+def test_forced_saddle_surface_prunes_both_rulings_as_regulus(levels):
     cfg = gen("ruled_surface", kind="hp", k=8)
-    override = PartitionPoly.from_levels([X * Y - Z])
+    override = PartitionPoly.from_levels(levels)
     st = run_stage1(cfg, partition_override=override, include_reguli=True)
     assert st.pruned_by_cause["regulus"] == 32
     assert st.residual_incidences == 0
@@ -113,15 +135,17 @@ def test_stage1_accounting_on_random_config():
 
 
 def test_plane_search_scans_every_contained_pair():
-    # 40 lines in each plane of z (z - 1) (x - 100), listed plane by plane:
+    # 40 lines in each level plane z, z - 1, x - 100, listed plane by plane:
     # 6360 pairs come before the first pair inside x = 100
-    f = Z * (Z - TriPoly.constant(1)) * (X - TriPoly.constant(100))
+    part = PartitionPoly.from_levels(
+        [Z, Z - TriPoly.constant(1), X - TriPoly.constant(100)]
+    )
     lines = (
         [RationalLine(Rational3Point(0, i, 0), (1, 0, 0)) for i in range(40)]
         + [RationalLine(Rational3Point(0, i, 1), (1, 1, 0)) for i in range(40)]
         + [RationalLine(Rational3Point(100, i, 0), (0, 0, 1)) for i in range(40)]
     )
-    planes = _detect_planes(f, lines, list(range(120)))
+    planes = _detect_planes(part, lines, list(range(120)))
     assert [p.coeffs for p in planes] == [(0, 0, 1, 0), (0, 0, 1, -1), (1, 0, 0, -100)]
 
 
@@ -217,6 +241,45 @@ def test_stage1_ledger_matches_sub_configuration_recount(inputs):
     assert st1.pruned_total + st1.cross_charges + st1.residual_incidences == total
     assert st1.residual_cell_incidences == _recount(cfg, cells, range(cfg.n))
     assert min(st1.residual_surface_incidences, st1.cross_charges) >= 0
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(ledger_inputs())
+def test_level_wise_zero_set_matches_expanded_product(inputs):
+    # oracle: multiply the levels out and work on the product f
+    cfg, levels = inputs
+    part = PartitionPoly.from_levels(levels)
+    f = reduce(lambda a, b: a * b, part.levels)
+    contained = [i for i, line in enumerate(cfg.lines) if line_in_zero_set(f, line)]
+    crossing = [
+        (i, count_real_roots(restrict_to_line(f, line)))
+        for i, line in enumerate(cfg.lines)
+        if i not in contained
+    ]
+    lc = classify_lines(part, cfg.lines)
+    assert (lc.contained, lc.crossing) == (contained, crossing)
+
+    for i, _roots in crossing:
+        line = cfg.lines[i]
+        expected = set()
+        for t in sign_gap_samples(restrict_to_line(f, line)):
+            sv = tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            assert 0 not in sv
+            expected.add(sv)
+        assert classes_crossed(part, line) == expected
+
+    spanned = []
+    for a, b in combinations(contained, 2):
+        plane = plane_through_lines(cfg.lines[a], cfg.lines[b])
+        if isinstance(plane, RationalPlane) and plane not in spanned:
+            spanned.append(plane)
+    assert _detect_planes(part, cfg.lines, contained) == [
+        plane for plane in spanned if divides_by_plane(f, plane)
+    ]
 
 
 # -- stage 2 -----------------------------------------------------------------------
