@@ -1,49 +1,55 @@
-"""Tiny exact linear algebra over Fraction: rref and nullspace bases."""
+"""Tiny exact linear algebra, fraction-free: nullspace bases over Q by one
+integer Gauss-Jordan elimination (Bareiss 1968)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    if not mat:
-        return mat, []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the right nullspace of the matrix."""
+    """Deterministic basis of the right nullspace of the matrix: for each
+    non-pivot column c of the (unique) reduced row echelon form, 1 at c and
+    minus column c of the reduced rows at their pivot columns."""
     if rows:
         ncols = len(rows[0])
     if ncols is None:
         raise ValueError("need ncols for an empty matrix")
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    # clearing each row's denominators scales it by a positive constant,
+    # which leaves the row space, hence the RREF, unchanged
+    mat = []
+    for row in rows:
+        m = math.lcm(*(v.denominator for v in row))
+        mat.append([v.numerator * (m // v.denominator) for v in row])
+    # after each step every entry is a minor of the input, every pivot row
+    # holds the same pivot value, and division by the previous pivot is exact
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(mat):
+            break
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], prow)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(mat, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = Fraction(-row[fc], prev)
         basis.append(tuple(vec))
     return basis

@@ -12,9 +12,17 @@ restriction of f to a line is the product of the levels' restrictions.
 
 The bisector search is deterministic given the seed: candidate polynomials
 are enumerated family by family (median planes and plane sweeps, slab
-products, spheres, then lifted directions on which every class has the same
+products, then balanced lifted directions on which every class has the same
 mean) and the first candidate within the slack wins, preferring candidates
 that vanish on no input point.
+
+Every sign is decided on Python ints.  Denominators are cleared once per
+point set: with L the lcm of all coordinate denominators, a point x is held
+as X = L*x.  Search keys are scaled by a positive constant (u.X = L*u.x), so
+they sort and split exactly as the rational keys would, and each threshold
+maps back to a rational by one exact division.  A polynomial g is evaluated
+through its integer form M * L^deg(g) * g(X/L) with M > 0, which has the
+sign of g at x.
 """
 
 from __future__ import annotations
@@ -141,7 +149,7 @@ def _side_caps(classes: Sequence[Sequence[int]], epsilon: Fraction) -> list[int]
     return [int(half * len(c)) for c in classes]
 
 
-def _window_from_values(values: list[Fraction], q: int):
+def _window_from_values(values: list, q: int):
     # both open sides <= q forces the threshold into a closed order-statistic window
     sz = len(values)
     lo = values[sz - 1 - q] if sz - 1 - q >= 0 else None
@@ -149,18 +157,23 @@ def _window_from_values(values: list[Fraction], q: int):
     return lo, hi
 
 
-def _zero_free_pick(all_values: list[Fraction], lo: Fraction, hi: Fraction):
+def _mid(a, b) -> Fraction:
+    # (a + b) / 2 on two ints would be a float
+    return Fraction(a + b, 2)
+
+
+def _zero_free_pick(all_values: list, lo, hi):
     """A threshold in [lo, hi] equal to no listed value, or None."""
     inside = sorted({v for v in all_values if lo <= v <= hi})
     if not inside:
-        return (lo + hi) / 2
+        return _mid(lo, hi)
     if lo < inside[0]:
-        return (lo + inside[0]) / 2
+        return _mid(lo, inside[0])
     for a, b in zip(inside, inside[1:]):
         if a < b:
-            return (a + b) / 2
+            return _mid(a, b)
     if inside[-1] < hi:
-        return (inside[-1] + hi) / 2
+        return _mid(inside[-1], hi)
     return None
 
 
@@ -180,7 +193,7 @@ def _threshold_candidates(values_by_class, qs, all_values):
     free = _zero_free_pick(all_values, lo, hi)
     if free is not None:
         out.append(free)
-    out.append((lo + hi) / 2)
+    out.append(_mid(lo, hi))
     return out
 
 
@@ -192,19 +205,48 @@ def _functional_poly_plane(u) -> TriPoly:
     )
 
 
-def _sphere_poly(center) -> TriPoly:
-    acc = TriPoly.zero()
-    for axis, o in enumerate(center):
-        v = TriPoly.variable(axis) - TriPoly.constant(o)
-        acc = acc + v * v
-    return acc
+def _scaled(coords) -> tuple[int, list[tuple[int, int, int]]]:
+    """L, the lcm of every coordinate denominator, and each point times L."""
+    L = math.lcm(*(c.denominator for p in coords for c in p))
+    return L, [tuple(c.numerator * (L // c.denominator) for c in p) for p in coords]
+
+
+def _int_form(g: TriPoly, L: int) -> list[tuple[int, int, int, int]]:
+    """Terms (a, b, c, C) of M * L^deg(g) * g(X/L) for some integer M > 0.
+
+    The sum of C * X^a * Y^b * Z^c at X = L*x has the sign of g(x).
+    """
+    terms = g.terms()
+    d = g.degree
+    M = math.lcm(*(v.denominator for v in terms.values()))
+    return [
+        (a, b, c, v.numerator * (M // v.denominator) * L ** (d - a - b - c))
+        for (a, b, c), v in terms.items()
+    ]
+
+
+def _signs(form, pts) -> list[int]:
+    """Sign of the integer form at each scaled point: -1, 0 or 1."""
+    out = []
+    for x, y, z in pts:
+        v = sum(C * x**a * y**b * z**c for a, b, c, C in form)
+        out.append((v > 0) - (v < 0))
+    return out
+
+
+def _sign_vectors(levels: Sequence[TriPoly], points: Sequence[Rational3Point]):
+    """Each point's tuple of level signs."""
+    L, pts = _scaled([p.coords for p in points])
+    return list(zip(*(_signs(_int_form(g, L), pts) for g in levels)))
 
 
 class _Search:
-    """One level's candidate enumeration over the current classes."""
+    """One level's candidate enumeration over the current classes; keys and
+    thresholds are in the units of pts, the points scaled by L to ints."""
 
-    def __init__(self, coords, classes, cap, epsilon, rng):
-        self.coords = coords
+    def __init__(self, pts, L, classes, cap, epsilon, rng):
+        self.pts = pts
+        self.L = L
         self.classes = [list(c) for c in classes if c]
         self.cap = cap
         self.eps = Fraction(epsilon)
@@ -233,20 +275,15 @@ class _Search:
     def grade(self, g: TriPoly) -> TriPoly | None:
         """Score candidate g; return it if it is an immediate winner."""
         self.order += 1
+        form = _int_form(g, self.L)
         zeros = 0
         worst = Fraction(0)
         ok = True
         for cls_, q in zip(self.classes, self.qs):
-            pos = neg = 0
-            for i in cls_:
-                x, y, z = self.coords[i]
-                v = g.evaluate(x, y, z)
-                if v > 0:
-                    pos += 1
-                elif v < 0:
-                    neg += 1
-                else:
-                    zeros += 1
+            signs = _signs(form, [self.pts[i] for i in cls_])
+            pos = signs.count(1)
+            neg = signs.count(-1)
+            zeros += len(signs) - pos - neg
             if pos > q or neg > q:
                 ok = False
             need = Fraction(max(pos, neg), len(cls_)) - Fraction(1, 2)
@@ -263,13 +300,7 @@ class _Search:
         return None
 
     def run(self) -> TriPoly:
-        fams = (
-            self._planes,
-            self._slabs,
-            self._spheres,
-            self._balanced,
-        )
-        for fam in fams:
+        for fam in (self._planes, self._slabs, self._balanced):
             for g in fam():
                 win = self.grade(g)
                 if win is not None:
@@ -280,110 +311,68 @@ class _Search:
             "no bisector met the slack at this level", self.best_slack
         )
 
+    def _keys(self, u) -> list[list[int]]:
+        """Sorted keys u.X of each class."""
+        return [
+            sorted(
+                u[0] * self.pts[i][0] + u[1] * self.pts[i][1] + u[2] * self.pts[i][2]
+                for i in cls_
+            )
+            for cls_ in self.classes
+        ]
+
     # family: planes u.x = c (covers the axis median fallback: axes first)
     def _planes(self):
         for u in self.directions():
-            values_by_class = [
-                sorted(
-                    u[0] * self.coords[i][0]
-                    + u[1] * self.coords[i][1]
-                    + u[2] * self.coords[i][2]
-                    for i in cls_
-                )
-                for cls_ in self.classes
-            ]
+            values_by_class = self._keys(u)
             all_values = [v for vs in values_by_class for v in vs]
             for c in _threshold_candidates(values_by_class, self.qs, all_values):
-                yield _functional_poly_plane(u) - TriPoly.constant(c)
+                yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L))
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
         if self.cap < 2:
             return
         for u in self.directions():
-            values_by_class = [
-                sorted(
-                    u[0] * self.coords[i][0]
-                    + u[1] * self.coords[i][1]
-                    + u[2] * self.coords[i][2]
-                    for i in cls_
-                )
-                for cls_ in self.classes
-            ]
+            values_by_class = self._keys(u)
             distinct = sorted({v for vs in values_by_class for v in vs})
-            gaps = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+            gaps = list(zip(distinct, distinct[1:]))
             if len(gaps) > 12:
-                step = len(gaps) / 12
-                gaps = [gaps[int(k * step)] for k in range(12)]
-            for c1 in gaps:
+                gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
+            for a, b in gaps:
+                c1 = _mid(a, b)
                 got = self._slab_second_cut(values_by_class, c1)
                 if got is None:
                     continue
                 lin = _functional_poly_plane(u)
-                yield (lin - TriPoly.constant(c1)) * (lin - TriPoly.constant(got))
+                yield (lin - Fraction(c1, self.L)) * (lin - Fraction(got, self.L))
 
     def _slab_second_cut(self, values_by_class, c1):
+        # c1 lies strictly between two consecutive keys and q < len(values),
+        # so every class bounds c2 from below (lo) and above (hi) by keys
+        # greater than c1
         lo = None
         hi = None
         all_inside = []
         for values, q in zip(values_by_class, self.qs):
             sz = len(values)
             a = bisect.bisect_left(values, c1)  # strictly left of c1
-            z1 = bisect.bisect_right(values, c1) - a
             if a > q:
                 return None
             # outside count a + #(v > c2) <= q
-            spare = q - a
-            idx = sz - 1 - spare
-            if idx >= 0:
-                lo = values[idx] if lo is None else max(lo, values[idx])
+            idx = sz - 1 - (q - a)
+            lo = values[idx] if lo is None else max(lo, values[idx])
             # inside count #(c1 < v < c2) <= q
-            idx = q + a + z1
+            idx = q + a
             if idx < sz:
                 hi = values[idx] if hi is None else min(hi, values[idx])
             all_inside.extend(values)
-        if lo is not None and lo <= c1:
-            lo = None
-        if hi is not None and hi <= c1:
-            return None
-        if lo is None and hi is None:
-            return None
-        if lo is None:
-            lo = c1 + Fraction(1)
-            lo = min(lo, hi)
         if hi is None:
-            hi = lo + Fraction(1)
+            hi = lo + self.L  # one unit of x
         if lo > hi:
             return None
         pick = _zero_free_pick(all_inside, lo, hi)
-        return pick if pick is not None else (lo + hi) / 2
-
-    # family: spheres |x - o|^2 = c around medians and seeded centers
-    def _spheres(self):
-        if self.cap < 2:
-            return
-        centers = []
-        flat = [i for cls_ in self.classes for i in cls_]
-        med = tuple(
-            sorted(self.coords[i][axis] for i in flat)[len(flat) // 2]
-            for axis in range(3)
-        )
-        centers.append(med)
-        for _ in range(4):
-            centers.append(
-                tuple(m + Fraction(self.rng.randint(-7, 7), 3) for m in med)
-            )
-        for o in centers:
-            values_by_class = [
-                sorted(
-                    sum((self.coords[i][axis] - o[axis]) ** 2 for axis in range(3))
-                    for i in cls_
-                )
-                for cls_ in self.classes
-            ]
-            all_values = [v for vs in values_by_class for v in vs]
-            for c in _threshold_candidates(values_by_class, self.qs, all_values):
-                yield _sphere_poly(o) - TriPoly.constant(c)
+        return pick if pick is not None else _mid(lo, hi)
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -399,27 +388,30 @@ class _Search:
             for k in range(d + 1 - i - j)
             if (i, j, k) != (0, 0, 0)
         )
+        # monomials of X = L*x lifted to degree d: L^d * x^a, all ints
+        Lpow = [self.L**k for k in range(d + 1)]
         lifted = {}
         for cls_ in self.classes:
             for i in cls_:
-                x, y, z = self.coords[i]
-                lifted[i] = [x**a * y**b * z**c for a, b, c in exps]
-        cents = []
-        for cls_ in self.classes:
-            n = len(cls_)
-            cents.append(
-                [sum(lifted[i][k] for i in cls_) / n for k in range(len(exps))]
-            )
+                x, y, z = self.pts[i]
+                lifted[i] = [x**a * y**b * z**c * Lpow[d - a - b - c] for a, b, c in exps]
+        sums = [
+            [sum(col) for col in zip(*(lifted[i] for i in cls_))] for cls_ in self.classes
+        ]
+        # centroid difference c_j - c_0 times n_0 * n_j * L^d > 0: the same
+        # nullspace
+        n0 = len(self.classes[0])
         rows = [
-            [cj - c0 for cj, c0 in zip(cent, cents[0])] for cent in cents[1:]
+            [n0 * sj - len(cls_) * s0 for sj, s0 in zip(s, sums[0])]
+            for cls_, s in zip(self.classes[1:], sums[1:])
         ]
         basis = nullspace(rows)[:8]
         if not basis:
             return
-        vals = [
-            {i: sum(b * m for b, m in zip(vec, lifted[i])) for i in lifted}
-            for vec in basis
-        ]
+        den = math.lcm(*(v.denominator for vec in basis for v in vec))
+        scale = den * Lpow[d]  # vals below are scale * (basis . lifted x)
+        ibasis = [[v.numerator * (den // v.denominator) for v in vec] for vec in basis]
+        vals = [{i: sum(b * m for b, m in zip(vec, lifted[i])) for i in lifted} for vec in ibasis]
         plan = [((k,), (1,)) for k in range(len(basis))]
         for _ in range(24):
             take = tuple(
@@ -452,7 +444,7 @@ class _Search:
                 continue
             shape = TriPoly(terms)
             for cthr in thresholds:
-                yield shape - TriPoly.constant(cthr)
+                yield shape - TriPoly.constant(Fraction(cthr, scale))
 
 
 def build_partition(
@@ -474,7 +466,7 @@ def build_partition(
     epsilon = Fraction(epsilon)
     if not (0 <= epsilon < Fraction(1, 2)):
         raise ValueError("slack must lie in [0, 1/2)")
-    coords = [p.coords for p in points]
+    L, pts = _scaled([p.coords for p in points])
     classes: list[list[int]] = [list(range(len(points)))]
     levels: list[TriPoly] = []
     for j in range(1, t + 1):
@@ -487,7 +479,7 @@ def build_partition(
             levels.append(primitive_normalize(TriPoly.variable(0)))
             classes = []
             continue
-        search = _Search(coords, live, cap, epsilon, rng)
+        search = _Search(pts, L, live, cap, epsilon, rng)
         try:
             g = search.run()
         except PartitionBudgetError as err:
@@ -496,19 +488,12 @@ def build_partition(
             ) from None
         g = primitive_normalize(g)
         levels.append(g)
+        form = _int_form(g, L)
         nxt: list[list[int]] = []
         for cls_ in classes:
-            posc: list[int] = []
-            negc: list[int] = []
-            for i in cls_:
-                x, y, z = coords[i]
-                v = g.evaluate(x, y, z)
-                if v > 0:
-                    posc.append(i)
-                elif v < 0:
-                    negc.append(i)
-            nxt.append(negc)
-            nxt.append(posc)
+            signs = _signs(form, [pts[i] for i in cls_])
+            nxt.append([i for i, s in zip(cls_, signs) if s < 0])
+            nxt.append([i for i, s in zip(cls_, signs) if s > 0])
         classes = nxt
     return PartitionPoly(levels=tuple(levels), epsilon=epsilon, seed=seed)
 
@@ -517,11 +502,7 @@ def build_partition(
 
 
 def sign_vector(part: PartitionPoly, point: Rational3Point) -> tuple[int, ...]:
-    out = []
-    for g in part.levels:
-        v = g.evaluate_point(point)
-        out.append(0 if v == 0 else (1 if v > 0 else -1))
-    return tuple(out)
+    return _sign_vectors(part.levels, [point])[0]
 
 
 def cell_occupancy(
@@ -530,8 +511,7 @@ def cell_occupancy(
     """Counts per full-sign class, plus the count of on-surface points."""
     cells: dict[tuple[int, ...], int] = {}
     surface = 0
-    for p in points:
-        sv = sign_vector(part, p)
+    for sv in _sign_vectors(part.levels, points):
         if 0 in sv:
             surface += 1
         else:
@@ -543,14 +523,9 @@ def classify_points(
     part: PartitionPoly, points: Sequence[Rational3Point]
 ) -> tuple[list[int], list[int]]:
     """Indexes of points on Z(f) and of points in open cells."""
-    on_surface = []
-    in_cells = []
-    for i, p in enumerate(points):
-        if 0 in sign_vector(part, p):
-            on_surface.append(i)
-        else:
-            in_cells.append(i)
-    return on_surface, in_cells
+    svs = _sign_vectors(part.levels, points)
+    on_surface = [i for i, sv in enumerate(svs) if 0 in sv]
+    return on_surface, [i for i, sv in enumerate(svs) if 0 not in sv]
 
 
 @dataclass

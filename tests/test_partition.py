@@ -1,15 +1,19 @@
 """Certified bisector-ladder partitions of rational point sets."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from incilab.algebra import TriPoly, X, Y, Z
 from incilab.geom import Rational3Point, RationalLine
 from incilab.partition import (
     PartitionBudgetError,
     PartitionPoly,
+    _Search,
     build_partition,
     cell_occupancy,
     classes_crossed,
@@ -29,6 +33,17 @@ def random_points(count, seed, spread=60):
     seen = set()
     while len(seen) < count:
         seen.add(tuple(rng.randint(-spread, spread) for _ in range(3)))
+    return [P(*c) for c in sorted(seen)]
+
+
+def rational_points(count, seed, spread=60):
+    """Distinct points whose coordinates have denominators 2-12."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        seen.add(
+            tuple(Fraction(rng.randint(-spread, spread), rng.randint(2, 12)) for _ in range(3))
+        )
     return [P(*c) for c in sorted(seen)]
 
 
@@ -131,6 +146,69 @@ def test_classify_points_matches_sign_vectors():
         assert 0 in sign_vector(part, pts[i])
     for i in in_cells:
         assert 0 not in sign_vector(part, pts[i])
+
+
+# Levels built by the Fraction-key search that the integer kernel replaced,
+# on point sets whose common denominator L is far from 1: plane, slab and
+# balanced winners, and a collinear set split by a slab at slack 0.
+RECORDED = json.loads(
+    (Path(__file__).with_name("rational_partitions.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", RECORDED, ids=[f"{c['kind']}-{c['count']}-t{c['t']}" for c in RECORDED]
+)
+def test_rational_point_sets_reproduce_recorded_levels(case):
+    if case["kind"] == "random":
+        pts = rational_points(case["count"], case["seed"])
+    else:
+        pts = [P(Fraction(i, 7), Fraction(i, 3), Fraction(1, 2)) for i in range(1, case["count"] + 1)]
+    part = build_partition(pts, case["t"], Fraction(case["eps"]), seed=case["seed"])
+    assert part.to_json_dict() == case["partition"]
+
+
+def test_slab_second_cut_open_side_spans_one_unit_of_x():
+    # keys are u.X with X = 6x; one class of 4 with cap 3.  Cut c1 = 5 leaves
+    # 3 keys above it, so nothing bounds c2 from above and the window runs
+    # from the key 10 to one unit of x (6 key units) past it
+    search = _Search([(0, 0, 0)] * 4, 6, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
+    assert search.qs == [3]
+    assert search._slab_second_cut([[0, 10, 20, 30]], Fraction(5)) == Fraction(13)
+
+
+rat = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+low_exponent = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda e: sum(e) <= 3)
+level_poly = st.dictionaries(low_exponent, rat.filter(bool), min_size=1, max_size=8).map(TriPoly)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(level_poly, min_size=1, max_size=3),
+    st.lists(st.tuples(rat, rat, rat), min_size=1, max_size=10),
+    st.data(),
+)
+def test_integer_sign_kernel_matches_evaluate(levels, coords, data):
+    pts = [P(*c) for c in coords]
+    # shift each level so that it vanishes exactly at one of the points
+    on = [data.draw(st.integers(0, len(pts) - 1)) for _ in levels]
+    levels = [g - TriPoly.constant(g.evaluate_point(pts[k])) for g, k in zip(levels, on)]
+    assume(not any(g.is_zero() for g in levels))
+    part = PartitionPoly.from_levels(levels)
+    want = [tuple(_sign(g.evaluate_point(p)) for g in part.levels) for p in pts]
+    assert [sign_vector(part, p) for p in pts] == want
+    for j, k in enumerate(on):
+        assert want[k][j] == 0
+    on_surface, in_cells = classify_points(part, pts)
+    assert on_surface == [i for i, sv in enumerate(want) if 0 in sv]
+    assert in_cells == [i for i, sv in enumerate(want) if 0 not in sv]
+    occ, surface = cell_occupancy(part, pts)
+    assert surface == len(on_surface)
+    assert occ == {sv: want.count(sv) for sv in want if 0 not in sv}
 
 
 # -- explicit-level seam -------------------------------------------------------------
