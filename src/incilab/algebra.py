@@ -1,9 +1,14 @@
-"""Polynomial machinery over exact rationals.
+"""Polynomial machinery with `Fraction` coefficients.
 
 Sparse trivariate polynomials, dense univariate polynomials, Sturm-based
 distinct-real-root counting, restriction of trivariate polynomials to lines,
 exact divisibility by planes, Taylor-style directional systems around surface
 points, and small-degree common factors of homogeneous polynomials.
+
+The partition's hot paths decide signs on Python ints (see `partition`):
+its line kernel restricts levels to lines and counts Sturm roots on integer
+coefficients.  `restrict_to_line`, `count_real_roots` and `sign_gap_samples`
+here are the `Fraction` references that kernel is checked against.
 """
 
 from __future__ import annotations

@@ -18,7 +18,12 @@ from .incidence import (
     max_coplanar_lines,
     richness_histogram,
 )
-from .partition import build_partition, cell_occupancy, classify_lines
+from .partition import (
+    _classify_lines_reference,
+    build_partition,
+    cell_occupancy,
+    classify_lines,
+)
 from .pipeline import (
     PipelineError,
     _jsonable,
@@ -191,6 +196,12 @@ def _cmd_verify(args) -> int:
                 "occupancy within surrogate",
                 st1.occupancy_max <= st1.occupancy_bound,
                 f"{st1.occupancy_max} <= {st1.occupancy_bound}",
+            )
+            lc = classify_lines(st1.partition, cfg.lines)
+            check(
+                "line classification agrees",
+                lc == _classify_lines_reference(st1.partition, cfg.lines),
+                f"contained={len(lc.contained)} crossing={len(lc.crossing)}",
             )
             check(
                 "crossing roots within degree",

@@ -23,6 +23,18 @@ they sort and split exactly as the rational keys would, and each threshold
 maps back to a rational by one exact division.  A polynomial g is evaluated
 through its integer form M * L^deg(g) * g(X/L) with M > 0, which has the
 sign of g at x.
+
+Lines are handled on ints too.  A line's base is cleared once to B/w, and
+each level is restricted to the integer polynomial
+H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i) over the terms
+C * x^e of its integer form: a positive multiple of the level along
+base + t*dir, with the same roots and signs.  Roots of the product of the
+H's are counted with one primitive pseudo-remainder Sturm chain (Collins
+1967; Brown-Traub 1971), read as V(-inf) - V(+inf) from leading signs.  A
+non-squarefree chain ends in gcd(p, p'), which divides every element, so
+the count of distinct roots is unchanged and no squarefree pass is needed;
+only the gap sampler, which evaluates the chain at roots, takes the
+squarefree part.  The `Fraction` functions in `algebra` are the reference.
 """
 
 from __future__ import annotations
@@ -45,7 +57,6 @@ from .algebra import (
     line_in_zero_set,
     primitive_normalize,
     restrict_to_line,
-    sign_gap_samples,
 )
 from .geom import Rational3Point, RationalLine
 from .qformat import qparse, qstr
@@ -388,6 +399,11 @@ class _Search:
             for k in range(d + 1 - i - j)
             if (i, j, k) != (0, 0, 0)
         )
+        # only the first 8 basis vectors are used.  The rank is at most
+        # len(classes) - 1, so their free columns lie in this column prefix,
+        # whose reduced row echelon form is the prefix of the full one: the
+        # same 8 vectors, cut to the prefix (the rest of each is zero)
+        exps = exps[: len(self.classes) - 1 + 8]
         # monomials of X = L*x lifted to degree d: L^d * x^a, all ints
         Lpow = [self.L**k for k in range(d + 1)]
         lifted = {}
@@ -538,17 +554,173 @@ class LineClassification:
         return max((r for _, r in self.crossing), default=0)
 
 
-def _restrict_levels(
-    part: PartitionPoly, line: RationalLine
-) -> tuple[list[UniPoly], UniPoly]:
-    """Each level restricted to the line, and the restriction of f.
+# -- the line kernel: restrictions and Sturm chains on ints -------------------
 
-    Restricting to a line is a ring homomorphism, so the restriction of f
-    is the product of the levels' restrictions; it is zero exactly when
-    some level vanishes on the whole line.
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _restrictions(levels: Sequence[TriPoly], line: RationalLine) -> list[list[int]]:
+    """Each level's integer restriction H(t) to the line, low to high; [] is zero.
+
+    The base is cleared once to B/w with w > 0.  For a level's integer form
+    sum C * x^e of degree deg (`_int_form` with L = w supplies C * w^(deg-|e|)),
+    H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i), which is a
+    positive multiple of the level at base + t*dir: the same roots and signs
+    in the same parameter t as `restrict_to_line`.
     """
-    restrictions = [restrict_to_line(g, line) for g in part.levels]
-    return restrictions, reduce(lambda a, b: a * b, restrictions, UniPoly([1]))
+    coords = line.base.coords
+    w = math.lcm(*(c.denominator for c in coords))
+    forms = [_int_form(g, w) for g in levels]
+    pows = []
+    for axis, (c, d) in enumerate(zip(coords, line.dir)):
+        lin = [c.numerator * (w // c.denominator), w * d]
+        top = max(e[axis] for form in forms for e in form)
+        cur = [[1]]
+        for _ in range(top):
+            cur.append(_pmul(cur[-1], lin) if d else [cur[-1][0] * lin[0]])
+        pows.append(cur)
+    out = []
+    for g, form in zip(levels, forms):
+        h = [0] * (g.degree + 1)
+        for a, b, c, C in form:
+            for k, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
+                h[k] += C * v
+        while h and h[-1] == 0:
+            h.pop()
+        out.append(h)
+    return out
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of |lc(b)|^k * a by b for some k >= 0, on ints."""
+    m = abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    db = len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        f = s * r[-1]
+        k = len(r) - 1 - db
+        r = [m * x for x in r]
+        for j in range(db):
+            r[k + j] -= f * b[j]
+        r.pop()  # m * lc(r) - f * lc(b) = 0
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm chain of a nonconstant p by primitive pseudo-remainders.
+
+    Each remainder uses the positive multiplier |lc|^k and has its content
+    divided out, so every element is a positive multiple of the Euclidean
+    Sturm chain's element and sign variations are unchanged.  For a
+    non-squarefree p the chain ends in gcd(p, p'), which divides every
+    element: away from the roots of p, dividing it out changes no sign
+    variation and leaves a Sturm chain of the squarefree part, so
+    V(-inf) - V(+inf) still counts the distinct real roots.
+    """
+    p = _primitive(p)
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-c for c in _primitive(r)])
+
+
+def _changes(signs) -> int:
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _count_roots(p: list[int]) -> int:
+    """Distinct real roots of a nonzero p: V(-inf) - V(+inf) from leading signs."""
+    if len(p) == 1:
+        return 0
+    chain = _sturm_chain(p)
+    plus = [1 if q[-1] > 0 else -1 for q in chain]
+    minus = [s if len(q) % 2 else -s for s, q in zip(plus, chain)]
+    return _changes(minus) - _changes(plus)
+
+
+def _sign_at(p: list[int], num: int, den: int) -> int:
+    """Sign of p(num/den), den > 0, from sum c_i * num^i * den^(deg-i)."""
+    acc = p[-1]
+    pw = 1
+    for c in reversed(p[:-1]):
+        pw *= den
+        acc = acc * num + c * pw
+    return (acc > 0) - (acc < 0)
+
+
+def _exact_quo(p: list[int], g: list[int]) -> list[int]:
+    """p / g for a primitive g dividing p; integral by Gauss's lemma."""
+    r = list(p)
+    q = [0] * (len(p) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            r[k + j] -= q[k] * c
+    assert not any(r), "divisor does not divide"
+    return q
+
+
+def _gap_samples(p: list[int]) -> list[Fraction]:
+    """One parameter inside each maximal open interval where p != 0, in order.
+
+    Sturm counts steer a bisection, so every sample is certified to avoid
+    the roots exactly.  The chain must be evaluated at roots of p, where a
+    non-squarefree chain vanishes entirely, so p is replaced by its
+    squarefree part when the chain ends in a nonconstant gcd.
+    """
+    if len(p) == 1:
+        return [Fraction(0)]
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:
+        chain = _sturm_chain(_exact_quo(chain[0], chain[-1]))
+    sf = chain[0]
+
+    def below(x: Fraction) -> int:  # sign variations at x
+        return _changes(_sign_at(q, x.numerator, x.denominator) for q in chain)
+
+    # beyond the Cauchy bound 1 + max|c_i| / |lc|
+    hi = Fraction(2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1]))
+    lo = -hi
+    v_lo = below(lo)
+    k = v_lo - below(hi)
+    samples = [lo]
+    for i in range(1, k):
+        a, b = lo, hi
+        while True:
+            mid = (a + b) / 2
+            c = v_lo - below(mid)
+            if c < i:
+                a = mid
+            elif c > i:
+                b = mid
+            elif _sign_at(sf, mid.numerator, mid.denominator):
+                samples.append(mid)
+                break
+            else:
+                a = mid  # mid is exactly the i-th root; plateau lies rightward
+    return samples + [hi] if k else samples
+
+
+def _product(hs: list[list[int]]) -> list[int]:
+    return reduce(_pmul, hs, [1])
 
 
 def classify_lines(
@@ -556,21 +728,23 @@ def classify_lines(
 ) -> LineClassification:
     """Split lines into those inside Z(f) and those crossing it.
 
-    Each level is restricted to each line once and f is never expanded: a
-    line lies in Z(f) when some level's restriction is zero, and for each
-    crossing line the number of distinct real roots of f along the line,
-    counted on the product of the restrictions, is certified to be at most
-    deg f.
+    Each level is restricted to each line once, on ints (`_restrictions`),
+    and f is never expanded: a line lies in Z(f) when some level's
+    restriction is zero.  For each crossing line the distinct real roots of
+    the product of the restrictions, which has the roots of f along the
+    line, are counted by one primitive pseudo-remainder Sturm chain; no
+    squarefree pass is needed, because a non-squarefree chain counts
+    distinct roots correctly.  The count is certified to be at most deg f.
     """
     d = part.degree
     contained = []
     crossing = []
     for i, line in enumerate(lines):
-        _restrictions, on_line = _restrict_levels(part, line)
-        if on_line.is_zero():
+        hs = _restrictions(part.levels, line)
+        if not all(hs):
             contained.append(i)
             continue
-        roots = count_real_roots(on_line)
+        roots = _count_roots(_product(hs))
         if roots > d:
             raise AssertionError(
                 f"root count {roots} exceeds degree {d}; restriction is broken"
@@ -579,23 +753,40 @@ def classify_lines(
     return LineClassification(contained=contained, crossing=crossing)
 
 
+def _classify_lines_reference(
+    part: PartitionPoly, lines: Sequence[RationalLine]
+) -> LineClassification:
+    """`classify_lines` on `Fraction` restrictions and `Fraction` Sturm
+    chains: the reference that `incilab verify` checks the kernel against."""
+    contained = []
+    crossing = []
+    for i, line in enumerate(lines):
+        on_line = reduce(
+            lambda a, b: a * b,
+            (restrict_to_line(g, line) for g in part.levels),
+            UniPoly([1]),
+        )
+        if on_line.is_zero():
+            contained.append(i)
+        else:
+            crossing.append((i, count_real_roots(on_line)))
+    return LineClassification(contained=contained, crossing=crossing)
+
+
 def classes_crossed(
     part: PartitionPoly, line: RationalLine
 ) -> set[tuple[int, ...]]:
     """Full-sign classes met by a line not contained in Z(f).
 
-    Sample parameters are taken strictly inside every root gap of f along
-    the line, so each sample sees a nonzero sign from every level.
+    Sample parameters are taken strictly inside every root gap of the
+    product of the levels' integer restrictions, so each sample sees a
+    nonzero sign from every level; signs are read off the integer
+    restrictions at num/den.
     """
-    restrictions, on_line = _restrict_levels(part, line)
-    if on_line.is_zero():
+    hs = _restrictions(part.levels, line)
+    if not all(hs):
         raise ValueError("line lies inside the zero set")
-    seen: set[tuple[int, ...]] = set()
-    for tval in sign_gap_samples(on_line):
-        sv = tuple(
-            1 if r.evaluate(tval) > 0 else -1 if r.evaluate(tval) < 0 else 0
-            for r in restrictions
-        )
-        if 0 not in sv:
-            seen.add(sv)
-    return seen
+    return {
+        tuple(_sign_at(h, s.numerator, s.denominator) for h in hs)
+        for s in _gap_samples(_product(hs))
+    }

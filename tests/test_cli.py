@@ -8,7 +8,7 @@ import pytest
 from incilab.cli import main
 from incilab.configs import load_config
 from incilab.incidence import count_incidences
-from incilab.partition import PartitionPoly, degree_budget
+from incilab.partition import PartitionPoly, classify_lines, degree_budget
 
 
 def run(capsys, *argv):
@@ -108,6 +108,7 @@ def test_verify_passes_on_shipped_config(grid_cfg, capsys):
     assert code == 0
     assert "[ok] incidences agree: I=81" in out
     assert "[ok] coplanarity agrees: s=6" in out
+    assert "[ok] line classification agrees: contained=0 crossing=27" in out
     assert "[FAIL]" not in out
 
 
@@ -129,6 +130,19 @@ def test_verify_fails_when_count_disagrees(grid_cfg, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 1
     assert "[FAIL] incidences agree: I=80" in out
+
+
+def test_verify_fails_when_line_classification_disagrees(grid_cfg, capsys, monkeypatch):
+    def drop_one_root(part, lines):
+        lc = classify_lines(part, lines)
+        i, roots = lc.crossing[0]
+        lc.crossing[0] = (i, roots - 1)
+        return lc
+
+    monkeypatch.setattr("incilab.cli.classify_lines", drop_one_root)
+    code, out, _ = run(capsys, "verify", str(grid_cfg))
+    assert code == 1
+    assert "[FAIL] line classification agrees: contained=0 crossing=27" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

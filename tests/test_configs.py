@@ -1,9 +1,12 @@
 """Generator families, JSON round trips, and input validation."""
 
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incilab.configs import (
     FAMILIES,
@@ -14,7 +17,8 @@ from incilab.configs import (
     load_config,
     save_config,
 )
-from incilab.incidence import count_incidences, max_coplanar_lines
+from incilab.geom import Rational3Point, RationalLine
+from incilab.incidence import Configuration, count_incidences, max_coplanar_lines
 
 
 def gen(family, seed=0, **params):
@@ -143,6 +147,37 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+rational = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+rational_point = st.builds(Rational3Point, rational, rational, rational)
+
+
+@st.composite
+def rational_configurations(draw):
+    points = draw(st.lists(rational_point, max_size=8, unique=True))
+    direction = st.tuples(rational, rational, rational).filter(any)
+    lines = draw(
+        st.lists(st.builds(RationalLine, rational_point, direction), max_size=8, unique=True)
+    )
+    meta = draw(
+        st.dictionaries(
+            st.text(max_size=6), st.one_of(st.integers(), st.text(max_size=6)), max_size=3
+        )
+    )
+    return Configuration(tuple(points), tuple(lines), meta)
+
+
+@settings(deadline=None, max_examples=150)
+@given(rational_configurations())
+def test_random_rational_configurations_round_trip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save_config(cfg, first)
+        loaded = load_config(first)
+        assert loaded == cfg
+        save_config(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -1,0 +1,163 @@
+"""Differential tests of the integer line kernel in `incilab.partition`
+(restrictions, Sturm root counts, gap samples and crossed classes) against
+the `Fraction` oracles in `incilab.algebra`."""
+
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from incilab.algebra import (
+    TriPoly,
+    UniPoly,
+    _variations_at,
+    count_real_roots,
+    restrict_to_line,
+    sign_gap_samples,
+    sturm_chain,
+)
+from incilab.geom import Rational3Point, RationalLine
+from incilab.partition import (
+    PartitionPoly,
+    _classify_lines_reference,
+    _count_roots,
+    _gap_samples,
+    _product,
+    _restrictions,
+    classes_crossed,
+    classify_lines,
+)
+
+rational = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+small_int = st.integers(-3, 3)
+direction = st.tuples(small_int, small_int, small_int).filter(any)
+lines = st.builds(
+    lambda b, d: RationalLine(Rational3Point(*b), d),
+    st.tuples(rational, rational, rational),
+    direction,
+)
+EXPONENTS = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+
+
+def _linear(u, c) -> TriPoly:
+    return TriPoly({(1, 0, 0): u[0], (0, 1, 0): u[1], (0, 0, 1): u[2], (0, 0, 0): -c})
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@st.composite
+def level_for(draw, line: RationalLine) -> TriPoly:
+    """A level with rational coefficients, often special along `line`."""
+    free = TriPoly(
+        {e: draw(rational) for e in draw(st.lists(st.sampled_from(EXPONENTS), max_size=5))}
+    )
+    if free.is_zero():
+        free = TriPoly.constant(draw(rational.filter(bool)))
+    base = line.base.coords
+    # a normal to the line's direction: linear forms with it are constant along the line
+    normal = _cross(line.dir, draw(direction))
+    kind = draw(st.sampled_from(["free", "contains", "square", "constant", "root"]))
+    if kind == "free" or not any(normal):
+        return free
+    plane = _linear(normal, _dot(normal, base))  # vanishes on the whole line
+    if kind == "contains":
+        return plane * (draw(rational.filter(bool)) + free * draw(st.sampled_from([0, 1])))
+    shift = draw(rational.filter(bool))
+    if kind == "constant":
+        return _linear(normal, _dot(normal, base) + shift)  # nonzero along the line
+    # a linear form vanishing at base + shift * dir but not on the whole line
+    u = draw(direction.filter(lambda v: _dot(v, line.dir) != 0))
+    point = line.point_at(shift).coords
+    root = _linear(u, _dot(u, point)) * draw(rational.filter(bool))
+    if kind == "square":
+        return root * root * draw(st.sampled_from([TriPoly.one(), free]))
+    return root * free
+
+
+@st.composite
+def kernel_inputs(draw):
+    lns = draw(st.lists(lines, min_size=1, max_size=3, unique=True))
+    levels = [
+        draw(level_for(draw(st.sampled_from(lns)))) for _ in range(draw(st.integers(1, 3)))
+    ]
+    levels = [g for g in levels if not g.is_zero()] or [TriPoly.variable(0)]
+    # from_json_dict keeps the coefficients as given, without primitive scaling
+    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    return part, lns
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_inputs())
+def test_integer_line_kernel_matches_fraction_oracles(inputs):
+    part, lns = inputs
+    lc = classify_lines(part, lns)
+    assert lc == _classify_lines_reference(part, lns)
+
+    for i, roots in lc.crossing:
+        line = lns[i]
+        # each integer restriction is a positive multiple of the Fraction one
+        fraction_restrictions = [restrict_to_line(g, line) for g in part.levels]
+        for h, r in zip(_restrictions(part.levels, line), fraction_restrictions):
+            assert len(h) == len(r.coeffs)
+            ratio = Fraction(h[-1]) / r.lead
+            assert ratio > 0 and all(Fraction(a) == ratio * b for a, b in zip(h, r.coeffs))
+
+        q = reduce(lambda a, b: a * b, fraction_restrictions)
+        samples = _gap_samples(_product(_restrictions(part.levels, line)))
+        assert len(samples) == roots + 1
+        assert all(q.evaluate(s) != 0 for s in samples)
+        chain = sturm_chain(q)
+        for a, b in zip(samples, samples[1:]):
+            # exactly one root strictly between consecutive samples
+            assert a < b
+            assert _variations_at(chain, a) - _variations_at(chain, b) == 1
+
+        expected = {
+            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            for t in sign_gap_samples(q)
+        }
+        assert classes_crossed(part, line) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)), max_size=2),
+    st.integers(-7, 7).filter(bool),
+)
+def test_root_count_and_samples_on_repeated_roots(roots, complex_pairs, lead):
+    # (num/den)^mult factors and x^2 + b x + c with b^2 < 4c, times a signed lead
+    factors = [UniPoly([-num, den]) for num, den, mult in roots for _ in range(mult)]
+    factors += [UniPoly([b * b + c, 2 * b, 1]) for b, c in complex_pairs]
+    q = reduce(lambda a, b: a * b, factors, UniPoly([lead]))
+    p = [int(c) for c in q.coeffs]
+    distinct = len({Fraction(num, den) for num, den, _ in roots})
+    assert _count_roots(p) == count_real_roots(q) == distinct
+    samples = _gap_samples(p)
+    assert len(samples) == distinct + 1
+    assert all(q.evaluate(s) != 0 for s in samples)
+    chain = sturm_chain(q)
+    assert all(
+        _variations_at(chain, a) - _variations_at(chain, b) == 1
+        for a, b in zip(samples, samples[1:])
+    )
+
+
+def test_line_inside_a_level_is_contained_and_has_no_classes():
+    line = RationalLine(Rational3Point(Fraction(1, 3), 0, Fraction(2, 7)), (1, 1, 0))
+    plane = TriPoly({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): Fraction(-1, 3)})
+    part = PartitionPoly(levels=(plane,), epsilon=Fraction(1, 10), seed=0)
+    assert classify_lines(part, [line]).contained == [0]
+    with pytest.raises(ValueError):
+        classes_crossed(part, line)
