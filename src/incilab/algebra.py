@@ -433,8 +433,7 @@ def sign_gap_samples(q: UniPoly) -> list[Fraction]:
                 break
             else:
                 a = mid  # mid is exactly the i-th root; plateau lies rightward
-    samples.append(hi)
-    return samples
+    return samples + [hi] if k else samples
 
 
 # ---------------------------------------------------------------------------

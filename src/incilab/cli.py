@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
         ratio = Fraction(tally.total) / denom
         check("ratio finite", True, f"ratio={float(ratio):.4f}")
         try:
-            st1 = run_stage1(cfg, D_override=args.D, seed=args.seed)
+            st1 = run_stage1(cfg, D_override=args.D, seed=args.seed, tally=tally)
             ident = st1.identity
             ok = (
                 ident["I"]

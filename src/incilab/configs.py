@@ -299,13 +299,14 @@ def _parse_triple(raw, where: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def load_config(path) -> Configuration:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigParseError(
             f"{path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except (ValueError, RecursionError) as err:  # bad UTF-8, deep nesting, huge ints
+        raise ConfigParseError(f"{path}: {err}") from None
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: top level must be an object")
     for key in ("points", "lines"):

@@ -85,6 +85,16 @@ class IncidenceTally:
     per_line: list[int]
     points_by_line: list[list[int]]
 
+    @classmethod
+    def of(cls, m: int, points_by_line: list[list[int]]) -> IncidenceTally:
+        """The tally of m points whose incidences are `points_by_line`."""
+        per_point = [0] * m
+        for pl in points_by_line:
+            for idx in pl:
+                per_point[idx] += 1
+        per_line = [len(pl) for pl in points_by_line]
+        return cls(sum(per_line), per_point, per_line, points_by_line)
+
     def to_json_dict(self) -> dict:
         hist = richness_histogram(self)
         return {
@@ -137,17 +147,7 @@ def count_incidences(cfg: Configuration) -> IncidenceTally:
         [i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)]
         for lrep in _line_reps(cfg.lines)
     ]
-    per_point = [0] * cfg.m
-    per_line = [len(pl) for pl in points_by_line]
-    for pl in points_by_line:
-        for idx in pl:
-            per_point[idx] += 1
-    return IncidenceTally(
-        total=sum(per_line),
-        per_point=per_point,
-        per_line=per_line,
-        points_by_line=points_by_line,
-    )
+    return IncidenceTally.of(cfg.m, points_by_line)
 
 
 def _points_by_line_pairwise(cfg: Configuration) -> list[list[int]]:
@@ -216,19 +216,10 @@ def plane_key(ri, rj) -> tuple[int, int, int, int] | None:
     return (a // g, b // g, c // g, d // g)
 
 
-def max_coplanar_lines(
-    lines: Sequence[RationalLine],
-) -> tuple[int, RationalPlane | None]:
-    """Largest number of input lines lying in one plane, with a witness.
-
-    Returns (0, None) for no lines and (1, None) when no two lines are
-    coplanar.  Intersecting or parallel pairs pin down their common plane,
-    so bucketing pairs by that plane finds the maximum exactly.  Each pair
-    is tested and keyed on integer Pluecker data (`plane_key`); ties go to
-    the larger coefficient tuple and only the witness becomes a plane.
-    """
-    if not lines:
-        return 0, None
+def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
+    """Plane key -> indexes of all input lines in that plane, for each plane
+    spanned by two lines, keyed on integer Pluecker data (`plane_key`) in the
+    order of each plane's first pair (i, j), i < j, lexicographically."""
     reps = plucker_reps(lines)
     buckets: dict[tuple[int, int, int, int], set[int]] = {}
     for i, ri in enumerate(reps):
@@ -236,6 +227,23 @@ def max_coplanar_lines(
             key = plane_key(ri, reps[j])
             if key is not None:
                 buckets.setdefault(key, set()).update((i, j))
+    return buckets
+
+
+def max_coplanar_lines(
+    lines: Sequence[RationalLine],
+) -> tuple[int, RationalPlane | None]:
+    """Largest number of input lines lying in one plane, with a witness.
+
+    Returns (0, None) for no lines and (1, None) when no two lines are
+    coplanar.  Intersecting or parallel pairs pin down their common plane,
+    so bucketing pairs by that plane (`coplanar_buckets`) finds the maximum
+    exactly.  Ties go to the larger coefficient tuple and only the witness
+    becomes a plane.
+    """
+    if not lines:
+        return 0, None
+    buckets = coplanar_buckets(lines)
     if not buckets:
         return 1, None
     key, members = max(buckets.items(), key=lambda kv: (len(kv[1]), kv[0]))

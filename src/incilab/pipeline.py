@@ -7,11 +7,11 @@ incidence of the input into pruned / cross-charge / residual.  Stage 2
 repeats the partitioning on the residual at the window degree E and reports
 per-class occupancy and line-crossing counts against their target quotas.
 
-Both stages share one skeleton: a single incidence count per stage, whose
-points_by_line is walked once to bucket every incidence by the surface/cell
-and contained/crossing index sets.  The books balance when those buckets
-add up to the count, which checks that the split covers every point and
-line exactly once.
+Both stages share one skeleton, which walks points_by_line of the report's
+single incidence count (renumbered for the residual in stage 2) once to
+bucket every incidence by the surface/cell and contained/crossing index
+sets.  The books balance when those buckets add up to the count, which
+checks that the split covers every point and line exactly once.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from .geom import RationalLine, RationalPlane, Rational3Point, plane_through_lin
 from .incidence import (
     Configuration,
     DegeneracyError,
+    IncidenceTally,
     assign_to_components,
+    coplanar_buckets,
     count_incidences,
     max_coplanar_lines,
-    plane_key,
-    plucker_reps,
     regulus_through,
     richness_histogram,
 )
@@ -105,6 +105,7 @@ class StageReport:
     on_surface_points: int = 0
     max_cross_roots: int = 0
     residual: Configuration | None = None
+    residual_tally: IncidenceTally | None = None  # not serialized
     residual_contained_max_coplanar: int | None = None
     residual_coplanar_within_degree: bool | None = None
     class_point_quota: Fraction | None = None
@@ -179,23 +180,10 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 # coplanar.  So f is never expanded to test a component.
 
 
-def _detect_planes(
-    part: PartitionPoly, lines: Sequence[RationalLine], contained: list[int]
-):
-    """Planes spanned by coplanar pairs of contained lines that divide f."""
-    found: list[RationalPlane] = []
-    seen: set[tuple[int, int, int, int]] = set()
-    reps = plucker_reps([lines[i] for i in contained])
-    for ai in range(len(contained)):
-        for bi in range(ai + 1, len(contained)):
-            key = plane_key(reps[ai], reps[bi])
-            if key is None or key in seen:
-                continue
-            seen.add(key)
-            plane = RationalPlane(*key)
-            if any(divides_by_plane(g, plane) for g in part.levels):
-                found.append(plane)
-    return found
+def _detect_planes(part: PartitionPoly, buckets: dict):
+    """The planes of `coplanar_buckets` keys that divide f, in key order."""
+    planes = (RationalPlane(*key) for key in buckets)
+    return [pl for pl in planes if any(divides_by_plane(g, pl) for g in part.levels)]
 
 
 def _detect_cones(
@@ -262,15 +250,20 @@ def _split_and_ledger(
     epsilon: Fraction,
     seed: int,
     part: PartitionPoly | None = None,
+    tally: IncidenceTally | None = None,
 ):
     """The skeleton both stages share.
 
     Builds a partition at the report's degree target unless one is given,
-    splits the points and lines by its zero set, fills the counts,
-    occupancy and root certificate, and counts incidences once.  Returns
-    (tally, surface_idx, cell_idx, contained, crossing_idx), or None for an
-    input without points or lines.
+    splits the points and lines by its zero set, fills the counts, occupancy
+    and root certificate, and buckets the incidences of `tally`, the count of
+    `cfg` (made here if not given).  Returns (tally, surface_idx, cell_idx,
+    contained, crossing_idx), or None for an input without points or lines.
     """
+    if tally is None:
+        tally = count_incidences(cfg)
+    elif len(tally.points_by_line) != cfg.n or len(tally.per_point) != cfg.m:
+        raise ValueError("the incidence tally does not match the configuration")
     if cfg.m == 0 or cfg.n == 0:
         report.identity = {
             "I": 0,
@@ -308,7 +301,6 @@ def _split_and_ledger(
     # Bucket every incidence by membership of its point in the surface or
     # cell set and of its line in the contained or crossing set, so a point
     # or line in both sets or in neither breaks I == ss + sc + cc.
-    tally = count_incidences(cfg)
     surface, cells = set(surface_idx), set(cell_idx)
     contained_set, crossing_set = set(contained), set(crossing_idx)
     ss = sc = cc = c1 = 0
@@ -345,6 +337,7 @@ def run_stage1(
     epsilon: Fraction = Fraction(1, 10),
     partition_override: PartitionPoly | None = None,
     include_reguli: bool | None = None,
+    tally: IncidenceTally | None = None,
 ) -> StageReport:
     """First-stage partition, surface pruning, and exact incidence ledger."""
     cfg.validate()
@@ -370,7 +363,7 @@ def run_stage1(
     report = StageReport(
         stage="1", degree_target=D, degree_used=0, t=0, plan=plan
     )
-    split = _split_and_ledger(report, cfg, epsilon, seed, partition_override)
+    split = _split_and_ledger(report, cfg, epsilon, seed, partition_override, tally)
     if split is None:
         report.residual = Configuration((), (), {})
         return report
@@ -382,7 +375,8 @@ def run_stage1(
     for li in contained:
         for pi in tally.points_by_line[li]:
             richness_l1[pi] = richness_l1.get(pi, 0) + 1
-    planes = _detect_planes(part, cfg.lines, contained)
+    buckets = coplanar_buckets([cfg.lines[i] for i in contained])
+    planes = _detect_planes(part, buckets)
     cones = _detect_cones(part, cfg.points, surface_idx, richness_l1)
     want_reguli = (
         include_reguli
@@ -439,13 +433,23 @@ def run_stage1(
     )
     report.residual_cell_incidences = ident["cells_crossing"]
 
+    # The residual keeps points and lines in order: its tally is this one renumbered.
+    kept_points = [i for i, c in enumerate(assign.point_comp) if c is None]
+    kept_lines = [j for j, c in enumerate(assign.line_comp) if c is None]
+    renumber = {i: k for k, i in enumerate(kept_points)}
     report.residual = Configuration(
-        points=tuple(p for p, c in zip(cfg.points, assign.point_comp) if c is None),
-        lines=tuple(l for l, c in zip(cfg.lines, assign.line_comp) if c is None),
+        points=tuple(cfg.points[i] for i in kept_points),
+        lines=tuple(cfg.lines[j] for j in kept_lines),
         meta={"residual_of": cfg.meta.get("family", "custom")},
     )
-    res_contained = [i for i in contained if assign.line_comp[i] is None]
-    s_res, _w = max_coplanar_lines([cfg.lines[i] for i in res_contained])
+    report.residual_tally = IncidenceTally.of(
+        len(kept_points),
+        [[renumber[i] for i in tally.points_by_line[j] if i in renumber] for j in kept_lines],
+    )
+    # `kept` holds the residual's positions in `contained`; a plane through
+    # two of them is a bucket key, and its bucket holds every one in it.
+    kept = {a for a, i in enumerate(contained) if assign.line_comp[i] is None}
+    s_res = max([len(b & kept) for b in buckets.values()] + [min(len(kept), 1)])
     report.residual_contained_max_coplanar = s_res
     report.residual_coplanar_within_degree = s_res <= max(part.degree, 1)
     return report
@@ -457,6 +461,7 @@ def run_stage2(
     E_override: int | None = None,
     seed: int = 0,
     epsilon: Fraction = Fraction(1, 10),
+    tally: IncidenceTally | None = None,
 ) -> StageReport:
     """Second-stage partition of the residual at the window degree E."""
     flags: list[str] = []
@@ -493,7 +498,7 @@ def run_stage2(
     report = StageReport(
         stage="2", degree_target=E, degree_used=0, t=0, E=E, plan=plan, flags=flags
     )
-    split = _split_and_ledger(report, residual, epsilon, seed)
+    split = _split_and_ledger(report, residual, epsilon, seed, tally=tally)
     if split is None:
         return report
     _tally, _surface, _cells, _contained, crossing_idx = split
@@ -644,6 +649,7 @@ def full_report(
                 seed=seed,
                 epsilon=epsilon,
                 include_reguli=include_reguli,
+                tally=tally,
             )
         except AssertionError:
             raise
@@ -659,6 +665,7 @@ def full_report(
                     E_override=E_override,
                     seed=seed,
                     epsilon=epsilon,
+                    tally=st1.residual_tally,
                 )
                 stages.append(st2)
             except WindowError as err:

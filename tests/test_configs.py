@@ -18,7 +18,12 @@ from incilab.configs import (
     save_config,
 )
 from incilab.geom import Rational3Point, RationalLine
-from incilab.incidence import Configuration, count_incidences, max_coplanar_lines
+from incilab.incidence import (
+    Configuration,
+    InvalidConfigurationError,
+    count_incidences,
+    max_coplanar_lines,
+)
 
 
 def gen(family, seed=0, **params):
@@ -222,6 +227,64 @@ def test_load_rejects_non_canonical_rationals(tmp_path):
     path.write_text(json.dumps(base))
     with pytest.raises(ConfigParseError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "raw", [b"[" * 100000, b'{"meta": {}, "points": [["\xff", "0", "0"]], "lines": []}']
+)
+def test_load_names_the_file_for_deep_nesting_and_bad_utf8(tmp_path, raw):
+    path = tmp_path / "odd.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigParseError) as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+# rational literals, canonical or not, and anything else in a coordinate slot
+coordinate = st.one_of(
+    st.builds(str, st.integers(-3, 3)),
+    st.builds(lambda a, b: f"{a}/{b}", st.integers(-4, 4), st.integers(-2, 4)),
+    st.sampled_from(["-0", "4/2", "1.5", " 1", "1e3", "x"]),
+    json_values,
+)
+triple = st.one_of(st.lists(coordinate, min_size=3, max_size=3), json_values)
+shaped = st.fixed_dictionaries(
+    {
+        "points": st.lists(triple, max_size=4),
+        "lines": st.lists(
+            st.one_of(st.fixed_dictionaries({"base": triple, "dir": triple}), json_values),
+            max_size=3,
+        ),
+    },
+    optional={"meta": json_values},
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda v: json.dumps(v).encode(), json_values | shaped),
+    )
+)
+def test_load_config_only_parses_or_raises_config_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "fuzz.json")
+        path.write_bytes(raw)
+        try:
+            cfg = load_config(path)
+        except (ConfigParseError, InvalidConfigurationError):
+            return
+        assert isinstance(cfg, Configuration)
 
 
 def test_readme_configuration_example_loads(tmp_path):

@@ -161,3 +161,12 @@ def test_line_inside_a_level_is_contained_and_has_no_classes():
     assert classify_lines(part, [line]).contained == [0]
     with pytest.raises(ValueError):
         classes_crossed(part, line)
+
+
+@pytest.mark.parametrize("q", [UniPoly([1, 0, 1]), UniPoly([1, 0, 2, 0, 1])])  # x^2+1, its square
+def test_no_real_root_gives_one_sample(q):
+    roots = count_real_roots(q)
+    p = [int(c) for c in q.coeffs]
+    assert roots == _count_roots(p) == 0
+    assert len(sign_gap_samples(q)) == roots + 1
+    assert len(_gap_samples(p)) == roots + 1

@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incilab.algebra import (
     TriPoly,
@@ -22,7 +22,12 @@ from incilab.algebra import (
 from incilab.bounds import OutOfRangeError
 from incilab.configs import GeneratorSpec, generate
 from incilab.geom import Rational3Point, RationalLine, RationalPlane, plane_through_lines
-from incilab.incidence import Configuration, count_incidences
+from incilab.incidence import (
+    Configuration,
+    coplanar_buckets,
+    count_incidences,
+    max_coplanar_lines,
+)
 from incilab.partition import (
     PartitionPoly,
     classes_crossed,
@@ -145,7 +150,7 @@ def test_plane_search_scans_every_contained_pair():
         + [RationalLine(Rational3Point(0, i, 1), (1, 1, 0)) for i in range(40)]
         + [RationalLine(Rational3Point(100, i, 0), (0, 0, 1)) for i in range(40)]
     )
-    planes = _detect_planes(part, lines, list(range(120)))
+    planes = _detect_planes(part, coplanar_buckets(lines))
     assert [p.coeffs for p in planes] == [(0, 0, 1, 0), (0, 0, 1, -1), (1, 0, 0, -100)]
 
 
@@ -277,7 +282,8 @@ def test_level_wise_zero_set_matches_expanded_product(inputs):
         plane = plane_through_lines(cfg.lines[a], cfg.lines[b])
         if isinstance(plane, RationalPlane) and plane not in spanned:
             spanned.append(plane)
-    assert _detect_planes(part, cfg.lines, contained) == [
+    buckets = coplanar_buckets([cfg.lines[i] for i in contained])
+    assert _detect_planes(part, buckets) == [
         plane for plane in spanned if divides_by_plane(f, plane)
     ]
 
@@ -315,6 +321,104 @@ def test_stage2_needs_a_window_or_override():
         run_stage2(res, plan=None)
     with pytest.raises(ValueError):
         run_stage2(res, plan=None, E_override=0)
+
+
+# -- one count and one plane bucketing per report -------------------------------------
+
+
+def _assert_residual_facts_match_recounts(st1):
+    """Stage 1's renumbered residual tally and bucket-derived residual `s`
+    equal a fresh count and a fresh coplanarity pass on the residual."""
+    res = st1.residual
+    assert st1.residual_tally == count_incidences(res)
+    res_contained = classify_lines(st1.partition, res.lines).contained
+    s_res, _witness = max_coplanar_lines([res.lines[i] for i in res_contained])
+    assert st1.residual_contained_max_coplanar == s_res
+
+
+small_families = st.one_of(
+    st.builds(lambda N: ("grid3d", {"N": N}), st.integers(2, 4)),
+    st.builds(
+        lambda k, N: ("coplanar_pack", {"k": k, "N": N}), st.integers(1, 3), st.integers(1, 2)
+    ),
+    st.builds(lambda N: ("elekes2d", {"N": N}), st.integers(1, 3)),
+    st.builds(
+        lambda kind, k: ("ruled_surface", {"kind": kind, "k": k}),
+        st.sampled_from(["plane", "cone", "hp"]),
+        st.integers(2, 8),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    small_families,
+    st.sampled_from([None, 2, 4, 8, 12]),
+    st.sampled_from([None, 2]),
+    st.integers(0, 3),
+)
+@example(("coplanar_pack", {"k": 3, "N": 2}), 12, None, 0)  # stage 1 prunes one plane
+def test_report_reuses_its_tally_and_buckets_exactly(family, D, E, seed):
+    cfg = gen(family[0], **family[1])
+    try:
+        rep = full_report(cfg, D_override=D, E_override=E, seed=seed)
+    except PipelineError:
+        with pytest.raises(OutOfRangeError):
+            run_stage1(cfg, D_override=D, seed=seed)
+        return
+    # standalone stages count for themselves
+    st1 = run_stage1(cfg, D_override=D, seed=seed)
+    _assert_residual_facts_match_recounts(st1)
+    assert rep.stages[0].to_json_dict() == st1.to_json_dict()
+    if len(rep.stages) == 2:
+        st2 = run_stage2(st1.residual, plan=st1.plan, E_override=E, seed=seed)
+        assert rep.stages[1].to_json_dict() == st2.to_json_dict()
+
+
+@settings(deadline=None, max_examples=80)
+@given(ledger_inputs(), st.booleans())
+def test_residual_tally_and_coplanarity_survive_pruning(inputs, reguli):
+    # regulus pruning on or off changes which surface lines stay residual
+    cfg, levels = inputs
+    part = PartitionPoly.from_levels(levels)
+    st1 = run_stage1(cfg, partition_override=part, include_reguli=reguli)
+    _assert_residual_facts_match_recounts(st1)
+    given_tally = run_stage1(
+        cfg, partition_override=part, include_reguli=reguli, tally=count_incidences(cfg)
+    )
+    assert given_tally.to_json_dict() == st1.to_json_dict()
+    assert given_tally.residual_tally == st1.residual_tally
+
+
+def test_residual_coplanarity_counts_only_unpruned_lines_of_a_bucket():
+    # z = 0 meets the saddles xy = z and (x - 1)(y - 1) = z in four lines that
+    # stay residual; the plane z = 5 divides f and prunes the five lines in it
+    saddles = [X * Y - Z, (X - ONE) * (Y - ONE) - Z]
+    part = PartitionPoly.from_levels([Z - TriPoly.constant(5)] + saddles)
+    low = [
+        ((0, 0, 0), (1, 0, 0)),
+        ((0, 0, 0), (0, 1, 0)),
+        ((0, 1, 0), (1, 0, 0)),
+        ((1, 0, 0), (0, 1, 0)),
+    ]
+    high = [((0, i, 5), (1, i, 0)) for i in range(5)]
+    lines = tuple(RationalLine(Rational3Point(*b), d) for b, d in low + high)
+    points = (Rational3Point(0, 0, 0), Rational3Point(1, 1, 0), Rational3Point(2, 3, 5))
+    cfg = Configuration(points, lines, {})
+    st1 = run_stage1(cfg, partition_override=part, include_reguli=False)
+    assert st1.components == [("planar", "plane (0, 0, 1, -5)")]
+    assert st1.residual.n == 4
+    assert st1.residual_contained_max_coplanar == 4
+    _assert_residual_facts_match_recounts(st1)
+
+
+def test_stages_reject_a_tally_of_another_configuration():
+    cfg = gen("grid3d", N=2)
+    other = count_incidences(gen("grid3d", N=3))
+    with pytest.raises(ValueError):
+        run_stage1(cfg, tally=other)
+    with pytest.raises(ValueError):
+        run_stage2(cfg, E_override=2, tally=other)
 
 
 # -- aggregate report -----------------------------------------------------------------

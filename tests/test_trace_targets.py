@@ -35,7 +35,8 @@ def test_stages_call_traced_names_through_module_globals():
     names = [span[0] for span in tracer.spans]
     for stage in ("pipeline.stage1", "pipeline.stage2"):
         assert names.count(stage) == 1
-    # one count for the report and one per stage
-    assert names.count("incidence.count") == 3
+    # one count and one coplanarity pass per report: the stages reuse them
+    assert names.count("incidence.count") == 1
+    assert names.count("incidence.coplanar") == 1
     for layer in ("partition.classify_points", "partition.classify_lines", "partition.occupancy"):
         assert names.count(layer) == 2
