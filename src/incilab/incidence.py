@@ -1,9 +1,14 @@
 """Exact incidence counting and structure detection for point/line sets.
 
-Counting tests every point against every line with integer arithmetic:
-each point and each line base is cleared to integers once, and a pair is
-one cross-product test.  The pairwise `point_on_line` count stays as the
-`Fraction` reference that `incilab verify` checks the tally against.
+Counting walks each line's lattice points.  Each point is cleared once to
+integers (X, Y, Z) over q and hashed in its q-group.  A line meets a group
+only in the integer points of a line with the same primitive direction, an
+arithmetic progression that one Bezout vector locates; the walk steps it
+through the group's bounding box and looks each step up in the hash.  A
+walk longer than the group is replaced by testing the group's points, so
+no input costs more than testing every point against every line.  The
+pairwise `point_on_line` count stays as the `Fraction` reference that
+`incilab verify` checks the tally against.
 
 Coplanarity clears each line's denominators once into integer Pluecker data
 (base B over w, primitive direction d, moment B x d).  One integer
@@ -104,49 +109,122 @@ class IncidenceTally:
         }
 
 
-# -- integer fast path -------------------------------------------------------
+# -- lattice-walk counter ---------------------------------------------------
 
 
-def _point_reps(points: Sequence[Rational3Point]):
-    reps = []
-    for p in points:
-        den = math.lcm(p.x.denominator, p.y.denominator, p.z.denominator)
-        reps.append((int(p.x * den), int(p.y * den), int(p.z * den), den))
-    return reps
-
-
-def _line_reps(lines: Sequence[RationalLine]):
-    reps = []
-    for l in lines:
-        b = l.base
-        den = math.lcm(b.x.denominator, b.y.denominator, b.z.denominator)
-        reps.append(
-            (int(b.x * den), int(b.y * den), int(b.z * den), den, l.dir[0], l.dir[1], l.dir[2])
-        )
-    return reps
-
-
-def _on_line_int(prep, lrep) -> bool:
-    px, py, pz, pd = prep
-    bx, by, bz, bd, dx, dy, dz = lrep
-    ux = px * bd - bx * pd
-    uy = py * bd - by * pd
-    uz = pz * bd - bz * pd
+def _cleared(p: Rational3Point) -> tuple[int, int, int, int]:
+    """(X, Y, Z, q) with p = (X, Y, Z)/q and q the lcm of p's denominators."""
+    x, y, z = p.x, p.y, p.z
+    q = math.lcm(x.denominator, y.denominator, z.denominator)
     return (
-        uy * dz - uz * dy == 0
-        and uz * dx - ux * dz == 0
-        and ux * dy - uy * dx == 0
+        x.numerator * (q // x.denominator),
+        y.numerator * (q // y.denominator),
+        z.numerator * (q // z.denominator),
+        q,
     )
 
 
-def count_incidences(cfg: Configuration) -> IncidenceTally:
-    """Exact incidence tally: every point is tested against every line."""
-    cfg.validate()
-    preps = _point_reps(cfg.points)
-    points_by_line = [
-        [i for i, prep in enumerate(preps) if _on_line_int(prep, lrep)]
-        for lrep in _line_reps(cfg.lines)
+def _line_reps(lines: Sequence[RationalLine]):
+    """Per line (Bx, By, Bz, w, dx, dy, dz): base B/w, primitive direction d."""
+    return [_cleared(l.base) + l.dir for l in lines]
+
+
+def _lattice_groups(points: Sequence[Rational3Point]):
+    """The points grouped by q, their cleared denominator: per group
+    (q, {(X, Y, Z): index}, lower corner, upper corner of the box)."""
+    tables: dict[int, dict[tuple[int, int, int], int]] = {}
+    for i, p in enumerate(points):
+        x, y, z, q = _cleared(p)
+        tables.setdefault(q, {})[(x, y, z)] = i
+    return [
+        (q, table, tuple(map(min, zip(*table))), tuple(map(max, zip(*table))))
+        for q, table in tables.items()
     ]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g and |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return a, x0, y0
+
+
+def _bezout(d: tuple[int, int, int]) -> tuple[int, int, int]:
+    """An integer vector lam with lam . d = 1, for a primitive d."""
+    g, a, b = _xgcd(d[0], d[1])
+    g, c, e = _xgcd(g, d[2])
+    # g is +-1 because d is primitive, so g * g = 1.
+    return (g * c * a, g * c * b, g * e)
+
+
+def _window(p0, d, lo, hi) -> tuple[int, int]:
+    """Least and greatest k with lo <= p0 + k*d <= hi componentwise; the
+    first exceeds the second when no k fits."""
+    k_lo, k_hi = [], []
+    for p, di, a, b in zip(p0, d, lo, hi):
+        if di < 0:
+            a, b = b, a
+        if di:
+            k_lo.append(-((p - a) // di))
+            k_hi.append((b - p) // di)
+        elif not a <= p <= b:
+            return 1, 0
+    return max(k_lo), min(k_hi)
+
+
+def _points_on_line(lrep, groups) -> list[int]:
+    """Ascending indexes of the grouped points that lie on the line."""
+    bx, by, bz, w, dx, dy, dz = lrep
+    d = (dx, dy, dz)
+    lx, ly, lz = _bezout(d)
+    hits = []
+    for q, table, lo, hi in groups:
+        # The group's points on the line are the integer points q*B/w + u*d.
+        # There u = s/w for an integer s, and dotting with lam gives
+        # s = r mod w, so there are none unless q*B + r*d is divisible by w;
+        # then they are P0 + k*d.
+        cx, cy, cz = q * bx, q * by, q * bz
+        r = -(lx * cx + ly * cy + lz * cz) % w
+        cx, cy, cz = cx + r * dx, cy + r * dy, cz + r * dz
+        if cx % w or cy % w or cz % w:
+            continue
+        p0 = (cx // w, cy // w, cz // w)
+        k_lo, k_hi = _window(p0, d, lo, hi)
+        if k_hi - k_lo < len(table):
+            x, y, z = p0[0] + k_lo * dx, p0[1] + k_lo * dy, p0[2] + k_lo * dz
+            for _ in range(k_hi - k_lo + 1):
+                i = table.get((x, y, z))
+                if i is not None:
+                    hits.append(i)
+                x, y, z = x + dx, y + dy, z + dz
+        else:
+            for (x, y, z), i in table.items():
+                ux, uy, uz = x - p0[0], y - p0[1], z - p0[2]
+                if uy * dz == uz * dy and uz * dx == ux * dz and ux * dy == uy * dx:
+                    hits.append(i)
+    hits.sort()
+    return hits
+
+
+def count_incidences(cfg: Configuration) -> IncidenceTally:
+    """Exact incidence tally, found by walking each line's lattice points.
+
+    The points are cleared to integers (X, Y, Z)/q and hashed per q.  A
+    line meets group q only in the integer points of the line q*B/w + u*d;
+    those are P0 + k*d, and one Bezout vector of d finds P0 or shows there
+    is none.  The steps k are clipped to the group's bounding box, and the
+    walk looks each step up in the group's hash.  When the box allows more
+    steps than the group has points, the group's points are tested against
+    the line instead, so no (line, group) pair costs more than testing the
+    group's points one by one.
+    """
+    cfg.validate()
+    groups = _lattice_groups(cfg.points)
+    points_by_line = [_points_on_line(lrep, groups) for lrep in _line_reps(cfg.lines)]
     return IncidenceTally.of(cfg.m, points_by_line)
 
 

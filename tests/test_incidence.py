@@ -20,7 +20,12 @@ from incilab.incidence import (
     InvalidConfigurationError,
     MONOMIALS_DEG2,
     Quadric,
+    _bezout,
+    _cleared,
+    _lattice_groups,
+    _line_reps,
     _points_by_line_pairwise,
+    _points_on_line,
     assign_to_components,
     count_incidences,
     max_coplanar_lines,
@@ -109,6 +114,135 @@ def test_count_matches_pairwise_on_random_input(cfg):
     tally = count_incidences(cfg)
     assert tally.points_by_line == _points_by_line_pairwise(cfg)
     assert tally.total == sum(tally.per_point) == sum(tally.per_line)
+
+
+# -- the lattice walk ------------------------------------------------------------
+
+
+class _Probes(dict):
+    """A q-group's hash that counts its lookups and its points scanned."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def items(self):
+        self.probes += len(self)
+        return super().items()
+
+
+def _probed_hits(cfg):
+    """`_points_on_line` per line over probe-counting groups: (hits, probes
+    per line per group)."""
+    groups = [
+        (q, _Probes(table), lo, hi) for q, table, lo, hi in _lattice_groups(cfg.points)
+    ]
+    hits, probes = [], []
+    for lrep in _line_reps(cfg.lines):
+        before = [table.probes for _, table, _, _ in groups]
+        hits.append(_points_on_line(lrep, groups))
+        probes.append([t.probes - b for (_, t, _, _), b in zip(groups, before)])
+    return hits, probes
+
+
+def test_walk_steps_a_short_window():
+    pts = [P(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    lns = (L(P(0, 0, 0), (1, 1, 1)), L(P(0, 1, 0), (1, 0, 1)), L(P(0, 0, 5), (1, 1, 0)))
+    cfg = small_config(pts, lns)
+    hits, probes = _probed_hits(cfg)
+    assert hits == _points_by_line_pairwise(cfg) == [[0, 13, 26], [3, 13, 23], []]
+    # Three steps through the 3x3x3 box; the third line misses it entirely.
+    assert probes == [[3], [3], [0]]
+
+
+def test_long_window_falls_back_to_the_group_scan():
+    pts = (P(0, 0, 0), P(10**6, 0, 0), P(5, 1, 0))
+    lns = (L(P(0, 0, 0), (1, 0, 0)), L(P(0, 1, 0), (1, 0, 0)))
+    cfg = small_config(pts, lns)
+    hits, probes = _probed_hits(cfg)
+    assert hits == _points_by_line_pairwise(cfg) == [[0, 1], [2]]
+    assert probes == [[3], [3]]
+
+
+def test_rational_base_leaves_a_group_lattice_empty():
+    # Integer points never have y = 1/2; the half-integer group does.
+    pts = (P(0, 0, 0), P(1, 0, 0), P(2, 0, 0), P(Fraction(1, 2), Fraction(1, 2), 0))
+    lns = (L(P(0, Fraction(1, 2), 0), (1, 0, 0)), L(P(0, 0, 0), (1, 0, 0)))
+    cfg = small_config(pts, lns)
+    hits, probes = _probed_hits(cfg)
+    assert hits == _points_by_line_pairwise(cfg) == [[3], [0, 1, 2]]
+    assert probes[0][0] == 0
+
+
+def test_points_with_mixed_denominators_on_one_line():
+    line = L(P(0, Fraction(1, 2), 0), (1, 1, 1))
+    params = (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-3, 10), Fraction(5, 12))
+    pts = [line.point_at(t) for t in params] + [P(1, 1, 1), P(*[Fraction(1, 4)] * 3)]
+    cfg = small_config(pts, (line, L(P(0, 0, 0), (1, 1, 1))))
+    assert sorted({_cleared(p)[3] for p in pts}) == [1, 2, 4, 6, 10, 12]
+    pbl = count_incidences(cfg).points_by_line
+    assert pbl == _points_by_line_pairwise(cfg) == [[0, 1, 2, 3, 4, 5], [6, 7]]
+
+
+def test_walk_probes_only_the_box_lattice_points():
+    """Each (line, group) pair costs min(lattice points of the line in the
+    group's box, group size): the window is clipped to the box exactly."""
+    pts = [P(x, y, z) for x in range(4) for y in range(4) for z in range(3)]
+    pts += [P(Fraction(x, 2), Fraction(1, 2), 1) for x in range(-2, 9)]
+    lns = [
+        L(P(0, y, z), d)
+        for y in (-1, 0, Fraction(1, 2), 2)
+        for z in (0, 1)
+        for d in ((1, 0, 0), (1, 1, 0), (1, -1, 1), (2, 1, -1), (0, 1, 1), (0, 0, 1))
+    ]
+    cfg = small_config(pts, dict.fromkeys(lns))
+    hits, probes = _probed_hits(cfg)
+    assert hits == _points_by_line_pairwise(cfg)
+    for line, row in zip(cfg.lines, probes):
+        for (q, table, lo, hi), cost in zip(_lattice_groups(cfg.points), row):
+            box = [
+                P(Fraction(x, q), Fraction(y, q), Fraction(z, q))
+                for x in range(lo[0], hi[0] + 1)
+                for y in range(lo[1], hi[1] + 1)
+                for z in range(lo[2], hi[2] + 1)
+            ]
+            window = sum(1 for p in box if point_on_line(p, line))
+            assert cost == min(window, len(table)), (line, q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.tuples(*[st.integers(-50, 50)] * 3).filter(any))
+def test_bezout_vector_dots_a_primitive_direction_to_one(vec):
+    d = L(P(0, 0, 0), vec).dir
+    assert sum(a * b for a, b in zip(_bezout(d), d)) == 1
+
+
+wide = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12))
+wide_point = st.builds(P, wide, wide, wide)
+
+
+@st.composite
+def wide_inputs(draw):
+    """Points with coordinates up to 10^6 and denominators 1-12, lines through
+    two of them or through one with a small direction, and more points on
+    those lines at such parameters: long windows and many q-groups."""
+    points = draw(st.lists(wide_point, min_size=1, max_size=10))
+    lines = []
+    for a, b in draw(st.lists(st.tuples(*[st.sampled_from(points)] * 2), max_size=3)):
+        if a != b:
+            lines.append(L(a, (b.x - a.x, b.y - a.y, b.z - a.z)))
+    lines += [L(draw(st.sampled_from(points)), d) for d in draw(st.lists(direction, max_size=3))]
+    for line in list(lines):
+        points += [line.point_at(t) for t in draw(st.lists(wide, max_size=3))]
+    return small_config(dict.fromkeys(points), dict.fromkeys(lines))
+
+
+@settings(deadline=None, max_examples=80)
+@given(wide_inputs())
+def test_count_matches_pairwise_on_wide_rational_input(cfg):
+    assert count_incidences(cfg).points_by_line == _points_by_line_pairwise(cfg)
 
 
 # -- richness and coplanarity ----------------------------------------------------
