@@ -3,8 +3,9 @@ integer Gauss-Jordan elimination (Bareiss 1968)."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .geom import cleared
 
 
 def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -17,10 +18,7 @@ def nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[tupl
         raise ValueError("need ncols for an empty matrix")
     # clearing each row's denominators scales it by a positive constant,
     # which leaves the row space, hence the RREF, unchanged
-    mat = []
-    for row in rows:
-        m = math.lcm(*(v.denominator for v in row))
-        mat.append([v.numerator * (m // v.denominator) for v in row])
+    mat = [cleared(row)[1] for row in rows]
     # after each step every entry is a minor of the input, every pivot row
     # holds the same pivot value, and division by the previous pivot is exact
     pivots: list[int] = []

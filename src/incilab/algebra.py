@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .geom import Rational3Point, RationalLine, RationalPlane
+from .geom import Rational3Point, RationalLine, RationalPlane, cleared
 from .qformat import qstr
 
 NEG_INF = float("-inf")  # degree marker of the zero polynomial
@@ -306,8 +306,7 @@ class UniPoly:
         """Scale by a positive rational to coprime integer coefficients."""
         if not self._coeffs:
             return self
-        mult = math.lcm(*(c.denominator for c in self._coeffs))
-        ints = [int(c * mult) for c in self._coeffs]
+        _, ints = cleared(self._coeffs)
         g = math.gcd(*ints)
         return UniPoly([Fraction(c, g) for c in ints])
 
@@ -626,13 +625,11 @@ def primitive_normalize(f: TriPoly) -> TriPoly:
     if f.is_zero():
         return f
     terms = f.terms()
-    mult = math.lcm(*(c.denominator for c in terms.values()))
-    ints = {e: int(c * mult) for e, c in terms.items()}
-    g = math.gcd(*ints.values())
-    ints = {e: c // g for e, c in ints.items()}
-    if ints[max(ints)] < 0:
-        ints = {e: -c for e, c in ints.items()}
-    return TriPoly(ints)
+    _, ints = cleared(list(terms.values()))
+    g = math.gcd(*ints)
+    if terms[max(terms)] < 0:
+        g = -g
+    return TriPoly({e: c // g for e, c in zip(terms, ints)})
 
 
 def tp_divmod(f: TriPoly, g: TriPoly) -> tuple[TriPoly, TriPoly]:

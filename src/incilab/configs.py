@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .geom import Rational3Point, RationalLine
-from .incidence import Configuration, InvalidConfigurationError
+from .geom import Rational3Point, RationalLine, primitive_int_vector
+from .incidence import Configuration
 from .qformat import qparse, qstr
 
 FAMILIES = (
@@ -121,13 +121,7 @@ def _pythagorean_directions(count: int) -> list[tuple[int, int, int]]:
             if b * b != b2:
                 continue
             for bb in sorted({b, -b}):
-                g = math.gcd(math.gcd(abs(a), abs(bb)), c)
-                d = (a // g, bb // g, c // g)
-                for coord in d:
-                    if coord != 0:
-                        if coord < 0:
-                            d = tuple(-v for v in d)
-                        break
+                d = primitive_int_vector((a, bb, c))
                 if d not in seen:
                     seen.add(d)
                     out.append(d)
@@ -330,6 +324,4 @@ def load_config(path) -> Configuration:
         if direction == (0, 0, 0):
             raise ConfigParseError(f"lines[{i}].dir: zero direction")
         lines.append(RationalLine(Rational3Point(*base), direction))
-    cfg = Configuration(points, tuple(lines), meta)
-    cfg.validate()
-    return cfg
+    return Configuration(points, tuple(lines), meta)

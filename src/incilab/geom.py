@@ -3,6 +3,12 @@
 Points, lines and planes carry arbitrary-precision rational data in canonical
 form, so equal geometric objects compare and hash equal.  Every predicate is
 decided exactly; no floating point is used anywhere in this module.
+
+The package's integer normal form lives here: `cleared` multiplies rationals
+by the lcm of their denominators, and `primitive` divides integers by their
+gcd and makes the first nonzero entry positive.  Every exact kernel clears
+its input through `cleared`; directions, planes and quadrics are stored as
+`primitive_int_vector`, the two composed.
 """
 
 from __future__ import annotations
@@ -36,21 +42,26 @@ def _is_zero_vec(u) -> bool:
     return u[0] == 0 and u[1] == 0 and u[2] == 0
 
 
-def primitive_int_vector(vec) -> IntVec:
-    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    fracs = tuple(_q(c) for c in vec)
-    if _is_zero_vec(fracs):
-        raise ValueError("cannot normalize the zero vector")
-    mult = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * mult) for c in fracs]
+def cleared(values) -> tuple[int, list[int]]:
+    """(L, ints): L is the lcm of the values' denominators and ints[i] is
+    values[i] * L, for ints and `Fraction`s alike."""
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def primitive(ints) -> list[int]:
+    """Integers divided by their gcd, the first nonzero entry made positive."""
     g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return (ints[0], ints[1], ints[2])
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]
+
+
+def primitive_int_vector(vec) -> tuple[int, ...]:
+    """Scale a nonzero rational vector to coprime integers, first nonzero > 0."""
+    if not any(vec):
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(primitive(cleared(vec)[1]))
 
 
 @dataclass(frozen=True)
@@ -134,19 +145,10 @@ class RationalPlane:
     d: int
 
     def __post_init__(self):
-        coeffs = tuple(_q(v) for v in (self.a, self.b, self.c, self.d))
-        if coeffs[0] == 0 and coeffs[1] == 0 and coeffs[2] == 0:
+        if not (self.a or self.b or self.c):
             raise ValueError("plane normal must be nonzero")
-        mult = math.lcm(*(v.denominator for v in coeffs))
-        ints = [int(v * mult) for v in coeffs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v != 0:
-                if v < 0:
-                    ints = [-x for x in ints]
-                break
-        for name, val in zip("abcd", ints):
+        coeffs = primitive_int_vector((self.a, self.b, self.c, self.d))
+        for name, val in zip("abcd", coeffs):
             object.__setattr__(self, name, val)
 
     @classmethod

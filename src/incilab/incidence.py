@@ -1,29 +1,33 @@
 """Exact incidence counting and structure detection for point/line sets.
 
+A `Configuration` checks that its points and its lines are distinct when it
+is built, so no function here checks it again.
+
 Counting walks each line's lattice points.  Each point is cleared once to
-integers (X, Y, Z) over q and hashed in its q-group.  A line meets a group
-only in the integer points of a line with the same primitive direction, an
-arithmetic progression that one Bezout vector locates; the walk steps it
-through the group's bounding box and looks each step up in the hash.  A
-walk longer than the group is replaced by testing the group's points, so
-no input costs more than testing every point against every line.  The
-pairwise `point_on_line` count stays as the `Fraction` reference that
-`incilab verify` checks the tally against.
+integers (X, Y, Z) over q (`geom.cleared`) and hashed in its q-group.  A
+line meets a group only in the integer points of a line with the same
+primitive direction, an arithmetic progression that one Bezout vector
+locates; the walk steps it through the group's bounding box and looks each
+step up in the hash.  A walk longer than the group is replaced by testing
+the group's points, so no input costs more than testing every point against
+every line.  The pairwise `point_on_line` count stays as the `Fraction`
+reference that `incilab verify` checks the tally against.
 
 Coplanarity clears each line's denominators once into integer Pluecker data
 (base B over w, primitive direction d, moment B x d).  One integer
 reciprocal-product test rejects a skew pair, and a coplanar pair is keyed by
 the primitive integer coefficients of its plane, so no `Fraction` or plane
-object is built per pair.  The pairwise `plane_through_lines` bucketing
-stays as the reference that `incilab verify` checks the kernel against.
+object is built per pair.  Those coefficients are made primitive inline,
+not through `geom.primitive`, because the pair loop is O(n^2).  The
+pairwise `plane_through_lines` bucketing stays as the reference that
+`incilab verify` checks the kernel against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import algebra
 from ._linalg import nullspace
@@ -31,8 +35,10 @@ from .geom import (
     Rational3Point,
     RationalLine,
     RationalPlane,
+    cleared,
     plane_through_lines,
     point_on_line,
+    primitive_int_vector,
 )
 
 
@@ -48,7 +54,10 @@ class DegeneracyError(ValueError):
 
 @dataclass(eq=True)
 class Configuration:
-    """A finite set of distinct points and distinct lines, plus metadata."""
+    """A finite set of distinct points and distinct lines, plus metadata.
+
+    Building one with a repeated point or line raises
+    InvalidConfigurationError naming both indexes."""
 
     points: tuple[Rational3Point, ...]
     lines: tuple[RationalLine, ...]
@@ -57,6 +66,7 @@ class Configuration:
     def __post_init__(self):
         self.points = tuple(self.points)
         self.lines = tuple(self.lines)
+        self.validate()
 
     @property
     def m(self) -> int:
@@ -114,14 +124,8 @@ class IncidenceTally:
 
 def _cleared(p: Rational3Point) -> tuple[int, int, int, int]:
     """(X, Y, Z, q) with p = (X, Y, Z)/q and q the lcm of p's denominators."""
-    x, y, z = p.x, p.y, p.z
-    q = math.lcm(x.denominator, y.denominator, z.denominator)
-    return (
-        x.numerator * (q // x.denominator),
-        y.numerator * (q // y.denominator),
-        z.numerator * (q // z.denominator),
-        q,
-    )
+    q, (x, y, z) = cleared(p.coords)
+    return (x, y, z, q)
 
 
 def _line_reps(lines: Sequence[RationalLine]):
@@ -222,7 +226,6 @@ def count_incidences(cfg: Configuration) -> IncidenceTally:
     the line instead, so no (line, group) pair costs more than testing the
     group's points one by one.
     """
-    cfg.validate()
     groups = _lattice_groups(cfg.points)
     points_by_line = [_points_on_line(lrep, groups) for lrep in _line_reps(cfg.lines)]
     return IncidenceTally.of(cfg.m, points_by_line)
@@ -288,6 +291,7 @@ def plane_key(ri, rj) -> tuple[int, int, int, int] | None:
         return None
     a, b, c = wi * n0, wi * n1, wi * n2
     d = -(n0 * bi[0] + n1 * bi[1] + n2 * bi[2])
+    # `geom.primitive` inline: this runs once per pair of lines
     g = math.gcd(a, b, c, d)
     if (a or b or c) < 0:
         g = -g
@@ -436,19 +440,9 @@ class Quadric:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != 10 or all(c == 0 for c in self.coeffs):
+        if len(self.coeffs) != 10 or not any(self.coeffs):
             raise ValueError("quadric needs 10 coefficients, not all zero")
-        fracs = [Fraction(c) for c in self.coeffs]
-        mult = math.lcm(*(f.denominator for f in fracs))
-        ints = [int(f * mult) for f in fracs]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        for c in ints:
-            if c != 0:
-                if c < 0:
-                    ints = [-v for v in ints]
-                break
-        object.__setattr__(self, "coeffs", tuple(ints))
+        object.__setattr__(self, "coeffs", primitive_int_vector(self.coeffs))
 
     @property
     def poly(self) -> algebra.TriPoly:

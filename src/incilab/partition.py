@@ -58,7 +58,7 @@ from .algebra import (
     primitive_normalize,
     restrict_to_line,
 )
-from .geom import Rational3Point, RationalLine
+from .geom import Rational3Point, RationalLine, cleared
 from .qformat import qparse, qstr
 
 
@@ -218,8 +218,8 @@ def _functional_poly_plane(u) -> TriPoly:
 
 def _scaled(coords) -> tuple[int, list[tuple[int, int, int]]]:
     """L, the lcm of every coordinate denominator, and each point times L."""
-    L = math.lcm(*(c.denominator for p in coords for c in p))
-    return L, [tuple(c.numerator * (L // c.denominator) for c in p) for p in coords]
+    L, flat = cleared([c for p in coords for c in p])
+    return L, list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
 def _int_form(g: TriPoly, L: int) -> list[tuple[int, int, int, int]]:
@@ -229,11 +229,8 @@ def _int_form(g: TriPoly, L: int) -> list[tuple[int, int, int, int]]:
     """
     terms = g.terms()
     d = g.degree
-    M = math.lcm(*(v.denominator for v in terms.values()))
-    return [
-        (a, b, c, v.numerator * (M // v.denominator) * L ** (d - a - b - c))
-        for (a, b, c), v in terms.items()
-    ]
+    _, ints = cleared(list(terms.values()))
+    return [(a, b, c, C * L ** (d - a - b - c)) for (a, b, c), C in zip(terms, ints)]
 
 
 def _signs(form, pts) -> list[int]:
@@ -424,9 +421,9 @@ class _Search:
         basis = nullspace(rows)[:8]
         if not basis:
             return
-        den = math.lcm(*(v.denominator for vec in basis for v in vec))
+        den, flat = cleared([v for vec in basis for v in vec])
         scale = den * Lpow[d]  # vals below are scale * (basis . lifted x)
-        ibasis = [[v.numerator * (den // v.denominator) for v in vec] for vec in basis]
+        ibasis = [flat[k : k + len(exps)] for k in range(0, len(flat), len(exps))]
         vals = [{i: sum(b * m for b, m in zip(vec, lifted[i])) for i in lifted} for vec in ibasis]
         plan = [((k,), (1,)) for k in range(len(basis))]
         for _ in range(24):
@@ -575,12 +572,11 @@ def _restrictions(levels: Sequence[TriPoly], line: RationalLine) -> list[list[in
     positive multiple of the level at base + t*dir: the same roots and signs
     in the same parameter t as `restrict_to_line`.
     """
-    coords = line.base.coords
-    w = math.lcm(*(c.denominator for c in coords))
+    w, base = cleared(line.base.coords)
     forms = [_int_form(g, w) for g in levels]
     pows = []
-    for axis, (c, d) in enumerate(zip(coords, line.dir)):
-        lin = [c.numerator * (w // c.denominator), w * d]
+    for axis, (c, d) in enumerate(zip(base, line.dir)):
+        lin = [c, w * d]
         top = max(e[axis] for form in forms for e in form)
         cur = [[1]]
         for _ in range(top):
@@ -617,6 +613,7 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _primitive(p: list[int]) -> list[int]:
+    # not `geom.primitive`: a Sturm chain must keep each element's sign
     g = math.gcd(*p)
     return [c // g for c in p]
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from . import bounds as bounds_mod
 from .algebra import divides_by_plane, is_cone_with_apex, line_in_zero_set, tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
-from .geom import RationalLine, RationalPlane, Rational3Point, plane_through_lines
+from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
     Configuration,
     DegeneracyError,
@@ -225,15 +225,8 @@ def _detect_reguli(
     seen = set()
     for _ in range(20):
         trio = rng.sample(contained, 3)
-        ls = [lines[i] for i in trio]
-        if any(
-            plane_through_lines(ls[a], ls[b]) != "skew"
-            for a in range(3)
-            for b in range(a + 1, 3)
-        ):
-            continue
         try:
-            quad = regulus_through(*ls)
+            quad = regulus_through(*(lines[i] for i in trio))
         except (DegeneracyError, ValueError):
             continue
         if quad in seen:
@@ -340,7 +333,6 @@ def run_stage1(
     tally: IncidenceTally | None = None,
 ) -> StageReport:
     """First-stage partition, surface pruning, and exact incidence ledger."""
-    cfg.validate()
     m, n = cfg.m, cfg.n
     plan = None
     if m >= 1 and n >= 1:
@@ -616,12 +608,10 @@ def full_report(
     E_override: int | None = None,
     seed: int = 0,
     epsilon: Fraction = Fraction(1, 10),
-    include_reguli: bool | None = None,
 ) -> IncidenceReport:
     """Counting, coplanarity, bounds, and optionally the two-stage pipeline.
     `incilab verify` checks the count and the coplanarity against their
     pairwise `Fraction` references."""
-    cfg.validate()
     m, n = cfg.m, cfg.n
     flags: list[str] = []
     tally = count_incidences(cfg)
@@ -648,7 +638,6 @@ def full_report(
                 D_override=D_override,
                 seed=seed,
                 epsilon=epsilon,
-                include_reguli=include_reguli,
                 tally=tally,
             )
         except AssertionError:

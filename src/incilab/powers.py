@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
+from .geom import cleared
+
 PREC_BITS = 96
 
 Factor = Tuple[Fraction, Fraction]  # (base, exponent)
@@ -40,12 +42,11 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 def _combined_radicand(factors: Iterable[Factor]) -> tuple[int, int, int]:
     """Fold base_i^exp_i into a single (num, den, root) with num/den >= 0."""
     fs = [(Fraction(b), Fraction(e)) for b, e in factors]
-    root = math.lcm(*(e.denominator for _, e in fs)) if fs else 1
+    root, ps = cleared([e for _, e in fs])
     num = den = 1
-    for b, e in fs:
+    for (b, _), p in zip(fs, ps):
         if b <= 0:
             raise ValueError("power bases must be positive")
-        p = int(e * root)
         if p >= 0:
             num *= b.numerator ** p
             den *= b.denominator ** p
@@ -83,14 +84,6 @@ def power_product(factors: Sequence[Factor], rounding: str = "up") -> tuple[Frac
 def qpow(base, exponent, rounding: str = "up") -> Fraction:
     """base**exponent for positive rational base, directed rounding."""
     return power_product([(Fraction(base), Fraction(exponent))], rounding)[0]
-
-
-def qpow_exact(base, exponent) -> tuple[Fraction, bool]:
-    return power_product([(Fraction(base), Fraction(exponent))], "up")
-
-
-def qsqrt(x, rounding: str = "up") -> Fraction:
-    return qpow(x, Fraction(1, 2), rounding)
 
 
 def cmp_power_products(lhs: Sequence[Factor], rhs: Sequence[Factor]) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_QPAT = re.compile(r"^-?(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
+_QPAT = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def qstr(q: Fraction) -> str:
@@ -17,6 +17,8 @@ def qstr(q: Fraction) -> str:
 
 def qparse(text: str) -> Fraction:
     """Parse "p" or "p/q" with q > 0; anything else is rejected."""
-    if not isinstance(text, str) or not _QPAT.match(text):
+    match = _QPAT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a canonical rational literal: {text!r}")
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))

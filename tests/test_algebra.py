@@ -76,6 +76,32 @@ def test_primitive_normalize():
     # sign fixed by the leading term
     assert primitive_normalize(-2 * X + 4 * Y) == X - 2 * Y
     assert primitive_normalize(TriPoly.zero()) == TriPoly.zero()
+    # the lex-largest term decides the sign, not the first term listed
+    f = TriPoly({(0, 1, 0): Fraction(-4, 5), (1, 0, 0): Fraction(2, 5)})
+    assert primitive_normalize(f).terms() == {(1, 0, 0): 1, (0, 1, 0): -2}
+
+
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        min_size=1,
+        max_size=6,
+    ),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+)
+def test_primitive_normalize_lex_largest_term_positive(terms, k):
+    f = TriPoly(terms)
+    g = primitive_normalize(f)
+    assert primitive_normalize(f * k) == g
+    if f.is_zero():
+        return
+    coeffs = g.terms()
+    assert coeffs[max(coeffs)] > 0
+    assert all(c.denominator == 1 for c in coeffs.values())
+    assert math.gcd(*(c.numerator for c in coeffs.values())) == 1
+    ratio = coeffs[max(coeffs)] / f.terms()[max(coeffs)]
+    assert g == f * ratio
 
 
 # -- univariate layer ----------------------------------------------------------

@@ -216,7 +216,18 @@ def test_load_rejects_bad_geometry(tmp_path):
     dupes = json.loads(json.dumps(base))
     dupes["points"].append(dupes["points"][0])
     path.write_text(json.dumps(dupes))
-    with pytest.raises(Exception):
+    last = len(dupes["points"]) - 1
+    with pytest.raises(InvalidConfigurationError, match=f"indexes 0 and {last}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("bad", ["1\n", " 1", "1 ", "\t1"])
+def test_load_rejects_whitespace_in_rationals(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    base = config_to_json_dict(gen("grid3d", N=1))
+    base["lines"][0]["base"][1] = bad
+    path.write_text(json.dumps(base))
+    with pytest.raises(ConfigParseError, match=r"lines\[0\]\.base\.y"):
         load_config(path)
 
 

@@ -1,5 +1,6 @@
 """Exact rational primitives: canonical lines, planes, and coplanarity."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,13 @@ from incilab.geom import (
     RationalLine,
     RationalPlane,
     canonical_line,
+    cleared,
     plane_through_lines,
     point_on_line,
+    primitive,
     primitive_int_vector,
 )
+from incilab.incidence import Quadric
 
 coord = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
@@ -26,6 +30,76 @@ def test_primitive_int_vector():
     assert primitive_int_vector((Fraction(1, 2), 0, Fraction(3, 4))) == (2, 0, 3)
     with pytest.raises(ValueError):
         primitive_int_vector((0, 0, 0))
+
+
+# -- integer normal form -------------------------------------------------------
+
+
+def _cleared_reference(values):
+    """The lcm-of-denominators loop `cleared` replaced."""
+    fracs = [Fraction(v) for v in values]
+    mult = math.lcm(*(f.denominator for f in fracs))
+    return mult, [int(f * mult) for f in fracs]
+
+
+def _primitive_reference(ints):
+    """The gcd and first-sign loop `primitive` replaced."""
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    for c in ints:
+        if c != 0:
+            if c < 0:
+                ints = [-v for v in ints]
+            break
+    return ints
+
+
+# ints mixed with Fractions of denominator 1-12, as `_balanced` hands
+# `nullspace` int rows and every other caller passes Fractions
+entry = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 12)),
+)
+vectors = st.sampled_from([3, 4, 10]).flatmap(lambda k: st.lists(entry, min_size=k, max_size=k))
+
+
+@given(vectors)
+def test_cleared_matches_the_lcm_loop(values):
+    L, ints = cleared(values)
+    assert (L, ints) == _cleared_reference(values)
+    assert all(type(v) is int for v in ints)
+    assert all(Fraction(i, L) == v for i, v in zip(ints, values))
+
+
+@given(vectors.filter(any))
+def test_primitive_matches_the_gcd_sign_loop(values):
+    ints = cleared(values)[1]
+    assert primitive(ints) == _primitive_reference(ints)
+    assert primitive_int_vector(values) == tuple(_primitive_reference(ints))
+
+
+def test_cleared_and_primitive_pinned():
+    assert cleared([Fraction(1, 2), 3, Fraction(-5, 6)]) == (6, [3, 18, -5])
+    assert cleared([]) == (1, [])
+    assert primitive([0, -6, 4, 2]) == [0, 3, -2, -1]
+    assert primitive([0, 0, 7]) == [0, 0, 1]
+
+
+nonzero_scale = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+
+
+@given(st.lists(entry, min_size=4, max_size=4).filter(lambda v: any(v[:3])), nonzero_scale)
+def test_plane_is_unchanged_by_scaling(coeffs, k):
+    plane = RationalPlane(*coeffs)
+    assert RationalPlane(*(k * c for c in coeffs)) == plane
+    assert plane.coeffs == primitive_int_vector(coeffs)
+
+
+@given(st.lists(entry, min_size=10, max_size=10).filter(any), nonzero_scale)
+def test_quadric_is_unchanged_by_scaling(coeffs, k):
+    quad = Quadric(tuple(coeffs))
+    assert Quadric(tuple(k * c for c in coeffs)) == quad
+    assert quad.coeffs == primitive_int_vector(coeffs)
 
 
 def test_point_coords_and_translate():

@@ -441,18 +441,16 @@ def test_assign_to_components_matches_pairwise_oracle(pts, raw_lines, planes, k)
 
 
 def test_validate_rejects_duplicate_points():
-    cfg = small_config([P(0, 0, 0), P(0, 0, 0)], [L(P(0, 0, 0), (1, 0, 0))])
-    with pytest.raises(InvalidConfigurationError):
-        cfg.validate()
+    with pytest.raises(InvalidConfigurationError, match="indexes 0 and 1"):
+        small_config([P(0, 0, 0), P(0, 0, 0)], [L(P(0, 0, 0), (1, 0, 0))])
 
 
 def test_validate_rejects_duplicate_lines_up_to_parametrization():
-    cfg = small_config(
-        [P(0, 0, 0)],
-        [L(P(0, 0, 0), (1, 0, 0)), L(P(5, 0, 0), (-2, 0, 0))],
-    )
-    with pytest.raises(InvalidConfigurationError):
-        cfg.validate()
+    with pytest.raises(InvalidConfigurationError, match="indexes 0 and 1"):
+        small_config(
+            [P(0, 0, 0)],
+            [L(P(0, 0, 0), (1, 0, 0)), L(P(5, 0, 0), (-2, 0, 0))],
+        )
 
 
 # -- quadrics and reguli -----------------------------------------------------------

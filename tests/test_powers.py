@@ -12,8 +12,6 @@ from incilab.powers import (
     iroot,
     power_product,
     qpow,
-    qpow_exact,
-    qsqrt,
     rational_log,
 )
 
@@ -89,10 +87,11 @@ def test_power_product_respects_rounding_direction(a, b, p, q):
 
 def test_qpow_and_qsqrt():
     assert qpow(9, H) == 3
-    assert qpow_exact(Fraction(1, 4), H) == (H, True)
-    assert qsqrt(4) == 2
-    lo, hi = qsqrt(2, "down"), qsqrt(2, "up")
-    assert lo**2 <= 2 <= hi**2
+    assert qpow(Fraction(1, 4), H) == H
+    assert qpow(4, H, "down") == 2
+    lo, hi = qpow(2, H, "down"), qpow(2, H, "up")
+    assert lo**2 < 2 < hi**2
+    assert hi - lo == Fraction(1, 2**PREC_BITS)
 
 
 def test_cmp_power_products_goldens():

@@ -1,5 +1,6 @@
 """Rational literal round-tripping for the file formats."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,10 @@ def test_qparse_accepts_well_formed():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "3.5", "+3", " 3", "3 ", "1/0", "1/-2", "03", "3/", "/4", "1e3", "nan", None, 7],
+    [
+        "", "3.5", "1.5", "+3", "+1", " 3", " 1", "3 ", "1 ", "12\n", "1/0", "1/-2",
+        "03", "01", "3/", "/4", "1e3", "nan", None, 7,
+    ],
 )
 def test_qparse_rejects_malformed(bad):
     with pytest.raises(ValueError):
@@ -35,3 +39,28 @@ def test_qparse_rejects_malformed(bad):
 @given(st.fractions())
 def test_round_trip(q):
     assert qparse(qstr(q)) == q
+
+
+_OLD_QPAT = re.compile(r"^-?(0|[1-9][0-9]*)(/([1-9][0-9]*))?$")
+
+
+def _qparse_reference(text):
+    """The earlier parser: a `$`-anchored match, then `Fraction(text)`."""
+    if not isinstance(text, str) or not _OLD_QPAT.match(text):
+        raise ValueError(text)
+    return Fraction(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "rejected"
+
+
+no_space = st.text().filter(lambda t: not any(c.isspace() for c in t))
+
+
+@given(st.one_of(no_space, st.text(alphabet="-/0123456789", max_size=12)))
+def test_qparse_matches_the_reference_without_whitespace(text):
+    assert _outcome(qparse, text) == _outcome(_qparse_reference, text)
