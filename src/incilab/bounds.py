@@ -9,9 +9,8 @@ decide regime or window membership never go through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .powers import (
     Factor,

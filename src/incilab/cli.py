@@ -31,9 +31,7 @@ from .pipeline import (
     ratio_denominator,
     run_stage1,
     write_csv,
-    write_report_json,
 )
-from .qformat import qstr
 
 
 def _parse_params(items):

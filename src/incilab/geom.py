@@ -6,15 +6,17 @@ decided exactly; no floating point is used anywhere in this module.
 
 The package's integer normal form lives here: `cleared` multiplies rationals
 by the lcm of their denominators, and `primitive` divides integers by their
-gcd and makes the first nonzero entry positive.  Every exact kernel clears
-its input through `cleared`; directions, planes and quadrics are stored as
-`primitive_int_vector`, the two composed.
+gcd and makes the first nonzero entry positive.  Values carry their integer
+form, computed once when they are built: a point stores (X, Y, Z, q) as
+`ints`, so a line's base is B/w with `line.base.ints` = (B, w); directions,
+planes and quadrics are stored as `primitive_int_vector`, the two composed.
+No kernel clears a point or a line again; each reads the stored ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Union
 
@@ -66,14 +68,20 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Rational3Point:
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    """Point (x, y, z); ints = (X, Y, Z, q) is its integer form, with q the lcm
+    of the denominators and (x, y, z) = (X, Y, Z)/q.  It decides == and hash."""
+
+    x: Fraction = field(compare=False)
+    y: Fraction = field(compare=False)
+    z: Fraction = field(compare=False)
+    ints: tuple[int, int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x", _q(self.x))
         object.__setattr__(self, "y", _q(self.y))
         object.__setattr__(self, "z", _q(self.z))
+        q, ints = cleared((self.x, self.y, self.z))
+        object.__setattr__(self, "ints", (*ints, q))
 
     @property
     def coords(self) -> Vec:
@@ -102,10 +110,11 @@ class RationalLine:
     def __post_init__(self):
         d = primitive_int_vector(self.dir)
         b = self.base if isinstance(self.base, Rational3Point) else Rational3Point(*self.base)
-        pivot = 0 if d[0] != 0 else (1 if d[1] != 0 else 2)
-        t = -b.coords[pivot] / Fraction(d[pivot])
-        foot = b.translate((t * d[0], t * d[1], t * d[2]))
-        object.__setattr__(self, "base", foot)
+        # b = X/q slides to b - (b_k/d_k)*d = (X*d_k - X_k*d)/(q*d_k), k the pivot
+        *X, q = b.ints
+        k = 0 if d[0] else (1 if d[1] else 2)
+        foot = (Fraction(X[i] * d[k] - X[k] * d[i], q * d[k]) for i in range(3))
+        object.__setattr__(self, "base", Rational3Point(*foot))
         object.__setattr__(self, "dir", d)
 
     def point_at(self, t) -> Rational3Point:

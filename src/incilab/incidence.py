@@ -3,18 +3,19 @@
 A `Configuration` checks that its points and its lines are distinct when it
 is built, so no function here checks it again.
 
-Counting walks each line's lattice points.  Each point is cleared once to
-integers (X, Y, Z) over q (`geom.cleared`) and hashed in its q-group.  A
-line meets a group only in the integer points of a line with the same
-primitive direction, an arithmetic progression that one Bezout vector
-locates; the walk steps it through the group's bounding box and looks each
-step up in the hash.  A walk longer than the group is replaced by testing
-the group's points, so no input costs more than testing every point against
-every line.  The pairwise `point_on_line` count stays as the `Fraction`
-reference that `incilab verify` checks the tally against.
+Counting walks each line's lattice points.  Points and lines carry their
+integer form (`geom`), so no point or line is cleared here; each point
+(X, Y, Z)/q is hashed in its q-group.  A line meets a group only in the
+integer points of a line with the same primitive direction, an arithmetic
+progression that one Bezout vector locates; the walk steps it through the
+group's bounding box and looks each step up in the hash.  A walk longer
+than the group is replaced by testing the group's points, so no input costs
+more than testing every point against every line.  The pairwise
+`point_on_line` count stays as the `Fraction` reference that
+`incilab verify` checks the tally against.
 
-Coplanarity clears each line's denominators once into integer Pluecker data
-(base B over w, primitive direction d, moment B x d).  One integer
+Coplanarity reads each line as integer Pluecker data: its stored base B
+over w, primitive direction d and moment B x d.  One integer
 reciprocal-product test rejects a skew pair, and a coplanar pair is keyed by
 the primitive integer coefficients of its plane, so no `Fraction` or plane
 object is built per pair.  Those coefficients are made primitive inline,
@@ -35,7 +36,6 @@ from .geom import (
     Rational3Point,
     RationalLine,
     RationalPlane,
-    cleared,
     plane_through_lines,
     point_on_line,
     primitive_int_vector,
@@ -122,23 +122,12 @@ class IncidenceTally:
 # -- lattice-walk counter ---------------------------------------------------
 
 
-def _cleared(p: Rational3Point) -> tuple[int, int, int, int]:
-    """(X, Y, Z, q) with p = (X, Y, Z)/q and q the lcm of p's denominators."""
-    q, (x, y, z) = cleared(p.coords)
-    return (x, y, z, q)
-
-
-def _line_reps(lines: Sequence[RationalLine]):
-    """Per line (Bx, By, Bz, w, dx, dy, dz): base B/w, primitive direction d."""
-    return [_cleared(l.base) + l.dir for l in lines]
-
-
 def _lattice_groups(points: Sequence[Rational3Point]):
-    """The points grouped by q, their cleared denominator: per group
+    """The points grouped by q, their common denominator: per group
     (q, {(X, Y, Z): index}, lower corner, upper corner of the box)."""
     tables: dict[int, dict[tuple[int, int, int], int]] = {}
     for i, p in enumerate(points):
-        x, y, z, q = _cleared(p)
+        x, y, z, q = p.ints
         tables.setdefault(q, {})[(x, y, z)] = i
     return [
         (q, table, tuple(map(min, zip(*table))), tuple(map(max, zip(*table))))
@@ -180,10 +169,10 @@ def _window(p0, d, lo, hi) -> tuple[int, int]:
     return max(k_lo), min(k_hi)
 
 
-def _points_on_line(lrep, groups) -> list[int]:
+def _points_on_line(line: RationalLine, groups) -> list[int]:
     """Ascending indexes of the grouped points that lie on the line."""
-    bx, by, bz, w, dx, dy, dz = lrep
-    d = (dx, dy, dz)
+    bx, by, bz, w = line.base.ints
+    d = dx, dy, dz = line.dir
     lx, ly, lz = _bezout(d)
     hits = []
     for q, table, lo, hi in groups:
@@ -217,7 +206,7 @@ def _points_on_line(lrep, groups) -> list[int]:
 def count_incidences(cfg: Configuration) -> IncidenceTally:
     """Exact incidence tally, found by walking each line's lattice points.
 
-    The points are cleared to integers (X, Y, Z)/q and hashed per q.  A
+    The points are hashed per q by their integer form (X, Y, Z)/q.  A
     line meets group q only in the integer points of the line q*B/w + u*d;
     those are P0 + k*d, and one Bezout vector of d finds P0 or shows there
     is none.  The steps k are clipped to the group's bounding box, and the
@@ -227,7 +216,7 @@ def count_incidences(cfg: Configuration) -> IncidenceTally:
     group's points one by one.
     """
     groups = _lattice_groups(cfg.points)
-    points_by_line = [_points_on_line(lrep, groups) for lrep in _line_reps(cfg.lines)]
+    points_by_line = [_points_on_line(l, groups) for l in cfg.lines]
     return IncidenceTally.of(cfg.m, points_by_line)
 
 
@@ -262,9 +251,10 @@ def plucker_reps(lines: Sequence[RationalLine]):
     """Per line (w, B, d, M): the base is B/w with B integer, d is the
     primitive direction and M = B x d, so the line's moment is M/w."""
     reps = []
-    for bx, by, bz, w, dx, dy, dz in _line_reps(lines):
+    for l in lines:
+        (bx, by, bz, w), (dx, dy, dz) = l.base.ints, l.dir
         moment = (by * dz - bz * dy, bz * dx - bx * dz, bx * dy - by * dx)
-        reps.append((w, (bx, by, bz), (dx, dy, dz), moment))
+        reps.append((w, (bx, by, bz), l.dir, moment))
     return reps
 
 

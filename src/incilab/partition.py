@@ -16,16 +16,17 @@ products, then balanced lifted directions on which every class has the same
 mean) and the first candidate within the slack wins, preferring candidates
 that vanish on no input point.
 
-Every sign is decided on Python ints.  Denominators are cleared once per
-point set: with L the lcm of all coordinate denominators, a point x is held
-as X = L*x.  Search keys are scaled by a positive constant (u.X = L*u.x), so
-they sort and split exactly as the rational keys would, and each threshold
-maps back to a rational by one exact division.  A polynomial g is evaluated
-through its integer form M * L^deg(g) * g(X/L) with M > 0, which has the
-sign of g at x.
+Every sign is decided on Python ints, read from the integer form that
+points and lines carry (`geom`), so no point or line is cleared here.  With
+L the lcm of the points' denominators, a point x is held as X = L*x.
+Search keys are scaled by a positive constant (u.X = L*u.x), so they sort
+and split exactly as the rational keys would, and each threshold maps back
+to a rational by one exact division.  A polynomial g is evaluated through
+its integer form M * L^deg(g) * g(X/L) with M > 0, which has the sign of g
+at x.
 
-Lines are handled on ints too.  A line's base is cleared once to B/w, and
-each level is restricted to the integer polynomial
+Lines are handled on ints too.  With a line's stored base B/w, each level is
+restricted to the integer polynomial
 H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i) over the terms
 C * x^e of its integer form: a positive multiple of the level along
 base + t*dir, with the same roots and signs.  Roots of the product of the
@@ -216,10 +217,10 @@ def _functional_poly_plane(u) -> TriPoly:
     )
 
 
-def _scaled(coords) -> tuple[int, list[tuple[int, int, int]]]:
-    """L, the lcm of every coordinate denominator, and each point times L."""
-    L, flat = cleared([c for p in coords for c in p])
-    return L, list(zip(flat[0::3], flat[1::3], flat[2::3]))
+def _scaled(points) -> tuple[int, list[tuple[int, int, int]]]:
+    """L, the lcm of the points' denominators, and each point times L."""
+    L = math.lcm(*(p.ints[3] for p in points))
+    return L, [tuple(c * (L // p.ints[3]) for c in p.ints[:3]) for p in points]
 
 
 def _int_form(g: TriPoly, L: int) -> list[tuple[int, int, int, int]]:
@@ -244,7 +245,7 @@ def _signs(form, pts) -> list[int]:
 
 def _sign_vectors(levels: Sequence[TriPoly], points: Sequence[Rational3Point]):
     """Each point's tuple of level signs."""
-    L, pts = _scaled([p.coords for p in points])
+    L, pts = _scaled(points)
     return list(zip(*(_signs(_int_form(g, L), pts) for g in levels)))
 
 
@@ -479,7 +480,7 @@ def build_partition(
     epsilon = Fraction(epsilon)
     if not (0 <= epsilon < Fraction(1, 2)):
         raise ValueError("slack must lie in [0, 1/2)")
-    L, pts = _scaled([p.coords for p in points])
+    L, pts = _scaled(points)
     classes: list[list[int]] = [list(range(len(points)))]
     levels: list[TriPoly] = []
     for j in range(1, t + 1):
@@ -566,13 +567,13 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
 def _restrictions(levels: Sequence[TriPoly], line: RationalLine) -> list[list[int]]:
     """Each level's integer restriction H(t) to the line, low to high; [] is zero.
 
-    The base is cleared once to B/w with w > 0.  For a level's integer form
+    The stored base is B/w with w > 0.  For a level's integer form
     sum C * x^e of degree deg (`_int_form` with L = w supplies C * w^(deg-|e|)),
     H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i), which is a
     positive multiple of the level at base + t*dir: the same roots and signs
     in the same parameter t as `restrict_to_line`.
     """
-    w, base = cleared(line.base.coords)
+    *base, w = line.base.ints
     forms = [_int_form(g, w) for g in levels]
     pows = []
     for axis, (c, d) in enumerate(zip(base, line.dir)):

@@ -197,3 +197,57 @@ def test_rebasing_and_rescaling_preserve_identity(base, direction, s):
     l = RationalLine(Rational3Point(*base), direction)
     moved = RationalLine(l.point_at(7), tuple(s * d for d in l.dir))
     assert moved == l
+
+
+# -- stored integer form of points and lines ------------------------------------
+
+# small values, so that equal points given as ints and as Fractions are drawn
+small = st.one_of(
+    st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 12))
+)
+triple = st.tuples(entry, entry, entry)
+
+
+@given(st.lists(st.tuples(small, small, small), min_size=2, max_size=12))
+def test_point_eq_and_hash_agree_with_the_fraction_tuple(coords):
+    points = [Rational3Point(*c) for c in coords]
+    fracs = [tuple(map(Fraction, c)) for c in coords]
+    for p, fp in zip(points, fracs):
+        for q, fq in zip(points, fracs):
+            assert (p == q) == (fp == fq)
+            if fp == fq:
+                assert hash(p) == hash(q)
+    assert len(set(points)) == len(set(fracs))
+
+
+@given(triple)
+def test_point_ints_are_its_cleared_coordinates(coords):
+    X, Y, Z, q = Rational3Point(*coords).ints
+    assert q == math.lcm(*(Fraction(c).denominator for c in coords))
+    assert (Fraction(X, q), Fraction(Y, q), Fraction(Z, q)) == tuple(map(Fraction, coords))
+
+
+def _foot_reference(base, direction):
+    """The `Fraction` arithmetic `RationalLine` used for its base: slide the
+    base along d until the first nonzero axis of d reads 0."""
+    d = primitive_int_vector(direction)
+    b = tuple(map(Fraction, base))
+    pivot = 0 if d[0] != 0 else (1 if d[1] != 0 else 2)
+    t = -b[pivot] / Fraction(d[pivot])
+    return tuple(b[i] + t * d[i] for i in range(3))
+
+
+# zero pivots and negative leading entries, ints mixed with Fractions
+direction = st.tuples(
+    st.sampled_from([0, 0, 1, -1, 3, -4, Fraction(-2, 3), Fraction(5, 12)]), small, small
+).filter(any)
+
+
+@given(triple, direction)
+def test_line_base_matches_the_fraction_foot(base, d):
+    line = RationalLine(Rational3Point(*base), d)
+    foot = _foot_reference(base, d)
+    assert line.base.coords == foot
+    assert line.dir == primitive_int_vector(d)
+    L, ints = cleared(foot)
+    assert line.base.ints == (*ints, L)

@@ -21,9 +21,7 @@ from incilab.incidence import (
     MONOMIALS_DEG2,
     Quadric,
     _bezout,
-    _cleared,
     _lattice_groups,
-    _line_reps,
     _points_by_line_pairwise,
     _points_on_line,
     assign_to_components,
@@ -140,9 +138,9 @@ def _probed_hits(cfg):
         (q, _Probes(table), lo, hi) for q, table, lo, hi in _lattice_groups(cfg.points)
     ]
     hits, probes = [], []
-    for lrep in _line_reps(cfg.lines):
+    for line in cfg.lines:
         before = [table.probes for _, table, _, _ in groups]
-        hits.append(_points_on_line(lrep, groups))
+        hits.append(_points_on_line(line, groups))
         probes.append([t.probes - b for (_, t, _, _), b in zip(groups, before)])
     return hits, probes
 
@@ -181,7 +179,7 @@ def test_points_with_mixed_denominators_on_one_line():
     params = (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(-3, 10), Fraction(5, 12))
     pts = [line.point_at(t) for t in params] + [P(1, 1, 1), P(*[Fraction(1, 4)] * 3)]
     cfg = small_config(pts, (line, L(P(0, 0, 0), (1, 1, 1))))
-    assert sorted({_cleared(p)[3] for p in pts}) == [1, 2, 4, 6, 10, 12]
+    assert sorted({p.ints[3] for p in pts}) == [1, 2, 4, 6, 10, 12]
     pbl = count_incidences(cfg).points_by_line
     assert pbl == _points_by_line_pairwise(cfg) == [[0, 1, 2, 3, 4, 5], [6, 7]]
 
