@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geom import Rational3Point, RationalLine, RationalPlane, cleared
-from .qformat import qstr
+from .qformat import qparse, qstr
 
 NEG_INF = float("-inf")  # degree marker of the zero polynomial
 
@@ -195,7 +195,7 @@ class TriPoly:
 
     @classmethod
     def from_records(cls, records) -> "TriPoly":
-        return cls({tuple(r["e"]): Fraction(r["c"]) for r in records})
+        return cls({tuple(r["e"]): qparse(r["c"]) for r in records})
 
     def __repr__(self):
         if not self._terms:

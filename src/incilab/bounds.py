@@ -76,6 +76,11 @@ def trivial_bound(m: int, n: int) -> int:
     return min(m * m + n, n * n + m)
 
 
+def _dyadic_ceil(x: float, grid: int = 256) -> Fraction:
+    """Smallest fraction with denominator `grid` at or above x."""
+    return Fraction(math.ceil(x * grid), grid)
+
+
 def amn_coefficient(m: int, n: int, b=Fraction(2)) -> tuple[Fraction, Fraction]:
     """The leading-coefficient exponent e and the coefficient b^e.
 
@@ -106,7 +111,7 @@ def amn_coefficient(m: int, n: int, b=Fraction(2)) -> tuple[Fraction, Fraction]:
         ) / (2 * lm - 3 * ln)
         # round the float exponent up on a coarse dyadic grid, which keeps
         # b^e cheap to extract, and certify the upper bound exactly
-        e = Fraction(math.ceil(raw * 256), 256)
+        e = _dyadic_ceil(raw)
         if m2 < n3:
             base, target = Fraction(n3, m2), Fraction(m2 * n)
         else:
@@ -203,7 +208,7 @@ class DegreePlan:
 _LADDER_LIMIT = 64
 
 
-def degree_plan(m: int, n: int, j_hint: int | None = None) -> DegreePlan:
+def degree_plan(m: int, n: int) -> DegreePlan:
     """Regime, ladder index, first-stage degree and second-stage window.
 
     Valid for sqrt(n) <= m <= n^2.  The boundary m = n^{3/2} lands in the
@@ -227,19 +232,12 @@ def degree_plan(m: int, n: int, j_hint: int | None = None) -> DegreePlan:
         D, D_exact = Fraction(n * n, m), True
     D_int = max(1, math.floor(D))
 
-    boundary = m2 == n3
-    j: int | None
-    if boundary:
-        j = None
+    j: int | None = None
+    if m2 == n3:
         notes.append(
             "m = n^{3/2} exactly: no ladder index; use the midrange evaluator"
         )
-    elif j_hint is not None:
-        if j_hint < 1:
-            raise ValueError("ladder index hint must be >= 1")
-        j = j_hint
     else:
-        j = None
         for cand in range(1, _LADDER_LIMIT + 1):
             alpha = alpha_sequence(regime, cand)
             cmp_ = _cmp_m_vs_n_power(m, n, alpha)
@@ -300,11 +298,6 @@ def degree_plan(m: int, n: int, j_hint: int | None = None) -> DegreePlan:
 
 
 # -- the border range ---------------------------------------------------------
-
-
-def _dyadic_ceil(x: float, grid: int = 256) -> Fraction:
-    """Smallest fraction with denominator `grid` at or above x."""
-    return Fraction(math.ceil(x * grid), grid)
 
 
 def midrange_bound(m: int, n: int, s: int, b=Fraction(2)):

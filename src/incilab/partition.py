@@ -16,26 +16,27 @@ products, then balanced lifted directions on which every class has the same
 mean) and the first candidate within the slack wins, preferring candidates
 that vanish on no input point.
 
-Every sign is decided on Python ints, read from the integer form that
-points and lines carry (`geom`), so no point or line is cleared here.  With
-L the lcm of the points' denominators, a point x is held as X = L*x.
-Search keys are scaled by a positive constant (u.X = L*u.x), so they sort
-and split exactly as the rational keys would, and each threshold maps back
-to a rational by one exact division.  A polynomial g is evaluated through
-its integer form M * L^deg(g) * g(X/L) with M > 0, which has the sign of g
-at x.
+Every sign is decided on Python ints.  Points and lines carry their
+integer form (`geom`), and a partition carries one homogeneous integer form
+per level (`PartitionPoly.forms`), cleared once when the partition is built:
+terms C * X^a * Y^b * Z^c * W^k with k = deg(g) - a - b - c, whose sum at
+(X, Y, Z, W) with W > 0 is a positive multiple of g(X/W, Y/W, Z/W) and so
+has its sign.  That one form is evaluated at a point's stored ints
+(X, Y, Z, q); along a line with stored base B/w and direction d at
+(B + t*w*d, w), which gives H(t), a positive multiple of the level at
+base + t*dir with the same roots and signs; and at the search points
+(X_L, Y_L, Z_L, L), each point times L, the lcm of the denominators.  Search
+keys are in those units (u.X_L = L*u.x), so they sort and split exactly as
+the rational keys would, and each threshold maps back to a rational by one
+exact division.
 
-Lines are handled on ints too.  With a line's stored base B/w, each level is
-restricted to the integer polynomial
-H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i) over the terms
-C * x^e of its integer form: a positive multiple of the level along
-base + t*dir, with the same roots and signs.  Roots of the product of the
-H's are counted with one primitive pseudo-remainder Sturm chain (Collins
-1967; Brown-Traub 1971), read as V(-inf) - V(+inf) from leading signs.  A
-non-squarefree chain ends in gcd(p, p'), which divides every element, so
-the count of distinct roots is unchanged and no squarefree pass is needed;
-only the gap sampler, which evaluates the chain at roots, takes the
-squarefree part.  The `Fraction` functions in `algebra` are the reference.
+Roots of the product of the H's are counted with one primitive
+pseudo-remainder Sturm chain (Collins 1967; Brown-Traub 1971), read as
+V(-inf) - V(+inf) from leading signs.  A non-squarefree chain ends in
+gcd(p, p'), which divides every element, so the count of distinct roots is
+unchanged and no squarefree pass is needed; only the gap sampler, which
+evaluates the chain at roots, takes the squarefree part.  The `Fraction`
+functions in `algebra` are the reference.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
@@ -92,16 +93,35 @@ def degree_budget(t: int) -> int:
     return sum(level_degree_cap(j) for j in range(1, t + 1))
 
 
+def _form(g: TriPoly) -> list[tuple[int, int, int, int, int]]:
+    """Terms (a, b, c, k, C) of g's homogeneous integer form: C is g's
+    coefficient of x^a y^b z^c cleared to an int, and k = deg(g) - a - b - c.
+
+    The sum of C * X^a * Y^b * Z^c * W^k at W > 0 has the sign of
+    g(X/W, Y/W, Z/W).
+    """
+    terms = g.terms()
+    d = g.degree
+    _, ints = cleared(list(terms.values()))
+    return [(a, b, c, d - a - b - c, C) for (a, b, c), C in zip(terms, ints)]
+
+
 @dataclass(frozen=True)
 class PartitionPoly:
+    """Levels g_1..g_t; forms holds each level's `_form`, derived once."""
+
     levels: tuple[TriPoly, ...]
     epsilon: Fraction
     seed: int
+    forms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.levels:
             raise ValueError("a partition needs at least one level")
+        if any(g.is_zero() for g in self.levels):
+            raise ValueError("level polynomial must be nonzero")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "forms", tuple(_form(g) for g in self.levels))
 
     @property
     def t(self) -> int:
@@ -115,10 +135,7 @@ class PartitionPoly:
     def from_levels(cls, levels: Iterable[TriPoly], epsilon=Fraction(1, 10), seed=0):
         """Wrap explicit level polynomials (testing seam; caps not enforced)."""
         lv = tuple(primitive_normalize(g) for g in levels)
-        for g in lv:
-            if g.is_zero():
-                raise ValueError("level polynomial must be nonzero")
-        return cls(levels=lv, epsilon=Fraction(epsilon), seed=seed)
+        return cls(levels=lv, epsilon=epsilon, seed=seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,41 +234,31 @@ def _functional_poly_plane(u) -> TriPoly:
     )
 
 
-def _scaled(points) -> tuple[int, list[tuple[int, int, int]]]:
-    """L, the lcm of the points' denominators, and each point times L."""
+def _scaled(points) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """L, the lcm of the points' denominators, and each search point
+    (X_L, Y_L, Z_L, L): the point times L."""
     L = math.lcm(*(p.ints[3] for p in points))
-    return L, [tuple(c * (L // p.ints[3]) for c in p.ints[:3]) for p in points]
-
-
-def _int_form(g: TriPoly, L: int) -> list[tuple[int, int, int, int]]:
-    """Terms (a, b, c, C) of M * L^deg(g) * g(X/L) for some integer M > 0.
-
-    The sum of C * X^a * Y^b * Z^c at X = L*x has the sign of g(x).
-    """
-    terms = g.terms()
-    d = g.degree
-    _, ints = cleared(list(terms.values()))
-    return [(a, b, c, C * L ** (d - a - b - c)) for (a, b, c), C in zip(terms, ints)]
+    return L, [(*(c * (L // p.ints[3]) for c in p.ints[:3]), L) for p in points]
 
 
 def _signs(form, pts) -> list[int]:
-    """Sign of the integer form at each scaled point: -1, 0 or 1."""
+    """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1."""
     out = []
-    for x, y, z in pts:
-        v = sum(C * x**a * y**b * z**c for a, b, c, C in form)
+    for x, y, z, w in pts:
+        v = sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
         out.append((v > 0) - (v < 0))
     return out
 
 
-def _sign_vectors(levels: Sequence[TriPoly], points: Sequence[Rational3Point]):
-    """Each point's tuple of level signs."""
-    L, pts = _scaled(points)
-    return list(zip(*(_signs(_int_form(g, L), pts) for g in levels)))
+def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
+    """Each point's tuple of level signs, read at its stored ints."""
+    pts = [p.ints for p in points]
+    return list(zip(*(_signs(form, pts) for form in part.forms)))
 
 
 class _Search:
     """One level's candidate enumeration over the current classes; keys and
-    thresholds are in the units of pts, the points scaled by L to ints."""
+    thresholds are in the units of pts, the search points of `_scaled`."""
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
         self.pts = pts
@@ -284,7 +291,7 @@ class _Search:
     def grade(self, g: TriPoly) -> TriPoly | None:
         """Score candidate g; return it if it is an immediate winner."""
         self.order += 1
-        form = _int_form(g, self.L)
+        form = _form(g)
         zeros = 0
         worst = Fraction(0)
         ok = True
@@ -407,7 +414,7 @@ class _Search:
         lifted = {}
         for cls_ in self.classes:
             for i in cls_:
-                x, y, z = self.pts[i]
+                x, y, z, _ = self.pts[i]
                 lifted[i] = [x**a * y**b * z**c * Lpow[d - a - b - c] for a, b, c in exps]
         sums = [
             [sum(col) for col in zip(*(lifted[i] for i in cls_))] for cls_ in self.classes
@@ -502,7 +509,7 @@ def build_partition(
             ) from None
         g = primitive_normalize(g)
         levels.append(g)
-        form = _int_form(g, L)
+        form = _form(g)
         nxt: list[list[int]] = []
         for cls_ in classes:
             signs = _signs(form, [pts[i] for i in cls_])
@@ -516,7 +523,7 @@ def build_partition(
 
 
 def sign_vector(part: PartitionPoly, point: Rational3Point) -> tuple[int, ...]:
-    return _sign_vectors(part.levels, [point])[0]
+    return _sign_vectors(part, [point])[0]
 
 
 def cell_occupancy(
@@ -525,7 +532,7 @@ def cell_occupancy(
     """Counts per full-sign class, plus the count of on-surface points."""
     cells: dict[tuple[int, ...], int] = {}
     surface = 0
-    for sv in _sign_vectors(part.levels, points):
+    for sv in _sign_vectors(part, points):
         if 0 in sv:
             surface += 1
         else:
@@ -537,7 +544,7 @@ def classify_points(
     part: PartitionPoly, points: Sequence[Rational3Point]
 ) -> tuple[list[int], list[int]]:
     """Indexes of points on Z(f) and of points in open cells."""
-    svs = _sign_vectors(part.levels, points)
+    svs = _sign_vectors(part, points)
     on_surface = [i for i, sv in enumerate(svs) if 0 in sv]
     return on_surface, [i for i, sv in enumerate(svs) if 0 not in sv]
 
@@ -564,17 +571,16 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _restrictions(levels: Sequence[TriPoly], line: RationalLine) -> list[list[int]]:
+def _restrictions(forms, line: RationalLine) -> list[list[int]]:
     """Each level's integer restriction H(t) to the line, low to high; [] is zero.
 
-    The stored base is B/w with w > 0.  For a level's integer form
-    sum C * x^e of degree deg (`_int_form` with L = w supplies C * w^(deg-|e|)),
-    H(t) = sum C * w^(deg-|e|) * prod (B_i + w*d_i*t)^(e_i), which is a
-    positive multiple of the level at base + t*dir: the same roots and signs
-    in the same parameter t as `restrict_to_line`.
+    With the stored base B/w (w > 0) and direction d, H(t) is the level's
+    `_form` at (B + t*w*d, w):
+    H(t) = sum C * w^k * prod (B_i + w*d_i*t)^(e_i), a positive multiple of
+    the level at base + t*dir, with the same roots and signs in the same
+    parameter t as `restrict_to_line`.
     """
     *base, w = line.base.ints
-    forms = [_int_form(g, w) for g in levels]
     pows = []
     for axis, (c, d) in enumerate(zip(base, line.dir)):
         lin = [c, w * d]
@@ -584,11 +590,12 @@ def _restrictions(levels: Sequence[TriPoly], line: RationalLine) -> list[list[in
             cur.append(_pmul(cur[-1], lin) if d else [cur[-1][0] * lin[0]])
         pows.append(cur)
     out = []
-    for g, form in zip(levels, forms):
-        h = [0] * (g.degree + 1)
-        for a, b, c, C in form:
-            for k, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
-                h[k] += C * v
+    for form in forms:
+        h = [0] * (sum(form[0][:4]) + 1)  # a + b + c + k = deg(g)
+        for a, b, c, k, C in form:
+            Cw = C * w**k
+            for i, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
+                h[i] += Cw * v
         while h and h[-1] == 0:
             h.pop()
         out.append(h)
@@ -738,7 +745,7 @@ def classify_lines(
     contained = []
     crossing = []
     for i, line in enumerate(lines):
-        hs = _restrictions(part.levels, line)
+        hs = _restrictions(part.forms, line)
         if not all(hs):
             contained.append(i)
             continue
@@ -781,7 +788,7 @@ def classes_crossed(
     nonzero sign from every level; signs are read off the integer
     restrictions at num/den.
     """
-    hs = _restrictions(part.levels, line)
+    hs = _restrictions(part.forms, line)
     if not all(hs):
         raise ValueError("line lies inside the zero set")
     return {

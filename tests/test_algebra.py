@@ -68,6 +68,9 @@ def test_tripoly_records_round_trip():
     assert recs == sorted(recs, key=lambda r: r["e"])
     assert all(isinstance(r["c"], str) for r in recs)
     assert TriPoly.from_records(recs) == f
+    # coefficients are canonical rational literals, as everywhere else
+    with pytest.raises(ValueError, match="canonical"):
+        TriPoly.from_records([{"e": [1, 0, 0], "c": " 1.5e0 "}])
 
 
 def test_primitive_normalize():

@@ -203,14 +203,6 @@ def test_boundary_counts_defer_to_midrange():
     assert any("midrange" in note for note in plan.notes)
 
 
-def test_ladder_hint_can_force_an_empty_window():
-    plan = degree_plan(2**20, 2**16, j_hint=3)
-    assert plan.window_empty
-    assert "empty" in plan.violated
-    with pytest.raises(ValueError):
-        degree_plan(2**20, 2**16, j_hint=0)
-
-
 def test_degree_plan_json_shape():
     d = degree_plan(2**20, 2**16).to_json_dict()
     assert d["regime"] == "small-m" and d["D_int"] == 64

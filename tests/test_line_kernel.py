@@ -108,13 +108,13 @@ def test_integer_line_kernel_matches_fraction_oracles(inputs):
         line = lns[i]
         # each integer restriction is a positive multiple of the Fraction one
         fraction_restrictions = [restrict_to_line(g, line) for g in part.levels]
-        for h, r in zip(_restrictions(part.levels, line), fraction_restrictions):
+        for h, r in zip(_restrictions(part.forms, line), fraction_restrictions):
             assert len(h) == len(r.coeffs)
             ratio = Fraction(h[-1]) / r.lead
             assert ratio > 0 and all(Fraction(a) == ratio * b for a, b in zip(h, r.coeffs))
 
         q = reduce(lambda a, b: a * b, fraction_restrictions)
-        samples = _gap_samples(_product(_restrictions(part.levels, line)))
+        samples = _gap_samples(_product(_restrictions(part.forms, line)))
         assert len(samples) == roots + 1
         assert all(q.evaluate(s) != 0 for s in samples)
         chain = sturm_chain(q)

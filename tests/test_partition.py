@@ -198,17 +198,22 @@ def test_integer_sign_kernel_matches_evaluate(levels, coords, data):
     on = [data.draw(st.integers(0, len(pts) - 1)) for _ in levels]
     levels = [g - TriPoly.constant(g.evaluate_point(pts[k])) for g, k in zip(levels, on)]
     assume(not any(g.is_zero() for g in levels))
-    part = PartitionPoly.from_levels(levels)
-    want = [tuple(_sign(g.evaluate_point(p)) for g in part.levels) for p in pts]
-    assert [sign_vector(part, p) for p in pts] == want
-    for j, k in enumerate(on):
-        assert want[k][j] == 0
-    on_surface, in_cells = classify_points(part, pts)
-    assert on_surface == [i for i, sv in enumerate(want) if 0 in sv]
-    assert in_cells == [i for i, sv in enumerate(want) if 0 not in sv]
-    occ, surface = cell_occupancy(part, pts)
-    assert surface == len(on_surface)
-    assert occ == {sv: want.count(sv) for sv in want if 0 not in sv}
+    # normalized levels, and the levels as drawn: Fraction coefficients that
+    # only the partition's forms clear
+    for part in (
+        PartitionPoly.from_levels(levels),
+        PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0),
+    ):
+        want = [tuple(_sign(g.evaluate_point(p)) for g in part.levels) for p in pts]
+        assert [sign_vector(part, p) for p in pts] == want
+        for j, k in enumerate(on):
+            assert want[k][j] == 0
+        on_surface, in_cells = classify_points(part, pts)
+        assert on_surface == [i for i, sv in enumerate(want) if 0 in sv]
+        assert in_cells == [i for i, sv in enumerate(want) if 0 not in sv]
+        occ, surface = cell_occupancy(part, pts)
+        assert surface == len(on_surface)
+        assert occ == {sv: want.count(sv) for sv in want if 0 not in sv}
 
 
 # -- explicit-level seam -------------------------------------------------------------
@@ -219,8 +224,13 @@ def test_from_levels_normalizes_and_validates():
     assert part.levels[0] == X - 2 * Y
     assert part.t == 2
     assert part.degree == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonzero"):
         PartitionPoly.from_levels([X, TriPoly.zero()])
+    # the constructor itself rejects a zero level, so JSON cannot carry one in
+    with pytest.raises(ValueError, match="nonzero"):
+        PartitionPoly(levels=(X, TriPoly.zero()), epsilon=Fraction(1, 10), seed=0)
+    with pytest.raises(ValueError, match="nonzero"):
+        PartitionPoly.from_json_dict({"t": 1, "eps": "1/10", "seed": 0, "levels": [[]]})
 
 
 def test_classify_lines_against_known_surface():
