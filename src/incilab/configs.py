@@ -12,12 +12,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .geom import Rational3Point, RationalLine, primitive_int_vector
 from .incidence import Configuration
-from .qformat import qparse, qstr
+from .qformat import qparts, ratio_str
 
 FAMILIES = (
     "elekes2d",
@@ -48,10 +47,6 @@ class GeneratorSpec:
             )
 
 
-def _pt(x, y, z) -> Rational3Point:
-    return Rational3Point(Fraction(x), Fraction(y), Fraction(z))
-
-
 def _meta(family: str, params: dict, seed: int = 0) -> dict:
     return {"family": family, "params": dict(params), "seed": seed}
 
@@ -62,10 +57,10 @@ def elekes2d(N: int) -> Configuration:
     if N < 1:
         raise ValueError("N must be >= 1")
     points = tuple(
-        _pt(i, j, 0) for i in range(1, N + 1) for j in range(1, 2 * N * N + 1)
+        Rational3Point(i, j, 0) for i in range(1, N + 1) for j in range(1, 2 * N * N + 1)
     )
     lines = tuple(
-        RationalLine(_pt(0, b, 0), (1, a, 0))
+        RationalLine(Rational3Point(0, b, 0), (1, a, 0))
         for a in range(1, N + 1)
         for b in range(1, N * N + 1)
     )
@@ -77,13 +72,13 @@ def coplanar_pack(k: int, N: int) -> Configuration:
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
     points = tuple(
-        _pt(i, j, c)
+        Rational3Point(i, j, c)
         for c in range(k)
         for i in range(1, N + 1)
         for j in range(1, 2 * N * N + 1)
     )
     lines = tuple(
-        RationalLine(_pt(0, b, c), (1, a, 0))
+        RationalLine(Rational3Point(0, b, c), (1, a, 0))
         for c in range(k)
         for a in range(1, N + 1)
         for b in range(1, N * N + 1)
@@ -96,13 +91,13 @@ def grid3d(N: int) -> Configuration:
     if N < 1:
         raise ValueError("N must be >= 1")
     rng1 = range(1, N + 1)
-    points = tuple(_pt(i, j, k) for i in rng1 for j in rng1 for k in rng1)
+    points = tuple(Rational3Point(i, j, k) for i in rng1 for j in rng1 for k in rng1)
     lines = []
     for a in rng1:
         for b in rng1:
-            lines.append(RationalLine(_pt(0, a, b), (1, 0, 0)))
-            lines.append(RationalLine(_pt(a, 0, b), (0, 1, 0)))
-            lines.append(RationalLine(_pt(a, b, 0), (0, 0, 1)))
+            lines.append(RationalLine(Rational3Point(0, a, b), (1, 0, 0)))
+            lines.append(RationalLine(Rational3Point(a, 0, b), (0, 1, 0)))
+            lines.append(RationalLine(Rational3Point(a, b, 0), (0, 0, 1)))
     return Configuration(points, tuple(lines), _meta("grid3d", {"N": N}))
 
 
@@ -142,7 +137,7 @@ def ruled_surface(kind: str, k: int) -> Configuration:
         raise ValueError(f"unknown ruled kind {kind!r}; choose from {RULED_KINDS}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    origin = _pt(0, 0, 0)
+    origin = Rational3Point(0, 0, 0)
     if kind == "plane":
         lines = tuple(
             RationalLine(origin, (1, i, 0)) for i in range(k)
@@ -156,11 +151,11 @@ def ruled_surface(kind: str, k: int) -> Configuration:
     else:
         na = -(-k // 2)
         nb = k - na
-        fam_a = [RationalLine(_pt(a, 0, 0), (0, 1, a)) for a in range(1, na + 1)]
-        fam_b = [RationalLine(_pt(0, b, 0), (1, 0, b)) for b in range(1, nb + 1)]
+        fam_a = [RationalLine(Rational3Point(a, 0, 0), (0, 1, a)) for a in range(1, na + 1)]
+        fam_b = [RationalLine(Rational3Point(0, b, 0), (1, 0, b)) for b in range(1, nb + 1)]
         lines = tuple(fam_a + fam_b)
         points = tuple(
-            _pt(a, b, a * b)
+            Rational3Point(a, b, a * b)
             for a in range(1, na + 1)
             for b in range(1, nb + 1)
         )
@@ -173,8 +168,8 @@ def concurrent(k: int) -> Configuration:
     """k lines through the origin with moment-curve directions (1, i, i^2)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    lines = tuple(RationalLine(_pt(0, 0, 0), (1, i, i * i)) for i in range(k))
-    return Configuration((_pt(0, 0, 0),), lines, _meta("concurrent", {"k": k}))
+    lines = tuple(RationalLine(Rational3Point(0, 0, 0), (1, i, i * i)) for i in range(k))
+    return Configuration((Rational3Point(0, 0, 0),), lines, _meta("concurrent", {"k": k}))
 
 
 def random_config(m: int, n: int, seed: int = 0) -> Configuration:
@@ -197,7 +192,7 @@ def random_config(m: int, n: int, seed: int = 0) -> Configuration:
         if c in seen_pts:
             continue
         seen_pts.add(c)
-        points.append(_pt(*c))
+        points.append(Rational3Point(*c))
     lines: list[RationalLine] = []
     seen_lines = set()
     forced = n // 2 if m >= 2 else 0
@@ -209,10 +204,10 @@ def random_config(m: int, n: int, seed: int = 0) -> Configuration:
         if len(lines) < forced:
             i, j = rng.sample(range(m), 2)
             a, b = points[i], points[j]
-            direction = (b.x - a.x, b.y - a.y, b.z - a.z)
+            direction = [u - v for u, v in zip(b.ints[:3], a.ints[:3])]
             line = RationalLine(a, direction)
         else:
-            base = _pt(*(rng.randint(-radius, radius) for _ in range(3)))
+            base = Rational3Point(*(rng.randint(-radius, radius) for _ in range(3)))
             direction = tuple(rng.randint(-5, 5) for _ in range(3))
             if direction == (0, 0, 0):
                 continue
@@ -261,15 +256,17 @@ def generate(spec: GeneratorSpec) -> Configuration:
 # -- file round trip ----------------------------------------------------------
 
 
+def _point_strs(p: Rational3Point) -> list[str]:
+    *X, q = p.ints
+    return [ratio_str(c, q) for c in X]
+
+
 def config_to_json_dict(cfg: Configuration) -> dict:
     return {
         "meta": cfg.meta,
-        "points": [[qstr(p.x), qstr(p.y), qstr(p.z)] for p in cfg.points],
+        "points": [_point_strs(p) for p in cfg.points],
         "lines": [
-            {
-                "base": [qstr(l.base.x), qstr(l.base.y), qstr(l.base.z)],
-                "dir": [qstr(Fraction(d)) for d in l.dir],
-            }
+            {"base": _point_strs(l.base), "dir": [str(d) for d in l.dir]}
             for l in cfg.lines
         ],
     }
@@ -280,16 +277,18 @@ def save_config(cfg: Configuration, path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _parse_triple(raw, where: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_triple(raw, where: str) -> Rational3Point:
+    """The point of three literals, built from their ints over L = lcm(q_i)."""
     if not isinstance(raw, list) or len(raw) != 3:
         raise ConfigParseError(f"{where}: expected a 3-element list, got {raw!r}")
-    vals = []
+    parts = []
     for axis, item in zip("xyz", raw):
         try:
-            vals.append(qparse(item))
+            parts.append(qparts(item))
         except ValueError as err:
             raise ConfigParseError(f"{where}.{axis}: {err}") from None
-    return tuple(vals)
+    L = math.lcm(*(q for _, q in parts))
+    return Rational3Point.from_ints(*(p * (L // q) for p, q in parts), L)
 
 
 def load_config(path) -> Configuration:
@@ -310,8 +309,7 @@ def load_config(path) -> Configuration:
     if not isinstance(meta, dict):
         raise ConfigParseError(f"{path}: 'meta' must be an object")
     points = tuple(
-        Rational3Point(*_parse_triple(raw, f"points[{i}]"))
-        for i, raw in enumerate(data["points"])
+        _parse_triple(raw, f"points[{i}]") for i, raw in enumerate(data["points"])
     )
     lines = []
     for i, raw in enumerate(data["lines"]):
@@ -320,8 +318,8 @@ def load_config(path) -> Configuration:
                 f"lines[{i}]: expected an object with 'base' and 'dir'"
             )
         base = _parse_triple(raw["base"], f"lines[{i}].base")
-        direction = _parse_triple(raw["dir"], f"lines[{i}].dir")
-        if direction == (0, 0, 0):
+        direction = _parse_triple(raw["dir"], f"lines[{i}].dir").ints[:3]
+        if not any(direction):
             raise ConfigParseError(f"lines[{i}].dir: zero direction")
-        lines.append(RationalLine(Rational3Point(*base), direction))
+        lines.append(RationalLine(base, direction))
     return Configuration(points, tuple(lines), meta)

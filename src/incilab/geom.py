@@ -7,25 +7,22 @@ decided exactly; no floating point is used anywhere in this module.
 The package's integer normal form lives here: `cleared` multiplies rationals
 by the lcm of their denominators, and `primitive` divides integers by their
 gcd and makes the first nonzero entry positive.  Values carry their integer
-form, computed once when they are built: a point stores (X, Y, Z, q) as
-`ints`, so a line's base is B/w with `line.base.ints` = (B, w); directions,
-planes and quadrics are stored as `primitive_int_vector`, the two composed.
-No kernel clears a point or a line again; each reads the stored ints.
+form, computed once when built: a point is stored only as (X, Y, Z, q), with
+`Fraction` coordinates derived on first use and cached, and a line's base is
+B/w with `line.base.ints` = (B, w); directions, planes and quadrics are stored
+as `primitive_int_vector`.  Only ints and `Fraction`s are accepted, no floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal, Union
 
 Vec = tuple[Fraction, Fraction, Fraction]
 IntVec = tuple[int, int, int]
-
-
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _cross(u, v):
@@ -46,8 +43,12 @@ def _is_zero_vec(u) -> bool:
 
 def cleared(values) -> tuple[int, list[int]]:
     """(L, ints): L is the lcm of the values' denominators and ints[i] is
-    values[i] * L, for ints and `Fraction`s alike."""
-    L = math.lcm(*(v.denominator for v in values))
+    values[i] * L, for ints and `Fraction`s alike; anything else is a TypeError."""
+    try:
+        L = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        bad = next(v for v in values if not hasattr(v, "denominator"))
+        raise TypeError(f"not an int or a Fraction: {bad!r}") from None
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 
@@ -66,29 +67,38 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
     return tuple(primitive(cleared(vec)[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rational3Point:
-    """Point (x, y, z); ints = (X, Y, Z, q) is its integer form, with q the lcm
-    of the denominators and (x, y, z) = (X, Y, Z)/q.  It decides == and hash."""
+    """Point (x, y, z), stored only as ints = (X, Y, Z, q): q is the lcm of
+    the denominators and (x, y, z) = (X, Y, Z)/q.  It decides == and hash."""
 
-    x: Fraction = field(compare=False)
-    y: Fraction = field(compare=False)
-    z: Fraction = field(compare=False)
-    ints: tuple[int, int, int, int] = field(init=False, repr=False)
+    ints: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _q(self.x))
-        object.__setattr__(self, "y", _q(self.y))
-        object.__setattr__(self, "z", _q(self.z))
-        q, ints = cleared((self.x, self.y, self.z))
+    def __init__(self, x, y, z):
+        q, ints = cleared((x, y, z))
         object.__setattr__(self, "ints", (*ints, q))
 
-    @property
+    @classmethod
+    def from_ints(cls, X: int, Y: int, Z: int, W: int) -> "Rational3Point":
+        """The point (X, Y, Z)/W for W > 0, reduced by gcd(X, Y, Z, W)."""
+        if W <= 0:
+            raise ValueError(f"from_ints needs W > 0, got {W}")
+        g = math.gcd(X, Y, Z, W)
+        point = object.__new__(cls)
+        object.__setattr__(point, "ints", (X // g, Y // g, Z // g, W // g))
+        return point
+
+    @cached_property
     def coords(self) -> Vec:
-        return (self.x, self.y, self.z)
+        *X, q = self.ints
+        return tuple(Fraction(c, q) for c in X)
+
+    x = property(lambda self: self.coords[0])
+    y = property(lambda self: self.coords[1])
+    z = property(lambda self: self.coords[2])
 
     def translate(self, vec) -> "Rational3Point":
-        return Rational3Point(self.x + vec[0], self.y + vec[1], self.z + vec[2])
+        return Rational3Point(*(c + v for c, v in zip(self.coords, vec)))
 
     def __repr__(self):
         return f"Pt({self.x}, {self.y}, {self.z})"
@@ -113,12 +123,11 @@ class RationalLine:
         # b = X/q slides to b - (b_k/d_k)*d = (X*d_k - X_k*d)/(q*d_k), k the pivot
         *X, q = b.ints
         k = 0 if d[0] else (1 if d[1] else 2)
-        foot = (Fraction(X[i] * d[k] - X[k] * d[i], q * d[k]) for i in range(3))
-        object.__setattr__(self, "base", Rational3Point(*foot))
+        foot = (X[i] * d[k] - X[k] * d[i] for i in range(3))
+        object.__setattr__(self, "base", Rational3Point.from_ints(*foot, q * d[k]))
         object.__setattr__(self, "dir", d)
 
     def point_at(self, t) -> Rational3Point:
-        t = _q(t)
         return self.base.translate((t * self.dir[0], t * self.dir[1], t * self.dir[2]))
 
     def __repr__(self):
@@ -127,18 +136,12 @@ class RationalLine:
 
 def canonical_line(base, direction) -> RationalLine:
     """Build the canonical line through `base` with direction `direction`."""
-    if not isinstance(base, Rational3Point):
-        base = Rational3Point(*base)
-    return RationalLine(base, tuple(_q(c) for c in direction))
+    return RationalLine(base, direction)
 
 
 def point_on_line(point: Rational3Point, line: RationalLine) -> bool:
-    u = (
-        point.x - line.base.x,
-        point.y - line.base.y,
-        point.z - line.base.z,
-    )
-    return _is_zero_vec(_cross(u, line.dir))
+    (px, py, pz), (bx, by, bz) = point.coords, line.base.coords
+    return _is_zero_vec(_cross((px - bx, py - by, pz - bz), line.dir))
 
 
 @dataclass(frozen=True)
@@ -162,9 +165,8 @@ class RationalPlane:
 
     @classmethod
     def from_point_normal(cls, point: Rational3Point, normal) -> "RationalPlane":
-        n = tuple(_q(c) for c in normal)
-        d = -_dot(n, point.coords)
-        return cls(n[0], n[1], n[2], d)
+        *X, q = point.ints
+        return cls(*(q * c for c in normal), -_dot(normal, X))
 
     @property
     def normal(self) -> IntVec:
@@ -175,10 +177,11 @@ class RationalPlane:
         return (self.a, self.b, self.c, self.d)
 
     def eval_at(self, point: Rational3Point) -> Fraction:
-        return self.a * point.x + self.b * point.y + self.c * point.z + self.d
+        *X, q = point.ints
+        return Fraction(_dot(self.normal, X) + self.d * q, q)
 
     def contains_point(self, point: Rational3Point) -> bool:
-        return self.eval_at(point) == 0
+        return _dot(self.normal, point.ints) + self.d * point.ints[3] == 0
 
     def contains_line(self, line: RationalLine) -> bool:
         return _dot(self.normal, line.dir) == 0 and self.contains_point(line.base)
@@ -195,11 +198,8 @@ def plane_through_lines(l1: RationalLine, l2: RationalLine) -> PlaneOrMarker:
     if l1 == l2:
         return "identical"
     n = _cross(l1.dir, l2.dir)
-    w = (
-        l2.base.x - l1.base.x,
-        l2.base.y - l1.base.y,
-        l2.base.z - l1.base.z,
-    )
+    (ax, ay, az), (bx, by, bz) = l1.base.coords, l2.base.coords
+    w = (bx - ax, by - ay, bz - az)
     if not _is_zero_vec(n):
         if _dot(w, n) != 0:
             return "skew"

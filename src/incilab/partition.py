@@ -149,7 +149,12 @@ class PartitionPoly:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionPoly":
         levels = tuple(TriPoly.from_records(r) for r in data["levels"])
-        return cls(levels=levels, epsilon=qparse(data["eps"]), seed=int(data["seed"]))
+        part = cls(levels=levels, epsilon=qparse(data["eps"]), seed=int(data["seed"]))
+        if (data["t"], data["D"]) != (part.t, part.degree):
+            raise ValueError(f"t, D = {data['t']}, {data['D']}; levels give {part.t}, {part.degree}")
+        if not 0 <= part.epsilon < Fraction(1, 2):  # as build_partition requires
+            raise ValueError("slack must lie in [0, 1/2)")
+        return part
 
 
 # -- bisector search ----------------------------------------------------------

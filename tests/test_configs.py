@@ -18,6 +18,7 @@ from incilab.configs import (
     save_config,
 )
 from incilab.geom import Rational3Point, RationalLine
+from incilab.qformat import qparse
 from incilab.incidence import (
     Configuration,
     InvalidConfigurationError,
@@ -183,6 +184,41 @@ def test_random_rational_configurations_round_trip(cfg):
         assert loaded == cfg
         save_config(loaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# literals as files carry them: mixed denominators 1-12, negatives, values not
+# in lowest terms, and "-0"
+literal = st.one_of(
+    st.builds(str, st.integers(-40, 40)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-40, 40), st.integers(1, 12)),
+    st.just("-0"),
+)
+literals = st.lists(literal, min_size=3, max_size=3)
+
+
+@settings(deadline=None)
+@given(literals, literals, literals.filter(lambda d: any(map(qparse, d))))
+def test_load_config_builds_the_points_qparse_gives(point, base, direction):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.json")
+        raw = {"points": [point], "lines": [{"base": base, "dir": direction}]}
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+    ref = Rational3Point(*map(qparse, point))
+    (p,), (line,) = cfg.points, cfg.lines
+    assert p.ints == ref.ints and p == ref and hash(p) == hash(ref)
+    assert p.coords == tuple(map(qparse, point))
+    assert line == RationalLine(Rational3Point(*map(qparse, base)), tuple(map(qparse, direction)))
+
+
+def test_literals_load_normalized_and_save_canonical(tmp_path):
+    # README: fractions not in lowest terms and a signed zero are accepted and
+    # normalized, and saved files always write lowest terms
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"points": [["4/2", "-0", "-6/4"]], "lines": []}))
+    cfg = load_config(path)
+    assert cfg.points[0].coords == (2, 0, Fraction(-3, 2))
+    assert config_to_json_dict(cfg)["points"] == [["2", "0", "-3/2"]]
 
 
 def test_save_is_byte_deterministic(tmp_path):

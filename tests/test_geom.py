@@ -1,5 +1,7 @@
 """Exact rational primitives: canonical lines, planes, and coplanarity."""
 
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -251,3 +253,67 @@ def test_line_base_matches_the_fraction_foot(base, d):
     assert line.dir == primitive_int_vector(d)
     L, ints = cleared(foot)
     assert line.base.ints == (*ints, L)
+
+
+# -- the integer form is the only stored state -----------------------------------
+
+
+def test_point_stores_only_its_integer_form():
+    assert [f.name for f in dataclasses.fields(Rational3Point)] == ["ints"]
+    assert list(inspect.signature(Rational3Point).parameters) == ["x", "y", "z"]
+    p = Rational3Point(Fraction(1, 2), 0, Fraction(-2, 3))
+    assert p.ints == (3, 0, -4, 6)
+    assert p.coords is p.coords  # derived on first use, then cached
+    assert (p.x, p.y, p.z) == p.coords == (Fraction(1, 2), 0, Fraction(-2, 3))
+    assert repr(p) == "Pt(1/2, 0, -2/3)"
+
+
+ints = st.integers(-10**6, 10**6)
+
+
+@given(ints, ints, ints, st.integers(1, 10**4), st.integers(1, 60))
+def test_from_ints_matches_the_fraction_constructor(X, Y, Z, W, k):
+    p = Rational3Point.from_ints(k * X, k * Y, k * Z, k * W)
+    ref = Rational3Point(Fraction(X, W), Fraction(Y, W), Fraction(Z, W))
+    assert p.ints == ref.ints
+    assert p == ref and hash(p) == hash(ref)
+    assert (p.x, p.y, p.z) == (ref.x, ref.y, ref.z) == (Fraction(X, W), Fraction(Y, W), Fraction(Z, W))
+
+
+@pytest.mark.parametrize("W", [0, -1, -12])
+def test_from_ints_rejects_a_nonpositive_denominator(W):
+    with pytest.raises(ValueError, match="W > 0"):
+        Rational3Point.from_ints(1, 2, 3, W)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, 2.0, "1", "1/2", None])
+def test_geometry_refuses_floats_and_strings(bad):
+    origin = Rational3Point(0, 0, 0)
+    with pytest.raises(TypeError, match=f"not an int or a Fraction: {bad!r}"):
+        Rational3Point(bad, 0, 0)
+    with pytest.raises(TypeError):
+        RationalLine(origin, (1, bad, 0))
+    with pytest.raises(TypeError):
+        RationalPlane(1, 0, bad, 0)
+    with pytest.raises(TypeError):
+        RationalPlane.from_point_normal(Rational3Point(0, 0, 1), (1, bad, 0))
+    with pytest.raises(TypeError):
+        canonical_line((bad, 0, 0), (1, 0, 0))
+    with pytest.raises(TypeError):
+        canonical_line((0, 0, 0), (1, bad, 0))
+    with pytest.raises(TypeError):
+        RationalLine(origin, (1, 2, 3)).point_at(bad)
+
+
+@given(st.lists(entry, min_size=4, max_size=4).filter(lambda v: any(v[:3])), triple)
+def test_plane_eval_matches_the_fraction_expression(coeffs, coords):
+    point = Rational3Point(*coords)
+    x, y, z = map(Fraction, coords)
+    a, b, c, _ = coeffs
+    through = RationalPlane(a, b, c, -(a * x + b * y + c * z))
+    for plane in (RationalPlane(*coeffs), through):
+        a, b, c, d = plane.coeffs
+        value = a * x + b * y + c * z + d
+        assert plane.eval_at(point) == value
+        assert plane.contains_point(point) == (value == 0)
+    assert through.contains_point(point)

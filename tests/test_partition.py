@@ -263,3 +263,21 @@ def test_partition_json_round_trip():
     back = PartitionPoly.from_json_dict(data)
     assert back.levels == part.levels
     assert back.epsilon == part.epsilon
+
+
+def test_partition_json_checks_t_d_and_eps():
+    data = PartitionPoly.from_levels([X]).to_json_dict()
+    back = PartitionPoly.from_json_dict(data)
+    assert (back.t, back.degree, back.epsilon) == (1, 1, Fraction(1, 10))
+    assert back.to_json_dict() == data
+    for key, value, match in [
+        ("t", 5, "t, D"),
+        ("D", 99, "t, D"),
+        ("eps", "3/4", "slack"),
+        ("eps", "1/2", "slack"),
+        ("eps", "-1/10", "slack"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            PartitionPoly.from_json_dict({**data, key: value})
+    with pytest.raises(ValueError):
+        PartitionPoly.from_json_dict({**data, "t": 5, "D": 99, "eps": "3/4"})

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from incilab.qformat import qparse, qstr
+from incilab.qformat import qparse, qparts, qstr, ratio_str
 
 
 def test_qstr_forms():
@@ -64,3 +64,19 @@ no_space = st.text().filter(lambda t: not any(c.isspace() for c in t))
 @given(st.one_of(no_space, st.text(alphabet="-/0123456789", max_size=12)))
 def test_qparse_matches_the_reference_without_whitespace(text):
     assert _outcome(qparse, text) == _outcome(_qparse_reference, text)
+
+
+def test_qparts_keeps_the_literal_integers():
+    assert qparts("4/2") == (4, 2)
+    assert qparts("-0") == (0, 1)
+    assert qparts("-6/4") == (-6, 4)
+    assert qparts("7") == (7, 1)
+    with pytest.raises(ValueError, match="not a canonical rational literal: '1/0'"):
+        qparts("1/0")
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_str_is_the_lowest_terms_string(num, den):
+    f = Fraction(num, den)
+    ref = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    assert ratio_str(num, den) == ref == qstr(f)
