@@ -60,15 +60,22 @@ def st2d_bound(m: int, n: int) -> Fraction:
     return cross + m + n
 
 
+def gk_terms(m: int, n: int, s: int, rounding: str) -> tuple[Fraction, Fraction]:
+    """The Guth-Katz terms m^{1/2} n^{3/4} and m^{2/3} n^{1/3} s^{1/3},
+    each rounded "up" or "down" (`power_product`)."""
+    lead, _ = power_product([(m, Fraction(1, 2)), (n, Fraction(3, 4))], rounding)
+    tail, _ = power_product(
+        [(m, Fraction(2, 3)), (n, Fraction(1, 3)), (s, Fraction(1, 3))], rounding
+    )
+    return lead, tail
+
+
 def gk_bound(params, n=None, s=None, A=Fraction(1), B=Fraction(1)) -> Fraction:
     """A (m^{1/2} n^{3/4} + m) + B (m^{2/3} n^{1/3} s^{1/3} + n)."""
     if not isinstance(params, BoundParams):
         params = BoundParams(m=params, n=n, s=s, A=A, B=B)
     p = params
-    lead, _ = power_product([(p.m, Fraction(1, 2)), (p.n, Fraction(3, 4))], "up")
-    tail, _ = power_product(
-        [(p.m, Fraction(2, 3)), (p.n, Fraction(1, 3)), (p.s, Fraction(1, 3))], "up"
-    )
+    lead, tail = gk_terms(p.m, p.n, p.s, "up")
     return p.A * (lead + p.m) + p.B * (tail + p.n)
 
 
@@ -338,9 +345,6 @@ def midrange_bound(m: int, n: int, s: int, b=Fraction(2)):
         )
         prefactor = qpow(2, approx, "up")
 
-    lead, _ = power_product([(m, Fraction(1, 2)), (n, Fraction(3, 4))], "up")
-    tail, _ = power_product(
-        [(m, Fraction(2, 3)), (n, Fraction(1, 3)), (s, Fraction(1, 3))], "up"
-    )
+    lead, tail = gk_terms(m, n, s, "up")
     value = prefactor * (lead + tail + m + n)
     return j0, k, value

@@ -13,8 +13,11 @@ restriction of f to a line is the product of the levels' restrictions.
 The bisector search is deterministic given the seed: candidate polynomials
 are enumerated family by family (median planes and plane sweeps, slab
 products, then balanced lifted directions on which every class has the same
-mean) and the first candidate within the slack wins, preferring candidates
-that vanish on no input point.
+mean).  Each candidate's threshold is placed inside every class's
+order-statistic window, which certifies that no open side exceeds the
+class's cap, so candidates are compared only by their zeros: the first one
+vanishing on no more points than the caps force wins, otherwise the first
+with the fewest zeros.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition carries one homogeneous integer form
@@ -65,12 +68,8 @@ from .qformat import qparse, qstr
 
 
 class PartitionBudgetError(RuntimeError):
-    """No candidate met the slack; best_slack is the smallest slack that
-    would have admitted some candidate (None if nothing split at all)."""
-
-    def __init__(self, message: str, best_slack: Fraction | None):
-        super().__init__(message)
-        self.best_slack = best_slack
+    """The search yielded no candidate at some level: for no plane, slab or
+    lifted direction it tried did the classes' windows share a threshold."""
 
 
 def level_degree_cap(j: int) -> int:
@@ -211,8 +210,21 @@ def _zero_free_pick(all_values: list, lo, hi):
     return None
 
 
+def _window_picks(all_values: list, lo, hi) -> list[tuple]:
+    """(threshold, zeros) in [lo, hi]: the zero-free pick if there is one,
+    then the midpoint; zeros counts the listed values equal to it."""
+    out = []
+    free = _zero_free_pick(all_values, lo, hi)
+    if free is not None:
+        out.append((free, 0))
+    mid = _mid(lo, hi)
+    out.append((mid, all_values.count(mid)))
+    return out
+
+
 def _threshold_candidates(values_by_class, qs, all_values):
-    """Thresholds splitting every class within its cap: zero-free first."""
+    """(threshold, zeros) splitting every class within its cap, zero-free
+    first; each threshold lies in every class's window."""
     lo = None
     hi = None
     for values, q in zip(values_by_class, qs):
@@ -223,12 +235,7 @@ def _threshold_candidates(values_by_class, qs, all_values):
             hi = b if hi is None else min(hi, b)
     if lo is None or hi is None or lo > hi:
         return []
-    out = []
-    free = _zero_free_pick(all_values, lo, hi)
-    if free is not None:
-        out.append(free)
-    out.append(_mid(lo, hi))
-    return out
+    return _window_picks(all_values, lo, hi)
 
 
 def _functional_poly_plane(u) -> TriPoly:
@@ -263,7 +270,13 @@ def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
 
 class _Search:
     """One level's candidate enumeration over the current classes; keys and
-    thresholds are in the units of pts, the search points of `_scaled`."""
+    thresholds are in the units of pts, the search points of `_scaled`.
+
+    Each family yields (g, zeros): g places its threshold inside every
+    class's order-statistic window, so no open side of g exceeds a class's
+    cap, and zeros is the number of class points where g vanishes, read off
+    the keys equal to the threshold.  No candidate is evaluated here.
+    """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
         self.pts = pts
@@ -278,9 +291,6 @@ class _Search:
         self.forced_zeros = sum(
             max(0, len(c) - 2 * q) for c, q in zip(self.classes, self.qs)
         )
-        self.best_meeting: tuple[int, int, TriPoly] | None = None
-        self.best_slack: Fraction | None = None
-        self.order = 0
 
     def directions(self):
         dirs = list(_STRUCTURED_DIRS)
@@ -293,44 +303,17 @@ class _Search:
             dirs.append(d)
         return dirs
 
-    def grade(self, g: TriPoly) -> TriPoly | None:
-        """Score candidate g; return it if it is an immediate winner."""
-        self.order += 1
-        form = _form(g)
-        zeros = 0
-        worst = Fraction(0)
-        ok = True
-        for cls_, q in zip(self.classes, self.qs):
-            signs = _signs(form, [self.pts[i] for i in cls_])
-            pos = signs.count(1)
-            neg = signs.count(-1)
-            zeros += len(signs) - pos - neg
-            if pos > q or neg > q:
-                ok = False
-            need = Fraction(max(pos, neg), len(cls_)) - Fraction(1, 2)
-            if need > worst:
-                worst = need
-        if self.best_slack is None or worst < self.best_slack:
-            self.best_slack = worst
-        if not ok:
-            return None
-        if zeros <= self.forced_zeros:
-            return g
-        if self.best_meeting is None or (zeros, self.order) < self.best_meeting[:2]:
-            self.best_meeting = (zeros, self.order, g)
-        return None
-
-    def run(self) -> TriPoly:
+    def run(self) -> TriPoly | None:
+        """The first candidate with at most `forced_zeros` zeros, else the
+        first with the fewest; None if no family yields a candidate."""
+        best = None
         for fam in (self._planes, self._slabs, self._balanced):
-            for g in fam():
-                win = self.grade(g)
-                if win is not None:
-                    return win
-        if self.best_meeting is not None:
-            return self.best_meeting[2]
-        raise PartitionBudgetError(
-            "no bisector met the slack at this level", self.best_slack
-        )
+            for g, zeros in fam():
+                if zeros <= self.forced_zeros:
+                    return g
+                if best is None or zeros < best[0]:
+                    best = (zeros, g)
+        return None if best is None else best[1]
 
     def _keys(self, u) -> list[list[int]]:
         """Sorted keys u.X of each class."""
@@ -347,8 +330,8 @@ class _Search:
         for u in self.directions():
             values_by_class = self._keys(u)
             all_values = [v for vs in values_by_class for v in vs]
-            for c in _threshold_candidates(values_by_class, self.qs, all_values):
-                yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L))
+            for c, zeros in _threshold_candidates(values_by_class, self.qs, all_values):
+                yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L)), zeros
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
@@ -365,13 +348,18 @@ class _Search:
                 got = self._slab_second_cut(values_by_class, c1)
                 if got is None:
                     continue
+                c2, zeros = got
                 lin = _functional_poly_plane(u)
-                yield (lin - Fraction(c1, self.L)) * (lin - Fraction(got, self.L))
+                yield (lin - Fraction(c1, self.L)) * (lin - Fraction(c2, self.L)), zeros
 
     def _slab_second_cut(self, values_by_class, c1):
-        # c1 lies strictly between two consecutive keys and q < len(values),
-        # so every class bounds c2 from below (lo) and above (hi) by keys
-        # greater than c1
+        """(c2, zeros) for the slab c1 < u.x < c2, or None.
+
+        c1 lies strictly between two consecutive keys and q < len(values),
+        so every class bounds c2 from below (lo) and above (hi) by keys
+        greater than c1; c1 meets no key, so the zeros are the keys equal
+        to c2.
+        """
         lo = None
         hi = None
         all_inside = []
@@ -392,8 +380,7 @@ class _Search:
             hi = lo + self.L  # one unit of x
         if lo > hi:
             return None
-        pick = _zero_free_pick(all_inside, lo, hi)
-        return pick if pick is not None else _mid(lo, hi)
+        return _window_picks(all_inside, lo, hi)[0]
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -469,8 +456,8 @@ class _Search:
             if not terms:
                 continue
             shape = TriPoly(terms)
-            for cthr in thresholds:
-                yield shape - TriPoly.constant(Fraction(cthr, scale))
+            for cthr, zeros in thresholds:
+                yield shape - TriPoly.constant(Fraction(cthr, scale)), zeros
 
 
 def build_partition(
@@ -505,13 +492,9 @@ def build_partition(
             levels.append(primitive_normalize(TriPoly.variable(0)))
             classes = []
             continue
-        search = _Search(pts, L, live, cap, epsilon, rng)
-        try:
-            g = search.run()
-        except PartitionBudgetError as err:
-            raise PartitionBudgetError(
-                f"level {j}: {err}", err.best_slack
-            ) from None
+        g = _Search(pts, L, live, cap, epsilon, rng).run()
+        if g is None:
+            raise PartitionBudgetError(f"level {j}: no bisector met the slack at this level")
         g = primitive_normalize(g)
         levels.append(g)
         form = _form(g)

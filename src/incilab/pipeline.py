@@ -49,7 +49,7 @@ from .partition import (
     classify_points,
     degree_budget,
 )
-from .powers import cmp_power_products, power_product
+from .powers import cmp_power_products
 from .qformat import qstr
 
 
@@ -72,13 +72,12 @@ class SurfaceComponent:
 
 
 def _levels_for_degree(d: int) -> int:
-    """Number of bisection levels for degree target d: 3*log2(d) rounded up,
-    then trimmed so the per-level degree budget stays within d."""
+    """Number of bisection levels for degree target d: the largest t >= 1
+    whose per-level degree budget stays within d."""
     if d < 1:
         raise ValueError("degree target must be >= 1")
-    raw = max(1, math.ceil(3 * math.log2(d))) if d > 1 else 1
     t = 1
-    while t < raw and degree_budget(t + 1) <= d:
+    while degree_budget(t + 1) <= d:
         t += 1
     return t
 
@@ -594,10 +593,7 @@ def _csv_num(v):
 def ratio_denominator(m: int, n: int, s: int) -> Fraction:
     """m^{1/2} n^{3/4} + m^{2/3} n^{1/3} s^{1/3} + m + n, rounded down so the
     reported ratio errs on the large side."""
-    lead, _ = power_product([(m, Fraction(1, 2)), (n, Fraction(3, 4))], "down")
-    tail, _ = power_product(
-        [(m, Fraction(2, 3)), (n, Fraction(1, 3)), (s, Fraction(1, 3))], "down"
-    )
+    lead, tail = bounds_mod.gk_terms(m, n, s, "down")
     return lead + tail + m + n
 
 

@@ -15,6 +15,7 @@ from incilab.bounds import (
     amn_coefficient,
     degree_plan,
     gk_bound,
+    gk_terms,
     midrange_bound,
     st2d_bound,
     trivial_bound,
@@ -43,6 +44,15 @@ def test_gk_bound_is_upper_rounded_off_perfect_powers():
     # every term was rounded up, so the dyadic value dominates the true one
     assert val > 10 ** Fraction(1, 2) * 0 + 20  # sanity floor: the m + n part
     assert val >= st2d_bound(1, 1)
+
+
+def test_gk_terms_round_in_the_asked_direction():
+    # exact on perfect powers: 16^{1/2} 16^{3/4} = 32 and 16^{2/3} 16^{1/3} = 16
+    assert gk_terms(16, 16, 1, "up") == gk_terms(16, 16, 1, "down") == (32, 16)
+    lo, hi = gk_terms(10, 10, 2, "down"), gk_terms(10, 10, 2, "up")
+    # lead^4 = m^2 n^3 and tail^3 = m^2 n s
+    assert lo[0] ** 4 < 10**2 * 10**3 < hi[0] ** 4
+    assert lo[1] ** 3 < 10**2 * 10 * 2 < hi[1] ** 3
 
 
 def test_trivial_bound_formula():

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every module-level private function or class is referenced somewhere in
+the package."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,44 @@ def test_module_has_no_unused_import(path):
 def test_scan_finds_an_unused_import():
     source = "import math, os.path\nfrom typing import Sequence as Seq, Any\n\nx: Any = os.sep\n"
     assert unused_imports(source) == ["math", "Seq"]
+
+
+def unreferenced_privates(sources: list[str]) -> list[str]:
+    """Module-level `_name` functions and classes that no name, attribute
+    or import in any of the sources refers to."""
+    trees = [ast.parse(s) for s in sources]
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [name for name in defined if name not in referenced]
+
+
+def test_every_private_definition_is_referenced():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_privates(sources) == []
+
+
+def test_scan_finds_an_unreferenced_private():
+    module_a = (
+        "def _dead():\n    pass\n\n"
+        "def _imported():\n    pass\n\n"
+        "class _Used:\n    def _method(self):\n        pass\n\n"
+        "def __dunder__():\n    pass\n\n"
+        "class _Orphan:\n    pass\n"
+    )
+    module_b = "from .a import _imported\nfrom . import a\n\nx = _Used()\ny = a._other\n"
+    assert unreferenced_privates([module_a, module_b]) == ["_dead", "_Orphan"]

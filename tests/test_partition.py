@@ -14,6 +14,8 @@ from incilab.partition import (
     PartitionBudgetError,
     PartitionPoly,
     _Search,
+    _form,
+    _signs,
     build_partition,
     cell_occupancy,
     classes_crossed,
@@ -105,10 +107,12 @@ def test_build_partition_input_validation():
         build_partition(pts, 1, Fraction(-1, 10))
 
 
-def test_budget_error_carries_best_slack():
-    err = PartitionBudgetError("no certified cut", best_slack=Fraction(3, 2))
-    assert err.best_slack == Fraction(3, 2)
-    assert isinstance(err, RuntimeError)
+def test_budget_error_names_its_level():
+    # at slack 0 the search finds no candidate for twelve points' level-3 classes
+    msg = r"^level 3: no bisector met the slack at this level$"
+    with pytest.raises(PartitionBudgetError, match=msg) as exc:
+        build_partition(random_points(12, 0), 3, Fraction(0), seed=0)
+    assert isinstance(exc.value, RuntimeError)
 
 
 # -- certified properties over random inputs ----------------------------------------
@@ -174,7 +178,34 @@ def test_slab_second_cut_open_side_spans_one_unit_of_x():
     # from the key 10 to one unit of x (6 key units) past it
     search = _Search([(0, 0, 0)] * 4, 6, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
     assert search.qs == [3]
-    assert search._slab_second_cut([[0, 10, 20, 30]], Fraction(5)) == Fraction(13)
+    assert search._slab_second_cut([[0, 10, 20, 30]], Fraction(5)) == (Fraction(13), 0)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=14, unique=True),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.fractions(0, Fraction(1, 2), max_denominator=12).filter(lambda e: e < Fraction(1, 2)),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, data):
+    # the windows are the search's only certificate: evaluate every candidate
+    # of every family and check each class's open sides and the zero count
+    pts = [(*c, W) for c in coords]
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
+    classes = [[i for i, c in enumerate(labels) if c == j] for j in range(k)]
+    search = _Search(pts, W, classes, cap, eps, random.Random(data.draw(st.integers(0, 9))))
+    for family in (search._planes, search._slabs, search._balanced):
+        for g, zeros in family():
+            form = _form(g)
+            vanish = 0
+            for cls_, q in zip(search.classes, search.qs):
+                signs = _signs(form, [pts[i] for i in cls_])
+                assert signs.count(1) <= q and signs.count(-1) <= q
+                vanish += signs.count(0)
+            assert zeros == vanish
 
 
 rat = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))

@@ -33,12 +33,14 @@ from incilab.partition import (
     classes_crossed,
     classify_lines,
     classify_points,
+    degree_budget,
 )
 from incilab.pipeline import (
     CSV_COLUMNS,
     PipelineError,
     WindowError,
     _detect_planes,
+    _levels_for_degree,
     full_report,
     ratio_denominator,
     run_stage1,
@@ -61,6 +63,17 @@ def test_level_count_tracks_degree_budget():
     assert run_stage1(cfg, D_override=3).t == 2
     big = gen("random", m=400, n=20, seed=2)
     assert run_stage1(big, D_override=8).t == 4
+
+
+def test_levels_for_degree_is_the_largest_budget_within_d():
+    budgets = [degree_budget(t) for t in range(1, 31)]
+    assert budgets[-1] > 2000
+    for d in range(1, 2001):
+        t = _levels_for_degree(d)
+        assert t >= 1
+        assert t == max(k for k, b in enumerate(budgets, 1) if b <= d)
+    with pytest.raises(ValueError):
+        _levels_for_degree(0)
 
 
 def test_deep_ladder_on_tiny_cloud_fails_honestly():
