@@ -55,8 +55,11 @@ def cleared(values) -> tuple[int, list[int]]:
 def primitive(ints) -> list[int]:
     """Integers divided by their gcd, the first nonzero entry made positive."""
     g = math.gcd(*ints)
-    if next((v for v in ints if v), 0) < 0:
-        g = -g
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
     return [v // g for v in ints]
 
 

@@ -15,18 +15,18 @@ more than testing every point against every line.  The pairwise
 `incilab verify` checks the tally against.
 
 Coplanarity reads each line as integer Pluecker data: its stored base B
-over w, primitive direction d and moment B x d.  One integer
-reciprocal-product test rejects a skew pair, and a coplanar pair is keyed by
-the primitive integer coefficients of its plane, so no `Fraction` or plane
-object is built per pair.  Those coefficients are made primitive inline,
-not through `geom.primitive`, because the pair loop is O(n^2).  The
-pairwise `plane_through_lines` bucketing stays as the reference that
-`incilab verify` checks the kernel against.
+over w, primitive direction d and moment B x d.  The reciprocal products of
+one line with all later lines come from one big-int linear combination of
+packed columns, so no pair is visited in Python unless it is coplanar; a
+coplanar pair is keyed by the primitive integer coefficients of its plane
+(`plane_key`), and pairs inside a plane already complete are skipped.  No
+`Fraction` or plane object is built per pair.  Per-pair `plane_key` and the
+pairwise `plane_through_lines` bucketing stay as the references that the
+tests and `incilab verify` check the kernel against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +38,7 @@ from .geom import (
     RationalPlane,
     plane_through_lines,
     point_on_line,
+    primitive,
     primitive_int_vector,
 )
 
@@ -279,26 +280,90 @@ def plane_key(ri, rj) -> tuple[int, int, int, int] | None:
     n2 = di[0] * v[1] - di[1] * v[0]
     if not (n0 or n1 or n2):
         return None
-    a, b, c = wi * n0, wi * n1, wi * n2
     d = -(n0 * bi[0] + n1 * bi[1] + n2 * bi[2])
-    # `geom.primitive` inline: this runs once per pair of lines
-    g = math.gcd(a, b, c, d)
-    if (a or b or c) < 0:
-        g = -g
-    return (a // g, b // g, c // g, d // g)
+    return tuple(primitive((wi * n0, wi * n1, wi * n2, d)))
+
+
+def _aligned_matches(buf: bytes, pattern: bytes):
+    """Ascending indexes k of the len(pattern)-byte fields of buf that equal
+    pattern; `bytes.find` also matches across two fields, and those are skipped."""
+    width = len(pattern)
+    at = buf.find(pattern)
+    while at >= 0:
+        if at % width == 0:
+            yield at // width
+        at = buf.find(pattern, (at // width + 1) * width)
 
 
 def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
     """Plane key -> indexes of all input lines in that plane, for each plane
     spanned by two lines, keyed on integer Pluecker data (`plane_key`) in the
-    order of each plane's first pair (i, j), i < j, lexicographically."""
+    order of each plane's first pair (i, j), i < j, lexicographically.
+
+    The skew pairs are filtered out with big-int arithmetic.  With
+    u_i = (w_i*d_i, M_i) and v_j = (M_j, w_j*d_j), u_i . v_j is `plane_key`'s
+    reciprocal product, so |u_i . v_j| <= 6*A^2 for A the largest |entry|.
+    Each of v's six columns is packed into one big int of F-bit signed
+    fields, line j at field n-1-j; F is the bit length of 6*A^2 plus a sign
+    bit, rounded up to whole bytes.  For line i, the lines after it are the
+    low cnt = n-1-i fields, so with R = 2^(F*cnt) the sum over k of
+    u_i[k] * (V_k mod R), plus the bias 2^(F-1) in every field, reduced mod
+    R, has field j equal to u_i . v_j + 2^(F-1).  Every such value lies in
+    [0, 2^F), so the digits are exact; a signed column is reduced mod R,
+    never right-shifted, because a floor shift borrows from the field below.
+    The zero pairs are the fields equal to 2^(F-1), found by `bytes.find` on
+    the big-endian bytes at field-aligned offsets, in ascending j.
+
+    Only those pairs reach `plane_key`, and a pair is skipped when its two
+    lines already share a complete plane: when line i creates a key whose
+    bucket then holds at least 3 lines, the key is recorded for each of
+    them.  Two distinct lines in one recorded plane span exactly that plane,
+    and identical lines span none, so a skipped pair would add nothing and
+    create no key.  A plane of k distinct lines thus costs k-1 `plane_key` calls.
+    """
     reps = plucker_reps(lines)
+    n = len(reps)
     buckets: dict[tuple[int, int, int, int], set[int]] = {}
-    for i, ri in enumerate(reps):
-        for j in range(i + 1, len(reps)):
-            key = plane_key(ri, reps[j])
-            if key is not None:
-                buckets.setdefault(key, set()).update((i, j))
+    if n < 2:
+        return buckets
+    us = [(w * d[0], w * d[1], w * d[2], *m) for w, _b, d, m in reps]
+    top = max(abs(c) for u in us for c in u)
+    width = ((6 * top * top).bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "big")
+    bias = int.from_bytes(zero * n, "big")
+    # column k of v holds v_j[k] = u_j[(k + 3) % 6] as signed fields: the
+    # biased fields are joined as bytes, then the bias is taken off
+    cols = []
+    for k in range(6):
+        raw = b"".join((u[(k + 3) % 6] + half).to_bytes(width, "big") for u in us)
+        cols.append(int.from_bytes(raw, "big") - bias)
+    planes_of: list[set] = [set() for _ in range(n)]
+    for i in range(n - 1):
+        cnt = n - 1 - i
+        mask = (1 << 8 * width * cnt) - 1
+        c0, c1, c2, c3, c4, c5 = cols = [c & mask for c in cols]
+        u0, u1, u2, u3, u4, u5 = us[i]
+        acc = u0 * c0 + u1 * c1 + u2 * c2 + u3 * c3 + u4 * c4 + u5 * c5
+        acc = (acc + (bias & mask)) & mask
+        mine, created = planes_of[i], []
+        for k in _aligned_matches(acc.to_bytes(width * cnt, "big"), zero):
+            j = i + 1 + k
+            if not mine.isdisjoint(planes_of[j]):
+                continue
+            key = plane_key(reps[i], reps[j])
+            if key is None:
+                continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {i, j}
+                created.append(key)
+            else:
+                bucket.update((i, j))
+        for key in created:
+            if len(buckets[key]) >= 3:
+                for x in buckets[key]:
+                    planes_of[x].add(key)
     return buckets
 
 

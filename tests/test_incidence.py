@@ -20,14 +20,19 @@ from incilab.incidence import (
     InvalidConfigurationError,
     MONOMIALS_DEG2,
     Quadric,
+    _aligned_matches,
     _bezout,
     _lattice_groups,
+    _max_coplanar_lines_pairwise,
     _points_by_line_pairwise,
     _points_on_line,
     assign_to_components,
+    coplanar_buckets,
     count_incidences,
     max_coplanar_lines,
     one_poor_count,
+    plane_key,
+    plucker_reps,
     regulus_through,
     rich_points_per_line,
     richness_histogram,
@@ -347,6 +352,121 @@ def test_max_coplanar_lines_tie_break_and_rational_bases():
     ]
     assert max_coplanar_lines(pair) == pairwise_max_coplanar(pair)
     assert max_coplanar_lines(pair)[0] == 2
+
+
+def per_pair_buckets(lines):
+    """Oracle for `coplanar_buckets`: one `plane_key` per pair, in (i, j) order."""
+    reps = plucker_reps(lines)
+    buckets = {}
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            key = plane_key(reps[i], reps[j])
+            if key is not None:
+                buckets.setdefault(key, set()).update((i, j))
+    return buckets
+
+
+@st.composite
+def wide_line_family(draw):
+    """A free, parallel, pencil or planar family with coordinates up to
+    +-scale and base denominators up to 12."""
+    scale = draw(st.sampled_from([3, 10**3, 10**9]))
+    coord = st.builds(Fraction, st.integers(-scale, scale), st.integers(1, 12))
+    point = st.builds(P, coord, coord, coord)
+    direction = st.tuples(*[st.integers(-scale, scale)] * 3).filter(any)
+    kind = draw(st.sampled_from(["free", "parallel", "pencil", "planar"]))
+    size = draw(st.integers(1, 6))
+    if kind == "free":
+        return [L(draw(point), draw(direction)) for _ in range(size)]
+    if kind == "parallel":
+        d = draw(direction)
+        return [L(draw(point), d) for _ in range(size)]
+    if kind == "pencil":
+        apex = draw(point)
+        return [L(apex, draw(direction)) for _ in range(size)]
+    o, u, v = draw(point).coords, draw(direction), draw(direction)
+    if not any(_cross(u, v)):
+        v = next(e for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if any(_cross(u, e)))
+    out = []
+    for _ in range(size):
+        a, b = draw(coord), draw(coord)
+        al, be = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        d = tuple(al * u[k] + be * v[k] for k in range(3))
+        if any(d):
+            out.append(L(P(*(o[k] + a * u[k] + b * v[k] for k in range(3))), d))
+    return out
+
+
+@st.composite
+def wide_lines(draw, max_families=4):
+    """Shuffled families, some lines repeated (`coplanar_buckets` takes any
+    sequence, not only a `Configuration`'s distinct lines)."""
+    families = draw(st.lists(wide_line_family(), max_size=max_families))
+    lines = [l for fam in families for l in fam]
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))
+    return draw(st.permutations(lines))
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_lines())
+def test_coplanar_buckets_match_per_pair_plane_keys(lines):
+    fast, ref = coplanar_buckets(lines), per_pair_buckets(lines)
+    assert list(fast.items()) == list(ref.items())
+
+
+@settings(deadline=None, max_examples=25)
+@given(wide_lines(max_families=2))
+def test_max_coplanar_lines_matches_pairwise_reference_on_wide_input(lines):
+    assert max_coplanar_lines(lines) == _max_coplanar_lines_pairwise(lines)
+
+
+def test_max_coplanar_lines_counts_repeated_lines():
+    a = L(P(0, 0, 0), (1, 0, 0))
+    c = L(P(0, 1, 0), (1, 2, 0))
+    assert max_coplanar_lines([a, a, c]) == _max_coplanar_lines_pairwise([a, a, c])
+    assert max_coplanar_lines([a, a, c])[0] == 3
+
+
+def test_coplanar_buckets_on_hyperbolic_paraboloid():
+    # rulings of z = xy with large signed Pluecker entries; a floor shift of
+    # a signed packed column loses the pair (3, 4)
+    lines = generate(GeneratorSpec("ruled_surface", {"kind": "hp", "k": 8})).lines
+    fast = coplanar_buckets(lines)
+    assert list(fast.items()) == list(per_pair_buckets(lines).items())
+    assert any(bucket == {3, 4} for bucket in fast.values())
+
+
+def test_coplanar_buckets_fields_hold_products_near_the_bound():
+    # the largest |entry| is A = 100, so 6*A^2 = 60000 has 16 bits, and the
+    # skew pair (a, c) has reciprocal product 49700 >= 2^15: without a sign
+    # bit above those 16 bits its field carries into the zero field of (a, b)
+    a = L(P(0, Fraction(1, 100), Fraction(-99, 100)), (1, 1, 1))
+    b = L(P(0, Fraction(1, 100), Fraction(-99, 100)), (1, 0, 0))
+    c = L(P(0, -1, Fraction(99, 100)), (1, -1, 0))
+    assert coplanar_buckets([a, b, c]) == {(0, 1, -1, -1): {0, 1}}
+
+
+def test_coplanar_buckets_key_a_complete_plane_once_per_other_line(monkeypatch):
+    lines = [L(P(0, k, 0), (1, k, 0)) for k in range(600)]
+    calls = []
+
+    def counted(ri, rj):
+        calls.append(None)
+        return plane_key(ri, rj)
+
+    monkeypatch.setattr("incilab.incidence.plane_key", counted)
+    assert coplanar_buckets(lines) == {(0, 0, 1, 0): set(range(600))}
+    assert len(calls) == len(lines) - 1
+
+
+def test_aligned_matches_skips_matches_across_fields():
+    zero = bytes([0x80, 0, 0])
+    # fields: 01 80 00 | 00 80 00 | 00 00 01 | 80 00 00
+    buf = bytes([1, 0x80, 0, 0, 0x80, 0, 0, 0, 1, 0x80, 0, 0])
+    assert list(_aligned_matches(buf, zero)) == [3]
+    assert list(_aligned_matches(zero * 2, zero)) == [0, 1]
+    assert list(_aligned_matches(b"", zero)) == []
 
 
 def test_rich_points_per_line():
