@@ -19,9 +19,11 @@ from .incidence import (
     richness_histogram,
 )
 from .partition import (
+    _classes_crossed_reference,
     _classify_lines_reference,
     build_partition,
     cell_occupancy,
+    classes_crossed,
     classify_lines,
 )
 from .pipeline import (
@@ -200,6 +202,14 @@ def _cmd_verify(args) -> int:
                 "line classification agrees",
                 lc == _classify_lines_reference(st1.partition, cfg.lines),
                 f"contained={len(lc.contained)} crossing={len(lc.crossing)}",
+            )
+            crossing = [cfg.lines[i] for i, _ in lc.crossing]
+            crossed = [classes_crossed(st1.partition, line) for line in crossing]
+            check(
+                "crossed classes agree",
+                crossed
+                == [_classes_crossed_reference(st1.partition, line) for line in crossing],
+                f"classes={sum(map(len, crossed))}",
             )
             check(
                 "crossing roots within degree",

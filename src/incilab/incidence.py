@@ -240,14 +240,6 @@ def richness_histogram(tally: IncidenceTally) -> dict[int, int]:
     return hist
 
 
-def two_rich_count(hist: dict[int, int]) -> int:
-    return sum(v for k, v in hist.items() if k >= 2)
-
-
-def one_poor_count(hist: dict[int, int]) -> int:
-    return sum(v for k, v in hist.items() if k <= 1)
-
-
 def plucker_reps(lines: Sequence[RationalLine]):
     """Per line (w, B, d, M): the base is B/w with B integer, d is the
     primitive direction and M = B x d, so the line's moment is M/w."""
@@ -403,15 +395,6 @@ def _max_coplanar_lines_pairwise(
         return 1, None
     best = max(buckets.items(), key=lambda kv: (len(kv[1]), kv[0].coeffs))
     return len(best[1]), best[0]
-
-
-def rich_points_per_line(cfg: Configuration, threshold: int = 2) -> list[int]:
-    """Per line, how many of its points lie on >= threshold configuration lines."""
-    tally = count_incidences(cfg)
-    out = []
-    for hits in tally.points_by_line:
-        out.append(sum(1 for i in hits if tally.per_point[i] >= threshold))
-    return out
 
 
 # -- first-come-first-serve component assignment -----------------------------

@@ -33,13 +33,20 @@ keys are in those units (u.X_L = L*u.x), so they sort and split exactly as
 the rational keys would, and each threshold maps back to a rational by one
 exact division.
 
-Roots of the product of the H's are counted with one primitive
-pseudo-remainder Sturm chain (Collins 1967; Brown-Traub 1971), read as
-V(-inf) - V(+inf) from leading signs.  A non-squarefree chain ends in
-gcd(p, p'), which divides every element, so the count of distinct roots is
-unchanged and no squarefree pass is needed; only the gap sampler, which
-evaluates the chain at roots, takes the squarefree part.  The `Fraction`
-functions in `algebra` are the reference.
+The roots of f along a line are the union of the levels' roots, counted
+level by level.  A linear H = h0 + h1*t has the exact root -h0/h1, kept as
+a reduced (num, den) pair so a set drops roots that several planes share;
+a constant H has no root.  Only the product P of the nonlinear H's gets a
+primitive pseudo-remainder Sturm chain (Collins 1967; Brown-Traub 1971),
+read as V(-inf) - V(+inf) from leading signs.  A non-squarefree chain ends
+in gcd(P, P'), which divides every element, so the count of distinct roots
+is unchanged and no squarefree pass is needed.  The distinct roots number
+P's count plus the rational roots where P does not vanish, so a line along
+which every H is linear or constant, as on planes, builds no chain.  Such a
+line's gap samples lie between its sorted rational roots; on any other
+line the gap sampler bisects on the chain of the product of all H's,
+taking its squarefree part, since it evaluates the chain at roots.  The
+`Fraction` functions in `algebra` are the reference.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ from .algebra import (
     line_in_zero_set,
     primitive_normalize,
     restrict_to_line,
+    sign_gap_samples,
 )
 from .geom import Rational3Point, RationalLine, cleared
 from .qformat import qparse, qstr
@@ -566,24 +574,36 @@ def _restrictions(forms, line: RationalLine) -> list[list[int]]:
     `_form` at (B + t*w*d, w):
     H(t) = sum C * w^k * prod (B_i + w*d_i*t)^(e_i), a positive multiple of
     the level at base + t*dir, with the same roots and signs in the same
-    parameter t as `restrict_to_line`.
+    parameter t as `restrict_to_line`.  A plane C . (x, y, z, 1) gives
+    h0 = C . (B, w) and h1 = w * (C_xyz . d) by two dot products; only
+    higher levels need the powers of B_i + w*d_i*t.
     """
-    *base, w = line.base.ints
+    X, Y, Z, w = line.base.ints
+    dx, dy, dz = line.dir
+    degrees = [sum(form[0][:4]) for form in forms]  # a + b + c + k = deg(g)
+    others = [form for form, deg in zip(forms, degrees) if deg != 1]  # not planes
     pows = []
-    for axis, (c, d) in enumerate(zip(base, line.dir)):
+    for axis, (c, d) in enumerate(zip((X, Y, Z), line.dir) if others else ()):
         lin = [c, w * d]
-        top = max(e[axis] for form in forms for e in form)
+        top = max(e[axis] for form in others for e in form)
         cur = [[1]]
         for _ in range(top):
             cur.append(_pmul(cur[-1], lin) if d else [cur[-1][0] * lin[0]])
         pows.append(cur)
     out = []
-    for form in forms:
-        h = [0] * (sum(form[0][:4]) + 1)  # a + b + c + k = deg(g)
-        for a, b, c, k, C in form:
-            Cw = C * w**k
-            for i, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
-                h[i] += Cw * v
+    for form, deg in zip(forms, degrees):
+        if deg == 1:
+            coef = [0, 0, 0, 0]  # of x, y, z and W
+            for *e, C in form:
+                coef[e.index(1)] = C
+            cx, cy, cz, c0 = coef
+            h = [cx * X + cy * Y + cz * Z + c0 * w, w * (cx * dx + cy * dy + cz * dz)]
+        else:
+            h = [0] * (deg + 1)
+            for a, b, c, k, C in form:
+                Cw = C * w**k
+                for i, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
+                    h[i] += Cw * v
         while h and h[-1] == 0:
             h.pop()
         out.append(h)
@@ -716,6 +736,29 @@ def _product(hs: list[list[int]]) -> list[int]:
     return reduce(_pmul, hs, [1])
 
 
+def _linear_roots(hs: list[list[int]]) -> set[tuple[int, int]]:
+    """The exact roots -h0/h1 of the linear restrictions, without repeats, as
+    (num, den) in lowest terms with den > 0."""
+    roots = set()
+    for h in hs:
+        if len(h) == 2:
+            g = math.gcd(*h) if h[1] > 0 else -math.gcd(*h)
+            roots.add((-h[0] // g, h[1] // g))
+    return roots
+
+
+def _linear_gap_samples(hs: list[list[int]]) -> list[tuple[int, int]]:
+    """One (num, den), den > 0, inside each root gap of linear or constant
+    restrictions: r_1 - 1, the midpoints of the sorted distinct roots
+    r_1 < ... < r_k and r_k + 1, or just 0 when there is no root."""
+    roots = sorted(_linear_roots(hs), key=lambda r: Fraction(*r))
+    if not roots:
+        return [(0, 1)]
+    (n, d), (m, e) = roots[0], roots[-1]
+    mids = [(a * f + c * b, 2 * b * f) for (a, b), (c, f) in zip(roots, roots[1:])]
+    return [(n - d, d), *mids, (m + e, e)]
+
+
 def classify_lines(
     part: PartitionPoly, lines: Sequence[RationalLine]
 ) -> LineClassification:
@@ -723,11 +766,15 @@ def classify_lines(
 
     Each level is restricted to each line once, on ints (`_restrictions`),
     and f is never expanded: a line lies in Z(f) when some level's
-    restriction is zero.  For each crossing line the distinct real roots of
-    the product of the restrictions, which has the roots of f along the
-    line, are counted by one primitive pseudo-remainder Sturm chain; no
-    squarefree pass is needed, because a non-squarefree chain counts
-    distinct roots correctly.  The count is certified to be at most deg f.
+    restriction is zero.  The roots of f along a crossing line are the union
+    of the levels' roots.  A linear restriction gives its root exactly, and
+    a set of reduced (num, den) pairs drops the repeats (`_linear_roots`).
+    Only the product P of the nonlinear restrictions gets a primitive
+    pseudo-remainder Sturm chain, which counts P's distinct roots even when
+    P is not squarefree.  A rational root counts again only where P does not
+    vanish, so the count is `_count_roots(P)` plus those roots, and a line
+    whose restrictions are all linear or constant builds no chain.  The
+    count is certified to be at most deg f.
     """
     d = part.degree
     contained = []
@@ -737,7 +784,13 @@ def classify_lines(
         if not all(hs):
             contained.append(i)
             continue
-        roots = _count_roots(_product(hs))
+        rational = _linear_roots(hs)
+        nonlinear = [h for h in hs if len(h) > 2]
+        if nonlinear:
+            p = _product(nonlinear)
+            roots = _count_roots(p) + sum(1 for r in rational if _sign_at(p, *r))
+        else:
+            roots = len(rational)
         if roots > d:
             raise AssertionError(
                 f"root count {roots} exceeds degree {d}; restriction is broken"
@@ -766,6 +819,17 @@ def _classify_lines_reference(
     return LineClassification(contained=contained, crossing=crossing)
 
 
+def _classes_crossed_reference(
+    part: PartitionPoly, line: RationalLine
+) -> set[tuple[int, ...]]:
+    """`classes_crossed` from `Fraction` restrictions, sampled by
+    `sign_gap_samples` of their product: the reference that `incilab verify`
+    checks the kernel against."""
+    hs = [restrict_to_line(g, line) for g in part.levels]
+    samples = sign_gap_samples(reduce(lambda a, b: a * b, hs))
+    return {tuple((v > 0) - (v < 0) for v in (h.evaluate(s) for h in hs)) for s in samples}
+
+
 def classes_crossed(
     part: PartitionPoly, line: RationalLine
 ) -> set[tuple[int, ...]]:
@@ -774,12 +838,16 @@ def classes_crossed(
     Sample parameters are taken strictly inside every root gap of the
     product of the levels' integer restrictions, so each sample sees a
     nonzero sign from every level; signs are read off the integer
-    restrictions at num/den.
+    restrictions at num/den.  When every restriction is linear or constant,
+    the samples come from the sorted exact roots (`_linear_gap_samples`)
+    without a Sturm chain; otherwise `_gap_samples` bisects on the
+    product's chain.
     """
     hs = _restrictions(part.forms, line)
     if not all(hs):
         raise ValueError("line lies inside the zero set")
-    return {
-        tuple(_sign_at(h, s.numerator, s.denominator) for h in hs)
-        for s in _gap_samples(_product(hs))
-    }
+    if all(len(h) <= 2 for h in hs):
+        samples = _linear_gap_samples(hs)
+    else:
+        samples = [(s.numerator, s.denominator) for s in _gap_samples(_product(hs))]
+    return {tuple(_sign_at(h, num, den) for h in hs) for num, den in samples}

@@ -8,7 +8,7 @@ import pytest
 from incilab.cli import main
 from incilab.configs import load_config
 from incilab.incidence import count_incidences
-from incilab.partition import PartitionPoly, classify_lines, degree_budget
+from incilab.partition import PartitionPoly, classes_crossed, classify_lines, degree_budget
 
 
 def run(capsys, *argv):
@@ -109,6 +109,7 @@ def test_verify_passes_on_shipped_config(grid_cfg, capsys):
     assert "[ok] incidences agree: I=81" in out
     assert "[ok] coplanarity agrees: s=6" in out
     assert "[ok] line classification agrees: contained=0 crossing=27" in out
+    assert "[ok] crossed classes agree: classes=54" in out
     assert "[FAIL]" not in out
 
 
@@ -143,6 +144,18 @@ def test_verify_fails_when_line_classification_disagrees(grid_cfg, capsys, monke
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 1
     assert "[FAIL] line classification agrees: contained=0 crossing=27" in out
+
+
+def test_verify_fails_when_crossed_classes_disagree(grid_cfg, capsys, monkeypatch):
+    def drop_one_class(part, line):
+        classes = classes_crossed(part, line)
+        classes.remove(max(classes))
+        return classes
+
+    monkeypatch.setattr("incilab.cli.classes_crossed", drop_one_class)
+    code, out, _ = run(capsys, "verify", str(grid_cfg))
+    assert code == 1
+    assert "[FAIL] crossed classes agree: classes=27" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

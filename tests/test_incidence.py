@@ -30,13 +30,10 @@ from incilab.incidence import (
     coplanar_buckets,
     count_incidences,
     max_coplanar_lines,
-    one_poor_count,
     plane_key,
     plucker_reps,
     regulus_through,
-    rich_points_per_line,
     richness_histogram,
-    two_rich_count,
 )
 
 P = Rational3Point
@@ -254,8 +251,6 @@ def test_count_matches_pairwise_on_wide_rational_input(cfg):
 def test_richness_statistics(cross_pair):
     hist = richness_histogram(count_incidences(cross_pair))
     assert hist == {1: 2, 2: 2}
-    assert two_rich_count(hist) == 2
-    assert one_poor_count(hist) == 2
 
 
 def test_max_coplanar_lines_degenerate_inputs():
@@ -467,12 +462,6 @@ def test_aligned_matches_skips_matches_across_fields():
     assert list(_aligned_matches(buf, zero)) == [3]
     assert list(_aligned_matches(zero * 2, zero)) == [0, 1]
     assert list(_aligned_matches(b"", zero)) == []
-
-
-def test_rich_points_per_line():
-    grid = generate(GeneratorSpec("grid3d", {"N": 2}))
-    assert rich_points_per_line(grid) == [2] * 12
-    assert rich_points_per_line(grid, threshold=4) == [0] * 12
 
 
 # -- component assignment --------------------------------------------------------

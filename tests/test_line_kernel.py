@@ -130,6 +130,113 @@ def test_integer_line_kernel_matches_fraction_oracles(inputs):
         assert classes_crossed(part, line) == expected
 
 
+def _plane_through(point, normal) -> TriPoly:
+    return _linear(normal, _dot(normal, point.coords))
+
+
+def _sphere(point, center) -> TriPoly:
+    """|x - center|^2 - |point - center|^2: a quadric through `point`."""
+    out = TriPoly.constant(-sum((a - c) ** 2 for a, c in zip(point.coords, center)))
+    for axis, c in enumerate(center):
+        out = out + (TriPoly.variable(axis) - c) ** 2
+    return out
+
+
+@st.composite
+def shared_root_inputs(draw):
+    """Levels whose roots along `line` coincide: planes and quadrics through
+    a few anchor points of the line, planes parallel to it or containing it,
+    and squares, plus a second line the levels meet generically."""
+    line, other = draw(st.lists(lines, min_size=2, max_size=2, unique=True))
+    anchors = [line.point_at(t) for t in draw(st.lists(rational, min_size=1, max_size=3))]
+    crossing = direction.filter(lambda v: _dot(v, line.dir) != 0)
+
+    def plane_at_anchor():
+        return _plane_through(draw(st.sampled_from(anchors)), draw(crossing))
+
+    def quadric_at_anchor():
+        center = draw(st.tuples(rational, rational, rational))
+        return _sphere(draw(st.sampled_from(anchors)), center)
+
+    levels = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(
+            st.sampled_from(
+                ["plane", "plane", "plane", "parallel", "contains", "quadric", "cubic", "square"]
+            )
+        )
+        normal = _cross(line.dir, draw(direction))
+        if kind == "plane" or (kind in ("parallel", "contains") and not any(normal)):
+            level = plane_at_anchor()
+        elif kind == "parallel":
+            shift = draw(rational.filter(bool))
+            level = _linear(normal, _dot(normal, line.base.coords) + shift)
+        elif kind == "contains":
+            level = _plane_through(line.base, normal)
+        elif kind == "quadric":
+            level = quadric_at_anchor()
+        elif kind == "cubic":
+            level = quadric_at_anchor() * plane_at_anchor()
+        else:
+            factor = draw(st.sampled_from([plane_at_anchor, quadric_at_anchor]))()
+            level = factor * factor
+        levels.append(level)
+    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    return part, [line, other]
+
+
+@settings(deadline=None, max_examples=150)
+@given(shared_root_inputs())
+def test_roots_shared_across_levels_are_counted_once(inputs):
+    part, lns = inputs
+    lc = classify_lines(part, lns)
+    assert lc == _classify_lines_reference(part, lns)
+    for i, _ in lc.crossing:
+        line = lns[i]
+        q = reduce(lambda a, b: a * b, (restrict_to_line(g, line) for g in part.levels))
+        expected = {
+            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            for t in sign_gap_samples(q)
+        }
+        assert classes_crossed(part, line) == expected
+
+
+def test_planes_through_one_point_share_one_root():
+    line = RationalLine(Rational3Point(Fraction(1, 3), Fraction(-2, 5), 1), (1, 2, -1))
+    at = line.point_at(Fraction(3, 7))
+    planes = [_plane_through(at, u) for u in [(1, 0, 0), (0, 1, 1), (2, -1, 3)]]
+    parallel = _linear((2, -1, 0), 5)  # constant along the line
+    part = PartitionPoly(levels=(*planes, parallel), epsilon=Fraction(1, 10), seed=0)
+    assert classify_lines(part, [line]).crossing == [(0, 1)]
+    # the sphere through the common point adds only its second root
+    sphere = _sphere(at, (0, 0, 0))
+    part = PartitionPoly(levels=(*planes, sphere), epsilon=Fraction(1, 10), seed=0)
+    assert classify_lines(part, [line]).crossing == [(0, 2)]
+
+
+def test_all_linear_lines_build_no_sturm_chain(monkeypatch):
+    def no_chain(p):
+        raise AssertionError("a Sturm chain was built")
+
+    monkeypatch.setattr("incilab.partition._sturm_chain", no_chain)
+    line = RationalLine(Rational3Point(Fraction(1, 2), 0, Fraction(-4, 3)), (1, -1, 2))
+    at = line.point_at(Fraction(-5, 2))
+    planes = (
+        _plane_through(at, (1, 0, 1)),
+        _plane_through(at, (0, 1, 1)),
+        _plane_through(line.point_at(2), (1, 0, 0)),
+        _linear((1, 1, 0), 7),  # constant along the line
+    )
+    part = PartitionPoly(levels=planes, epsilon=Fraction(1, 10), seed=0)
+    assert classify_lines(part, [line]).crossing == [(0, 2)]
+    # the first two planes change sign at t = -5/2, the third at t = 2
+    assert classes_crossed(part, line) == {(-1, -1, -1, -1), (1, 1, -1, -1), (1, 1, 1, -1)}
+    sphere = _sphere(at, (0, 0, 0))
+    quadric = PartitionPoly(levels=(*planes, sphere), epsilon=Fraction(1, 10), seed=0)
+    with pytest.raises(AssertionError, match="Sturm chain"):
+        classify_lines(quadric, [line])
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3)), max_size=4),
