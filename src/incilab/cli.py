@@ -9,11 +9,14 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
+from .algebra import divides_by_plane
 from .bounds import MidrangeError, OutOfRangeError
 from .configs import GeneratorSpec, generate, load_config, save_config
+from .geom import RationalPlane
 from .incidence import (
     _max_coplanar_lines_pairwise,
     _points_by_line_pairwise,
+    coplanar_buckets,
     count_incidences,
     max_coplanar_lines,
     richness_histogram,
@@ -28,6 +31,7 @@ from .partition import (
 )
 from .pipeline import (
     PipelineError,
+    _detect_planes,
     _jsonable,
     full_report,
     ratio_denominator,
@@ -211,6 +215,14 @@ def _cmd_verify(args) -> int:
                 == [_classes_crossed_reference(st1.partition, line) for line in crossing],
                 f"classes={sum(map(len, crossed))}",
             )
+            buckets = coplanar_buckets([cfg.lines[i] for i in lc.contained])
+            planes = _detect_planes(st1.partition, buckets)
+            reference = [
+                pl
+                for pl in (RationalPlane(*key) for key in buckets)
+                if any(divides_by_plane(g, pl) for g in st1.partition.levels)
+            ]
+            check("plane components agree", planes == reference, f"planes={len(planes)}")
             check(
                 "crossing roots within degree",
                 st1.max_cross_roots <= max(st1.degree_used, 1),

@@ -47,6 +47,17 @@ line's gap samples lie between its sorted rational roots; on any other
 line the gap sampler bisects on the chain of the product of all H's,
 taking its squarefree part, since it evaluates the chain at roots.  The
 `Fraction` functions in `algebra` are the reference.
+
+The same forms decide which planes divide a level (`plane_divides_form`),
+with no polynomial division.  A plane is irreducible, so it divides a level
+g of degree d exactly when g vanishes on it.  Solving the plane for its
+first nonzero coefficient restricts g to a polynomial h(u, v) of total
+degree at most d, and a nonzero such h cannot vanish on a (d+1) x (d+1)
+grid (Alon's Combinatorial Nullstellensatz, 1999; Schwartz-Zippel), so g's
+form is evaluated at the grid's points and the first nonzero value ends the
+test.  For a zero test the sign of W does not matter: the form at
+(X, Y, Z, W) is W^d * g(X/W, Y/W, Z/W), zero exactly when g is zero there
+for any W != 0.
 """
 
 from __future__ import annotations
@@ -274,6 +285,35 @@ def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
     """Each point's tuple of level signs, read at its stored ints."""
     pts = [p.ints for p in points]
     return list(zip(*(_signs(form, pts) for form in part.forms)))
+
+
+def form_value(form, pt) -> int:
+    """A `_form` at one homogeneous point (X, Y, Z, W), W != 0; zero exactly
+    when the level vanishes at (X/W, Y/W, Z/W), whatever the sign of W."""
+    x, y, z, w = pt
+    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
+
+
+def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:
+    """Whether the plane a*x + b*y + c*z + d = 0 of a `coplanar_buckets`
+    key divides the level whose `_form` is given.
+
+    The key's first nonzero entry of (a, b, c) is the pivot.  For a != 0
+    the plane points (-(b*u + c*v + d)/a, u, v) restrict a level of degree n
+    to h(u, v) of total degree at most n, which is zero exactly when it
+    vanishes on the grid u, v in {0..n}; each grid point is evaluated as
+    (-(b*u + c*v + d), a*u, a*v, a), and the first nonzero value ends the
+    test.  The b and c pivots solve for y and for z alike.
+    """
+    a, b, c, d = key
+    grid = range(sum(form[0][:4]) + 1)  # a + b + c + k = deg(g)
+    if a:
+        pts = ((-(b * u + c * v + d), a * u, a * v, a) for u in grid for v in grid)
+    elif b:
+        pts = ((b * u, -(c * v + d), b * v, b) for u in grid for v in grid)
+    else:
+        pts = ((c * u, c * v, -d, c) for u in grid for v in grid)
+    return all(form_value(form, pt) == 0 for pt in pts)
 
 
 class _Search:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
-from .algebra import divides_by_plane, is_cone_with_apex, line_in_zero_set, tp_divides
+from .algebra import is_cone_with_apex, line_in_zero_set, tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
@@ -48,6 +48,9 @@ from .partition import (
     classify_lines,
     classify_points,
     degree_budget,
+    form_value,
+    # bound as divides_by_plane, the name perfbench/tracing.py wraps
+    plane_divides_form as divides_by_plane,
 )
 from .powers import cmp_power_products
 from .qformat import qstr
@@ -176,13 +179,20 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 # level: a linear form is prime in Q[x,y,z], and a quadric through three
 # pairwise skew lines is irreducible over Q, since two rational planes
 # holding the three lines would hold two of them together, making those two
-# coplanar.  So f is never expanded to test a component.
+# coplanar.  So f is never expanded to test a component.  A plane divides a
+# level of degree d exactly when the level's integer form vanishes on a
+# (d+1) x (d+1) grid of plane points (`partition.plane_divides_form`), so the
+# plane test does no `Fraction` division; `algebra.divides_by_plane` is its
+# reference.
 
 
 def _detect_planes(part: PartitionPoly, buckets: dict):
     """The planes of `coplanar_buckets` keys that divide f, in key order."""
-    planes = (RationalPlane(*key) for key in buckets)
-    return [pl for pl in planes if any(divides_by_plane(g, pl) for g in part.levels)]
+    return [
+        RationalPlane(*key)
+        for key in buckets
+        if any(divides_by_plane(form, key) for form in part.forms)
+    ]
 
 
 def _detect_cones(
@@ -191,25 +201,26 @@ def _detect_cones(
     surface_idx: list[int],
     richness: dict[int, int],
 ):
-    """Cone-shaped level factors apexed at rich surface points."""
+    """(level, form, apex) for cone-shaped level factors apexed at rich
+    surface points; a candidate apex must zero the level's integer form."""
     candidates = sorted(
         (i for i in surface_idx if richness.get(i, 0) >= 2),
         key=lambda i: (-richness.get(i, 0), i),
     )[:8]
     out = []
     seen = set()
-    for g in part.levels:
+    for g, form in zip(part.levels, part.forms):
         if g.degree < 2:
             continue
         for i in candidates:
             p = points[i]
-            if g.evaluate_point(p) != 0:
+            if form_value(form, p.ints) != 0:
                 continue
             if is_cone_with_apex(g, p):
                 key = (g, p)
                 if key not in seen:
                     seen.add(key)
-                    out.append((g, p))
+                    out.append((g, form, p))
     return out
 
 
@@ -385,12 +396,12 @@ def run_stage1(
                 contains_line=pl.contains_line,
             )
         )
-    for g, apex in cones:
+    for g, form, apex in cones:
         comps.append(
             SurfaceComponent(
                 cause="conic",
                 description=f"cone apex ({qstr(apex.x)},{qstr(apex.y)},{qstr(apex.z)})",
-                contains_point=lambda p, g=g: g.evaluate_point(p) == 0,
+                contains_point=lambda p, form=form: form_value(form, p.ints) == 0,
                 contains_line=lambda l, g=g: line_in_zero_set(g, l),
             )
         )

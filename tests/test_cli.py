@@ -9,6 +9,7 @@ from incilab.cli import main
 from incilab.configs import load_config
 from incilab.incidence import count_incidences
 from incilab.partition import PartitionPoly, classes_crossed, classify_lines, degree_budget
+from incilab.pipeline import _detect_planes
 
 
 def run(capsys, *argv):
@@ -110,6 +111,7 @@ def test_verify_passes_on_shipped_config(grid_cfg, capsys):
     assert "[ok] coplanarity agrees: s=6" in out
     assert "[ok] line classification agrees: contained=0 crossing=27" in out
     assert "[ok] crossed classes agree: classes=54" in out
+    assert "[ok] plane components agree: planes=0" in out
     assert "[FAIL]" not in out
 
 
@@ -156,6 +158,23 @@ def test_verify_fails_when_crossed_classes_disagree(grid_cfg, capsys, monkeypatc
     code, out, _ = run(capsys, "verify", str(grid_cfg))
     assert code == 1
     assert "[FAIL] crossed classes agree: classes=27" in out
+
+
+def test_verify_fails_when_planes_disagree(tmp_path, capsys, monkeypatch):
+    # at --D 32, Z(f) holds every point of grid3d N=4 and four planes divide f
+    path = tmp_path / "grid4.json"
+    run(capsys, "generate", "--family", "grid3d", "--params", "N=4", "-o", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--D", "32")
+    assert code == 0
+    assert "[ok] plane components agree: planes=4" in out
+
+    def drop_one_plane(part, buckets):
+        return _detect_planes(part, buckets)[:-1]
+
+    monkeypatch.setattr("incilab.cli._detect_planes", drop_one_plane)
+    code, out, _ = run(capsys, "verify", str(path), "--D", "32")
+    assert code == 1
+    assert "[FAIL] plane components agree: planes=3" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):
