@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incilab.algebra import TriPoly, X, Y, Z, divides_by_plane
+from incilab.algebra import TriPoly, X, Y, Z, divides_by_plane, plane_poly
 from incilab.geom import RationalPlane
 from incilab.partition import PartitionPoly, plane_divides_form
 
@@ -25,9 +25,8 @@ PIVOT_KEYS = {
 }
 
 
-def plane_poly(coeffs, scale=Fraction(1)) -> TriPoly:
-    a, b, c, d = coeffs
-    return TriPoly({(1, 0, 0): a * scale, (0, 1, 0): b * scale, (0, 0, 1): c * scale, (0, 0, 0): d * scale})
+def scaled_plane(coeffs, scale) -> TriPoly:
+    return plane_poly(RationalPlane(*coeffs)) * scale
 
 
 def form_of(g: TriPoly):
@@ -41,20 +40,21 @@ def level_and_key(draw, pivot):
     """A coplanar_buckets key of the pivot's branch and a level built as a
     product of planes and quadrics times one extra random factor: often
     the key's plane (sometimes repeated), planes parallel to it and random
-    planes, each scaled by a non-integer rational."""
+    planes, each scaled by a random rational, so most coefficients are not
+    integers."""
     key = RationalPlane(*draw(PIVOT_KEYS[pivot])).coeffs
     factors = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["same", "parallel", "plane", "quadric"]))
         scale = draw(rational.filter(bool))
         if kind == "same":
-            factors += [plane_poly(key, scale)] * draw(st.integers(1, 2))
+            factors += [scaled_plane(key, scale)] * draw(st.integers(1, 2))
         elif kind == "parallel":
             shift = draw(st.integers(-3, 3).filter(bool))
-            factors.append(plane_poly((*key[:3], key[3] + shift), scale))
+            factors.append(scaled_plane((*key[:3], key[3] + shift), scale))
         elif kind == "plane":
             coeffs = draw(st.tuples(coord, coord, coord, coord).filter(lambda v: any(v[:3])))
-            factors.append(plane_poly(coeffs, scale))
+            factors.append(scaled_plane(coeffs, scale))
         else:
             terms = draw(st.dictionaries(st.sampled_from(QUADRATIC), rational, max_size=4))
             quadric = TriPoly(terms)
@@ -64,7 +64,7 @@ def level_and_key(draw, pivot):
         extra = TriPoly.constant(draw(rational.filter(bool)))
     g = reduce(lambda p, q: p * q, factors, extra)
     if g.is_zero():
-        g = plane_poly(key, Fraction(1, 3))
+        g = scaled_plane(key, Fraction(1, 3))
     return g, key
 
 
@@ -101,7 +101,7 @@ def test_plane_predicate_needs_the_full_grid(key, var, d):
     g = near_miss(var, d)
     assert not divides_by_plane(g, RationalPlane(*key))
     assert not plane_divides_form(form_of(g), key)
-    product = g * plane_poly(key, Fraction(2, 5))
+    product = g * scaled_plane(key, Fraction(2, 5))
     assert plane_divides_form(form_of(product), key)
 
 
@@ -113,9 +113,9 @@ def test_plane_predicate_needs_the_full_grid(key, var, d):
 )
 def test_plane_predicate_evaluates_points_of_the_plane(key):
     positive = X * X + Y * Y + Z * Z + TriPoly.constant(Fraction(1, 2))
-    plane = plane_poly(key, Fraction(3, 7))
+    plane = scaled_plane(key, Fraction(3, 7))
     assert plane_divides_form(form_of(plane * positive), key)
     assert plane_divides_form(form_of(plane * plane * positive), key)
     assert not plane_divides_form(form_of(positive), key)
-    parallel = plane_poly((*key[:3], key[3] + 1), Fraction(3, 7))
+    parallel = scaled_plane((*key[:3], key[3] + 1), Fraction(3, 7))
     assert not plane_divides_form(form_of(parallel * positive), key)
