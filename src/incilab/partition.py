@@ -276,6 +276,8 @@ def _signs(form, pts) -> list[int]:
     """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1."""
     out = []
     for x, y, z, w in pts:
+        # form_value's sum, inlined: a call per point costs the partition
+        # search and classify_points 7-10%
         v = sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
         out.append((v > 0) - (v < 0))
     return out
@@ -291,7 +293,7 @@ def form_value(form, pt) -> int:
     """A `_form` at one homogeneous point (X, Y, Z, W), W != 0; zero exactly
     when the level vanishes at (X/W, Y/W, Z/W), whatever the sign of W."""
     x, y, z, w = pt
-    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
+    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)  # as in _signs
 
 
 def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:

@@ -161,20 +161,20 @@ def test_verify_fails_when_crossed_classes_disagree(grid_cfg, capsys, monkeypatc
 
 
 def test_verify_fails_when_planes_disagree(tmp_path, capsys, monkeypatch):
-    # at --D 32, Z(f) holds every point of grid3d N=4 and four planes divide f
-    path = tmp_path / "grid4.json"
-    run(capsys, "generate", "--family", "grid3d", "--params", "N=4", "-o", str(path))
-    code, out, _ = run(capsys, "verify", str(path), "--D", "32")
+    # at --D 8, three planes of grid3d N=3 divide a level of f
+    path = tmp_path / "grid3.json"
+    run(capsys, "generate", "--family", "grid3d", "--params", "N=3", "-o", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--D", "8")
     assert code == 0
-    assert "[ok] plane components agree: planes=4" in out
+    assert "[ok] plane components agree: planes=3" in out
 
     def drop_one_plane(part, buckets):
         return _detect_planes(part, buckets)[:-1]
 
     monkeypatch.setattr("incilab.cli._detect_planes", drop_one_plane)
-    code, out, _ = run(capsys, "verify", str(path), "--D", "32")
+    code, out, _ = run(capsys, "verify", str(path), "--D", "8")
     assert code == 1
-    assert "[FAIL] plane components agree: planes=3" in out
+    assert "[FAIL] plane components agree: planes=2" in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

@@ -13,9 +13,14 @@ from incilab.geom import RationalPlane
 from incilab.partition import PartitionPoly, plane_divides_form
 
 rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rational = rational.filter(bool)
 nonzero = st.integers(-4, 4).filter(bool)
 coord = st.integers(-4, 4)
+shift = st.integers(-3, 3).filter(bool)
+plane_coeffs = st.tuples(coord, coord, coord, coord).filter(lambda v: any(v[:3]))
 QUADRATIC = [(i, j, k) for i in range(3) for j in range(3 - i) for k in range(3 - i - j)]
+quadric_terms = st.dictionaries(st.sampled_from(QUADRATIC), rational, max_size=4)
+extra_terms = st.dictionaries(st.sampled_from(QUADRATIC), rational, max_size=3)
 
 # keys for each pivot branch: a != 0; a = 0 and b != 0; a = b = 0
 PIVOT_KEYS = {
@@ -46,22 +51,19 @@ def level_and_key(draw, pivot):
     factors = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["same", "parallel", "plane", "quadric"]))
-        scale = draw(rational.filter(bool))
+        scale = draw(nonzero_rational)
         if kind == "same":
             factors += [scaled_plane(key, scale)] * draw(st.integers(1, 2))
         elif kind == "parallel":
-            shift = draw(st.integers(-3, 3).filter(bool))
-            factors.append(scaled_plane((*key[:3], key[3] + shift), scale))
+            factors.append(scaled_plane((*key[:3], key[3] + draw(shift)), scale))
         elif kind == "plane":
-            coeffs = draw(st.tuples(coord, coord, coord, coord).filter(lambda v: any(v[:3])))
-            factors.append(scaled_plane(coeffs, scale))
+            factors.append(scaled_plane(draw(plane_coeffs), scale))
         else:
-            terms = draw(st.dictionaries(st.sampled_from(QUADRATIC), rational, max_size=4))
-            quadric = TriPoly(terms)
+            quadric = TriPoly(draw(quadric_terms))
             factors.append(quadric if not quadric.is_zero() else TriPoly.constant(scale))
-    extra = TriPoly(draw(st.dictionaries(st.sampled_from(QUADRATIC), rational, max_size=3)))
+    extra = TriPoly(draw(extra_terms))
     if extra.is_zero():
-        extra = TriPoly.constant(draw(rational.filter(bool)))
+        extra = TriPoly.constant(draw(nonzero_rational))
     g = reduce(lambda p, q: p * q, factors, extra)
     if g.is_zero():
         g = scaled_plane(key, Fraction(1, 3))

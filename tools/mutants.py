@@ -1,15 +1,17 @@
 """Re-check the mutant ledger in tools/mutants.json.
 
-    python3 tools/mutants.py [--only NAME ...]
+    python3 tools/mutants.py
 
 Each ledger entry names a file under the repository root, an exact snippet
 that must occur in it once, its replacement, and the tier-1 test node ids
 that must fail once the replacement is made.  The script copies what
 tier-1 reads (src/, tests/, perfbench/, README.md, pyproject.toml) into a
 temporary directory, checks that the unmutated copy passes every named
-node, and then applies each mutant alone and runs its nodes.  It exits 1
-when a snippet is missing or ambiguous, when the unmutated copy fails, or
-when a mutant survives (some named node still passes).
+node, and then applies each mutant alone and runs its nodes.  A mutant that
+stops pytest from collecting its nodes (an import or syntax error) counts
+as killed.  It exits 1 when a snippet is missing or ambiguous, when the
+unmutated copy fails, or when a mutant survives (some named node still
+passes).
 
 Run it after changing a kernel the ledger covers: a refactor that moves a
 snippet must update its entry, and a kernel change adds its own mutants.
@@ -17,7 +19,6 @@ snippet must update its entry, and a kernel change adds its own mutants.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -33,7 +34,8 @@ COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 
 def failed_nodes(workdir: Path, nodes: list[str]) -> set[str]:
     """The named nodes with a failure or error when pytest runs them in
-    workdir; a parametrized node fails when any of its cases does."""
+    workdir; a parametrized node fails when any of its cases does, and every
+    node fails when pytest cannot collect them."""
     # no bytecode: a restored file can match a mutant's cached size and mtime
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
@@ -43,6 +45,9 @@ def failed_nodes(workdir: Path, nodes: list[str]) -> set[str]:
         capture_output=True,
         text=True,
     )
+    # 2: a collection error; 4: a named node's file could not be collected
+    if proc.returncode in (2, 4):
+        return set(nodes)
     if proc.returncode not in (0, 1):  # 1 is "some tests failed"
         sys.stdout.write(proc.stdout[-2000:] + proc.stderr[-2000:])
         raise SystemExit(f"pytest exited {proc.returncode}")
@@ -54,16 +59,8 @@ def failed_nodes(workdir: Path, nodes: list[str]) -> set[str]:
     return {node for node in nodes if any(r == node or r.startswith(node + "[") for r in reported)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="*", help="check only the mutants with these names")
-    args = parser.parse_args(argv)
+def main() -> int:
     ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
-    if args.only:
-        unknown = set(args.only) - {m["name"] for m in ledger}
-        if unknown:
-            raise SystemExit(f"no mutant named {sorted(unknown)}")
-        ledger = [m for m in ledger if m["name"] in args.only]
 
     problems = []
     for m in ledger:
