@@ -17,7 +17,13 @@ mean).  Each candidate's threshold is placed inside every class's
 order-statistic window, which certifies that no open side exceeds the
 class's cap, so candidates are compared only by their zeros: the first one
 vanishing on no more points than the caps force wins, otherwise the first
-with the fewest zeros.
+with the fewest zeros.  The search runs on ints: each class's points are
+gathered once per level, the planes' sorted keys of the fixed directions
+are kept for the slabs (the random directions differ between the two
+families, and the kept keys are dropped before the balanced family), a
+slab's half-integer first cut c1 is compared with the keys as floor(c1),
+a midpoint counts zeros only when it is an integer, and a balanced basis
+vector's values are computed when a plan entry first uses it.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition carries one homogeneous integer form
@@ -68,6 +74,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._linalg import nullspace
@@ -229,21 +236,23 @@ def _zero_free_pick(all_values: list, lo, hi):
     return None
 
 
-def _window_picks(all_values: list, lo, hi) -> list[tuple]:
+def _window_picks(all_values: list[int], lo: int, hi: int) -> list[tuple]:
     """(threshold, zeros) in [lo, hi]: the zero-free pick if there is one,
-    then the midpoint; zeros counts the listed values equal to it."""
+    then the midpoint; zeros counts the listed values equal to it, which
+    only an integer midpoint can meet."""
     out = []
     free = _zero_free_pick(all_values, lo, hi)
     if free is not None:
         out.append((free, 0))
     mid = _mid(lo, hi)
-    out.append((mid, all_values.count(mid)))
+    out.append((mid, all_values.count(mid.numerator) if mid.denominator == 1 else 0))
     return out
 
 
-def _threshold_candidates(values_by_class, qs, all_values):
+def _threshold_candidates(values_by_class, qs):
     """(threshold, zeros) splitting every class within its cap, zero-free
-    first; each threshold lies in every class's window."""
+    first; each threshold lies in every class's window.  The keys are
+    flattened only when the windows meet."""
     lo = None
     hi = None
     for values, q in zip(values_by_class, qs):
@@ -254,7 +263,7 @@ def _threshold_candidates(values_by_class, qs, all_values):
             hi = b if hi is None else min(hi, b)
     if lo is None or hi is None or lo > hi:
         return []
-    return _window_picks(all_values, lo, hi)
+    return _window_picks([v for vs in values_by_class for v in vs], lo, hi)
 
 
 def _functional_poly_plane(u) -> TriPoly:
@@ -276,9 +285,12 @@ def _signs(form, pts) -> list[int]:
     """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1."""
     out = []
     for x, y, z, w in pts:
-        # form_value's sum, inlined: a call per point costs the partition
-        # search and classify_points 7-10%
-        v = sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
+        # form_value's sum as a plain loop: a call per point costs the
+        # partition search and classify_points 7-10%, and sum(<genexpr>)
+        # is 1.25-1.8x slower than the loop on forms of degree 1-3
+        v = 0
+        for a, b, c, k, C in form:
+            v += C * x**a * y**b * z**c * w**k
         out.append((v > 0) - (v < 0))
     return out
 
@@ -293,7 +305,7 @@ def form_value(form, pt) -> int:
     """A `_form` at one homogeneous point (X, Y, Z, W), W != 0; zero exactly
     when the level vanishes at (X/W, Y/W, Z/W), whatever the sign of W."""
     x, y, z, w = pt
-    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)  # as in _signs
+    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)  # _signs loops it
 
 
 def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:
@@ -329,9 +341,10 @@ class _Search:
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
-        self.pts = pts
         self.L = L
         self.classes = [list(c) for c in classes if c]
+        # each class's search points, gathered once for every direction
+        self.class_pts = [[pts[i] for i in c] for c in self.classes]
         self.cap = cap
         self.eps = Fraction(epsilon)
         self.rng = rng
@@ -341,6 +354,9 @@ class _Search:
         self.forced_zeros = sum(
             max(0, len(c) - 2 * q) for c, q in zip(self.classes, self.qs)
         )
+        # the structured directions' keys, built by `_planes` and read again
+        # by `_slabs`; the random directions differ between the two
+        self.key_memo: dict[tuple[int, int, int], list[list[int]]] = {}
 
     def directions(self):
         dirs = list(_STRUCTURED_DIRS)
@@ -367,20 +383,18 @@ class _Search:
 
     def _keys(self, u) -> list[list[int]]:
         """Sorted keys u.X of each class."""
-        return [
-            sorted(
-                u[0] * self.pts[i][0] + u[1] * self.pts[i][1] + u[2] * self.pts[i][2]
-                for i in cls_
-            )
-            for cls_ in self.classes
-        ]
+        keys = self.key_memo.get(u)
+        if keys is None:
+            a, b, c = u
+            keys = [sorted([a * x + b * y + c * z for x, y, z, _ in P]) for P in self.class_pts]
+            if u in _STRUCTURED_DIRS:
+                self.key_memo[u] = keys
+        return keys
 
     # family: planes u.x = c (covers the axis median fallback: axes first)
     def _planes(self):
         for u in self.directions():
-            values_by_class = self._keys(u)
-            all_values = [v for vs in values_by_class for v in vs]
-            for c, zeros in _threshold_candidates(values_by_class, self.qs, all_values):
+            for c, zeros in _threshold_candidates(self._keys(u), self.qs):
                 yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L)), zeros
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
@@ -408,14 +422,15 @@ class _Search:
         c1 lies strictly between two consecutive keys and q < len(values),
         so every class bounds c2 from below (lo) and above (hi) by keys
         greater than c1; c1 meets no key, so the zeros are the keys equal
-        to c2.
+        to c2.  The keys are ints and c1 is none of them, so the keys left
+        of c1 are those at most floor(c1).
         """
+        floor_c1 = c1.numerator // c1.denominator
         lo = None
         hi = None
-        all_inside = []
         for values, q in zip(values_by_class, self.qs):
             sz = len(values)
-            a = bisect.bisect_left(values, c1)  # strictly left of c1
+            a = bisect.bisect_right(values, floor_c1)  # strictly left of c1
             if a > q:
                 return None
             # outside count a + #(v > c2) <= q
@@ -425,12 +440,11 @@ class _Search:
             idx = q + a
             if idx < sz:
                 hi = values[idx] if hi is None else min(hi, values[idx])
-            all_inside.extend(values)
         if hi is None:
             hi = lo + self.L  # one unit of x
         if lo > hi:
             return None
-        return _window_picks(all_inside, lo, hi)[0]
+        return _window_picks([v for vs in values_by_class for v in vs], lo, hi)[0]
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -438,6 +452,7 @@ class _Search:
     def _balanced(self):
         if self.cap < 2 or len(self.classes) < 2:
             return
+        self.key_memo.clear()  # the plane and slab keys are not read again
         d = self.cap
         exps = sorted(
             (i, j, k)
@@ -453,14 +468,11 @@ class _Search:
         exps = exps[: len(self.classes) - 1 + 8]
         # monomials of X = L*x lifted to degree d: L^d * x^a, all ints
         Lpow = [self.L**k for k in range(d + 1)]
-        lifted = {}
-        for cls_ in self.classes:
-            for i in cls_:
-                x, y, z, _ = self.pts[i]
-                lifted[i] = [x**a * y**b * z**c * Lpow[d - a - b - c] for a, b, c in exps]
-        sums = [
-            [sum(col) for col in zip(*(lifted[i] for i in cls_))] for cls_ in self.classes
+        lifted = [
+            [[x**a * y**b * z**c * Lpow[d - a - b - c] for a, b, c in exps] for x, y, z, _ in P]
+            for P in self.class_pts
         ]
+        sums = [[sum(col) for col in zip(*ms)] for ms in lifted]
         # centroid difference c_j - c_0 times n_0 * n_j * L^d > 0: the same
         # nullspace
         n0 = len(self.classes[0])
@@ -472,9 +484,17 @@ class _Search:
         if not basis:
             return
         den, flat = cleared([v for vec in basis for v in vec])
-        scale = den * Lpow[d]  # vals below are scale * (basis . lifted x)
+        scale = den * Lpow[d]  # values below are scale * (basis . lifted x)
         ibasis = [flat[k : k + len(exps)] for k in range(0, len(flat), len(exps))]
-        vals = [{i: sum(b * m for b, m in zip(vec, lifted[i])) for i in lifted} for vec in ibasis]
+        vals: list = [None] * len(ibasis)
+
+        def values(b):
+            """Each class's values of basis vector b, computed on first use."""
+            if vals[b] is None:
+                vec = ibasis[b]
+                vals[b] = [[sum(map(mul, vec, m)) for m in ms] for ms in lifted]
+            return vals[b]
+
         plan = [((k,), (1,)) for k in range(len(basis))]
         for _ in range(24):
             take = tuple(
@@ -484,17 +504,18 @@ class _Search:
             if any(coeffs):
                 plan.append((take, coeffs))
         for take, coeffs in plan:
-            combo = {
-                i: sum(c * vals[b][i] for b, c in zip(take, coeffs))
-                for i in lifted
-            }
-            values_by_class = [
-                sorted(combo[i] for i in cls_) for cls_ in self.classes
-            ]
-            all_values = [v for vs in values_by_class for v in vs]
-            thresholds = _threshold_candidates(
-                values_by_class, self.qs, all_values
-            )
+            # a plan entry combines one or two vectors; spelled out, since a
+            # sum(map(mul, coeffs, ...)) per point costs about 10% of the build
+            if len(take) == 1:
+                (c,) = coeffs
+                values_by_class = [sorted([c * v for v in vs]) for vs in values(take[0])]
+            else:
+                (c0, c1) = coeffs
+                values_by_class = [
+                    sorted([c0 * v + c1 * w for v, w in zip(vs, ws)])
+                    for vs, ws in zip(values(take[0]), values(take[1]))
+                ]
+            thresholds = _threshold_candidates(values_by_class, self.qs)
             if not thresholds:
                 continue
             terms: dict[tuple[int, int, int], Fraction] = {}

@@ -1,6 +1,8 @@
 """Certified bisector-ladder partitions of rational point sets."""
 
+import bisect
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,17 +13,21 @@ from hypothesis import assume, given, settings, strategies as st
 from incilab.algebra import TriPoly, X, Y, Z
 from incilab.geom import Rational3Point, RationalLine
 from incilab.partition import (
+    _STRUCTURED_DIRS,
     PartitionBudgetError,
     PartitionPoly,
     _Search,
     _form,
     _signs,
+    _window_picks,
+    _zero_free_pick,
     build_partition,
     cell_occupancy,
     classes_crossed,
     classify_lines,
     classify_points,
     degree_budget,
+    form_value,
     level_degree_cap,
     sign_vector,
 )
@@ -181,15 +187,126 @@ def test_slab_second_cut_open_side_spans_one_unit_of_x():
     assert search._slab_second_cut([[0, 10, 20, 30]], Fraction(5)) == (Fraction(13), 0)
 
 
+def test_slab_second_cut_counts_keys_left_of_a_half_integer_cut():
+    # consecutive integer keys: c1 = 1/2 has one key (0) on its left, and the
+    # next key 1 = floor(c1) + 1 is inside the slab
+    search = _Search([(0, 0, 0, 1)] * 4, 1, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
+    assert search._slab_second_cut([[0, 1, 2, 3]], Fraction(1, 2)) == (Fraction(3, 2), 0)
+    assert search._slab_second_cut([[0, 1, 2, 3]], Fraction(3, 2)) == (Fraction(5, 2), 0)
+
+
+def test_window_picks_count_zeros_only_at_an_integer_midpoint():
+    assert _window_picks([0, 2, 2, 4], 1, 3) == [(Fraction(3, 2), 0), (Fraction(2), 2)]
+    assert _window_picks([2, 2, 2, 5], 2, 2) == [(Fraction(2), 3)]
+    assert _window_picks([1, 2], 1, 2) == [(Fraction(3, 2), 0), (Fraction(3, 2), 0)]
+
+
+def test_key_memo_keeps_structured_directions_until_balanced():
+    pts = [(*c, 1) for c in sorted({(i % 5, i * i % 7, i % 3 - i) for i in range(40)})]
+    classes = [list(range(0, len(pts), 2)), list(range(1, len(pts), 2))]
+    search = _Search(pts, 1, classes, 2, Fraction(1, 10), random.Random(3))
+    list(search._planes())
+    assert set(search.key_memo) == set(_STRUCTURED_DIRS)
+    kept = search.key_memo[(1, 1, 1)]
+    list(search._slabs())
+    assert set(search.key_memo) == set(_STRUCTURED_DIRS)
+    assert search._keys((1, 1, 1)) is kept  # built once per level
+    next(search._balanced())
+    assert search.key_memo == {}
+
+
+class _ReferenceSearch(_Search):
+    """`_Search` with keys built point by point and the slab cut's left count
+    taken against the `Fraction` c1, as before the integer search."""
+
+    def __init__(self, pts, *args):
+        super().__init__(pts, *args)
+        self.pts = pts
+
+    def _keys(self, u):
+        return [
+            sorted(
+                u[0] * self.pts[i][0] + u[1] * self.pts[i][1] + u[2] * self.pts[i][2]
+                for i in cls_
+            )
+            for cls_ in self.classes
+        ]
+
+    def _slab_second_cut(self, values_by_class, c1):
+        lo = None
+        hi = None
+        all_inside = []
+        for values, q in zip(values_by_class, self.qs):
+            sz = len(values)
+            a = bisect.bisect_left(values, c1)
+            if a > q:
+                return None
+            idx = sz - 1 - (q - a)
+            lo = values[idx] if lo is None else max(lo, values[idx])
+            idx = q + a
+            if idx < sz:
+                hi = values[idx] if hi is None else min(hi, values[idx])
+            all_inside.extend(values)
+        if hi is None:
+            hi = lo + self.L
+        if lo > hi:
+            return None
+        free = _zero_free_pick(all_inside, lo, hi)
+        if free is not None:
+            return free, 0
+        mid = Fraction(lo + hi, 2)
+        return mid, all_inside.count(mid)
+
+
+search_coords = st.lists(
+    st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=14, unique=True
+)
+search_eps = st.fractions(0, Fraction(1, 2), max_denominator=12).filter(lambda e: e < Fraction(1, 2))
+
+
+@settings(deadline=None, max_examples=120)
+@given(search_coords, st.integers(1, 4), st.integers(1, 4), search_eps, st.integers(1, 3), st.data())
+def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, cap, data):
+    pts = [(*c, W) for c in coords]
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
+    classes = [[i for i, c in enumerate(labels) if c == j] for j in range(k)]
+    seed = data.draw(st.integers(0, 9))
+    fast = _Search(pts, W, classes, cap, eps, random.Random(seed))
+    ref = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed))
+    for name in ("_planes", "_slabs", "_balanced"):
+        assert list(getattr(fast, name)()) == list(getattr(ref, name)())
+
+
 @settings(deadline=None, max_examples=120)
 @given(
-    st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=14, unique=True),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.fractions(0, Fraction(1, 2), max_denominator=12).filter(lambda e: e < Fraction(1, 2)),
-    st.integers(1, 3),
-    st.data(),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3).filter(lambda e: sum(e) <= 4),
+        st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)).filter(bool),
+        min_size=1,
+        max_size=10,
+    ),
+    st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 3), min_size=1, max_size=8),
+    st.integers(0, 7),
+    st.integers(1, 5),
 )
+def test_sign_kernel_and_form_value_match_evaluate(terms, coords, on, mult):
+    pts = [Rational3Point(*c) for c in coords]
+    g = TriPoly(terms)
+    g -= TriPoly.constant(g.evaluate_point(pts[on % len(pts)]))  # vanish at one point
+    assume(not g.is_zero())
+    form = _form(g)
+    want = [(v > 0) - (v < 0) for v in (g.evaluate_point(p) for p in pts)]
+    # the same point at any positive W, and at a negative W for zeros
+    W = mult * math.lcm(*(c.denominator for p in coords for c in p))
+    homog = [(*(c.numerator * (W // c.denominator) for c in p), W) for p in coords]
+    assert _signs(form, homog) == want
+    assert [(v > 0) - (v < 0) for v in (form_value(form, h) for h in homog)] == want
+    assert [form_value(form, tuple(-c for c in h)) == 0 for h in homog] == [s == 0 for s in want]
+    assert want[on % len(pts)] == 0
+
+
+@settings(deadline=None, max_examples=120)
+@given(search_coords, st.integers(1, 4), st.integers(1, 4), search_eps, st.integers(1, 3), st.data())
 def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, data):
     # the windows are the search's only certificate: evaluate every candidate
     # of every family and check each class's open sides and the zero count
