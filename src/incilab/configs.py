@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 
 from .geom import Rational3Point, RationalLine, primitive_int_vector
@@ -204,7 +206,7 @@ def random_config(m: int, n: int, seed: int = 0) -> Configuration:
         if len(lines) < forced:
             i, j = rng.sample(range(m), 2)
             a, b = points[i], points[j]
-            direction = [u - v for u, v in zip(b.ints[:3], a.ints[:3])]
+            direction = tuple(u - v for u, v in zip(b.ints[:3], a.ints[:3]))
             line = RationalLine(a, direction)
         else:
             base = Rational3Point(*(rng.randint(-radius, radius) for _ in range(3)))
@@ -291,7 +293,60 @@ def _parse_triple(raw, where: str) -> Rational3Point:
     return Rational3Point.from_ints(*(p * (L // q) for p, q in parts), L)
 
 
+# an integer literal as `qparts` reads it; [0-9], not \d, since int() also
+# reads other Unicode digits ("١", "１")
+_INT_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def _integer_triples(raws) -> list[tuple[int, int, int]] | None:
+    """Each entry's ints when every entry of the block is a 3-element list
+    of integer literals, else None."""
+    if not all(type(raw) is list and len(raw) == 3 for raw in raws):
+        return None
+    flat = [c for raw in raws for c in raw]
+    try:
+        if all(map(_INT_LITERAL.fullmatch, flat)):
+            ints = map(int, flat)
+            return list(zip(ints, ints, ints))
+    except (TypeError, ValueError):  # not a string; over int()'s digit limit
+        pass
+    return None
+
+
+def _parse_points(raws, where: str = "points[{}]") -> list[Rational3Point]:
+    triples = _integer_triples(raws)
+    if triples is not None:
+        return list(starmap(Rational3Point._integral, triples))
+    return [_parse_triple(raw, where.format(i)) for i, raw in enumerate(raws)]
+
+
+def _parse_lines(raws) -> list[RationalLine]:
+    if all(type(raw) is dict and "base" in raw and "dir" in raw for raw in raws):
+        dirs = _integer_triples([raw["dir"] for raw in raws])
+        if dirs is not None and (0, 0, 0) not in dirs:
+            # every direction is fine, so the first bad base is the first error
+            bases = _parse_points([raw["base"] for raw in raws], "lines[{}].base")
+            return list(map(RationalLine, bases, dirs))
+    # some entry is not integral or is malformed: the checking parse names it
+    lines = []
+    for i, raw in enumerate(raws):
+        if not isinstance(raw, dict) or "base" not in raw or "dir" not in raw:
+            raise ConfigParseError(
+                f"lines[{i}]: expected an object with 'base' and 'dir'"
+            )
+        base = _parse_triple(raw["base"], f"lines[{i}].base")
+        direction = _parse_triple(raw["dir"], f"lines[{i}].dir").ints[:3]
+        if not any(direction):
+            raise ConfigParseError(f"lines[{i}].dir: zero direction")
+        lines.append(RationalLine(base, direction))
+    return lines
+
+
 def load_config(path) -> Configuration:
+    """Read a configuration file.  A block (the points, or the lines) whose
+    literals are all integers is read in one pass: one regex over every
+    literal, then int(); any other block goes through `_parse_triple`,
+    which names the first bad entry."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -308,18 +363,5 @@ def load_config(path) -> Configuration:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ConfigParseError(f"{path}: 'meta' must be an object")
-    points = tuple(
-        _parse_triple(raw, f"points[{i}]") for i, raw in enumerate(data["points"])
-    )
-    lines = []
-    for i, raw in enumerate(data["lines"]):
-        if not isinstance(raw, dict) or "base" not in raw or "dir" not in raw:
-            raise ConfigParseError(
-                f"lines[{i}]: expected an object with 'base' and 'dir'"
-            )
-        base = _parse_triple(raw["base"], f"lines[{i}].base")
-        direction = _parse_triple(raw["dir"], f"lines[{i}].dir").ints[:3]
-        if not any(direction):
-            raise ConfigParseError(f"lines[{i}].dir: zero direction")
-        lines.append(RationalLine(base, direction))
-    return Configuration(points, tuple(lines), meta)
+    points = _parse_points(data["points"])
+    return Configuration(tuple(points), tuple(_parse_lines(data["lines"])), meta)

@@ -91,6 +91,13 @@ class Rational3Point:
         object.__setattr__(point, "ints", (X // g, Y // g, Z // g, W // g))
         return point
 
+    @classmethod
+    def _integral(cls, X: int, Y: int, Z: int) -> "Rational3Point":
+        """The integer point (X, Y, Z): over 1 it is already reduced."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "ints", (X, Y, Z, 1))
+        return point
+
     @cached_property
     def coords(self) -> Vec:
         *X, q = self.ints
@@ -121,13 +128,18 @@ class RationalLine:
     dir: IntVec
 
     def __post_init__(self):
-        d = primitive_int_vector(self.dir)
+        d = self.dir
+        if type(d) is tuple and len(d) == 3 and all(type(c) is int for c in d) and any(d):
+            d = tuple(primitive(d))  # ints need no clearing
+        else:
+            d = primitive_int_vector(d)  # also rejects the zero vector
         b = self.base if isinstance(self.base, Rational3Point) else Rational3Point(*self.base)
         # b = X/q slides to b - (b_k/d_k)*d = (X*d_k - X_k*d)/(q*d_k), k the pivot
-        *X, q = b.ints
+        X, Y, Z, q = b.ints
         k = 0 if d[0] else (1 if d[1] else 2)
-        foot = (X[i] * d[k] - X[k] * d[i] for i in range(3))
-        object.__setattr__(self, "base", Rational3Point.from_ints(*foot, q * d[k]))
+        dk, Xk = d[k], b.ints[k]
+        foot = (X * dk - Xk * d[0], Y * dk - Xk * d[1], Z * dk - Xk * d[2], q * dk)
+        object.__setattr__(self, "base", Rational3Point.from_ints(*foot))
         object.__setattr__(self, "dir", d)
 
     def point_at(self, t) -> Rational3Point:

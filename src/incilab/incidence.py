@@ -78,20 +78,17 @@ class Configuration:
         return len(self.lines)
 
     def validate(self) -> None:
-        seen = {}
-        for i, p in enumerate(self.points):
-            if p in seen:
-                raise InvalidConfigurationError(
-                    f"duplicate point at indexes {seen[p]} and {i}: {p!r}"
-                )
-            seen[p] = i
-        seen_l = {}
-        for i, l in enumerate(self.lines):
-            if l in seen_l:
-                raise InvalidConfigurationError(
-                    f"duplicate line at indexes {seen_l[l]} and {i}: {l!r}"
-                )
-            seen_l[l] = i
+        for kind, items in (("point", self.points), ("line", self.lines)):
+            if len(set(items)) == len(items):
+                continue
+            # some item repeats: find the first repeat and name both indexes
+            seen = {}
+            for i, x in enumerate(items):
+                if x in seen:
+                    raise InvalidConfigurationError(
+                        f"duplicate {kind} at indexes {seen[x]} and {i}: {x!r}"
+                    )
+                seen[x] = i
 
 
 @dataclass

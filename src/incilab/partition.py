@@ -236,17 +236,16 @@ def _zero_free_pick(all_values: list, lo, hi):
     return None
 
 
-def _window_picks(all_values: list[int], lo: int, hi: int) -> list[tuple]:
-    """(threshold, zeros) in [lo, hi]: the zero-free pick if there is one,
-    then the midpoint; zeros counts the listed values equal to it, which
-    only an integer midpoint can meet."""
-    out = []
+def _window_picks(all_values: list[int], lo: int, hi: int):
+    """Yield (threshold, zeros) in [lo, hi]: the zero-free pick if there is
+    one, then the midpoint; zeros counts the listed values equal to it,
+    which only an integer midpoint can meet, and is counted only when the
+    midpoint is asked for."""
     free = _zero_free_pick(all_values, lo, hi)
     if free is not None:
-        out.append((free, 0))
+        yield free, 0
     mid = _mid(lo, hi)
-    out.append((mid, all_values.count(mid.numerator) if mid.denominator == 1 else 0))
-    return out
+    yield mid, (all_values.count(mid.numerator) if mid.denominator == 1 else 0)
 
 
 def _threshold_candidates(values_by_class, qs):
@@ -263,7 +262,7 @@ def _threshold_candidates(values_by_class, qs):
             hi = b if hi is None else min(hi, b)
     if lo is None or hi is None or lo > hi:
         return []
-    return _window_picks([v for vs in values_by_class for v in vs], lo, hi)
+    return list(_window_picks([v for vs in values_by_class for v in vs], lo, hi))
 
 
 def _functional_poly_plane(u) -> TriPoly:
@@ -276,13 +275,32 @@ def _functional_poly_plane(u) -> TriPoly:
 
 def _scaled(points) -> tuple[int, list[tuple[int, int, int, int]]]:
     """L, the lcm of the points' denominators, and each search point
-    (X_L, Y_L, Z_L, L): the point times L."""
-    L = math.lcm(*(p.ints[3] for p in points))
-    return L, [(*(c * (L // p.ints[3]) for c in p.ints[:3]), L) for p in points]
+    (X_L, Y_L, Z_L, L): the point times L.  Integer points are their ints."""
+    ints = [p.ints for p in points]
+    L = math.lcm(*(W for *_, W in ints))
+    if L == 1:
+        return 1, ints
+    return L, [(X * s, Y * s, Z * s, L) for X, Y, Z, W in ints for s in (L // W,)]
+
+
+def _plane_coeffs(form) -> tuple[int, int, int, int]:
+    """(cx, cy, cz, cw) of a degree-1 `_form`: its value at (X, Y, Z, W) is
+    cx*X + cy*Y + cz*Z + cw*W."""
+    coef = [0, 0, 0, 0]
+    for *e, C in form:
+        coef[e.index(1)] = C
+    return tuple(coef)
 
 
 def _signs(form, pts) -> list[int]:
-    """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1."""
+    """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1.
+
+    A plane, most levels the search builds, is signed by one dot product
+    per point; other degrees sum the form term by term."""
+    if sum(form[0][:4]) == 1:  # a + b + c + k = deg(g)
+        cx, cy, cz, cw = _plane_coeffs(form)
+        vals = [cx * x + cy * y + cz * z + cw * w for x, y, z, w in pts]
+        return [(v > 0) - (v < 0) for v in vals]
     out = []
     for x, y, z, w in pts:
         # form_value's sum as a plain loop: a call per point costs the
@@ -444,7 +462,7 @@ class _Search:
             hi = lo + self.L  # one unit of x
         if lo > hi:
             return None
-        return _window_picks([v for vs in values_by_class for v in vs], lo, hi)[0]
+        return next(_window_picks([v for vs in values_by_class for v in vs], lo, hi))
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -656,10 +674,7 @@ def _restrictions(forms, line: RationalLine) -> list[list[int]]:
     out = []
     for form, deg in zip(forms, degrees):
         if deg == 1:
-            coef = [0, 0, 0, 0]  # of x, y, z and W
-            for *e, C in form:
-                coef[e.index(1)] = C
-            cx, cy, cz, c0 = coef
+            cx, cy, cz, c0 = _plane_coeffs(form)
             h = [cx * X + cy * Y + cz * Z + c0 * w, w * (cx * dx + cy * dy + cz * dz)]
         else:
             h = [0] * (deg + 1)

@@ -350,3 +350,152 @@ def test_readme_configuration_example_loads(tmp_path):
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(ConfigParseError):
         load_config(path)
+
+
+# -- the loader against a reference built through qparse ----------------------------
+
+
+def reference_load(data: dict) -> Configuration:
+    """What load_config makes of parsed JSON data with 'points' and 'lines'
+    lists: every point and line built through qparse, Rational3Point and
+    RationalLine, and the errors load_config names."""
+
+    def coords(raw, where):
+        if not isinstance(raw, list) or len(raw) != 3:
+            raise ConfigParseError(f"{where}: expected a 3-element list, got {raw!r}")
+        out = []
+        for axis, item in zip("xyz", raw):
+            try:
+                out.append(qparse(item))
+            except ValueError as err:
+                raise ConfigParseError(f"{where}.{axis}: {err}") from None
+        return out
+
+    points = [Rational3Point(*coords(raw, f"points[{i}]")) for i, raw in enumerate(data["points"])]
+    lines = []
+    for i, raw in enumerate(data["lines"]):
+        if not isinstance(raw, dict) or "base" not in raw or "dir" not in raw:
+            raise ConfigParseError(f"lines[{i}]: expected an object with 'base' and 'dir'")
+        base = Rational3Point(*coords(raw["base"], f"lines[{i}].base"))
+        direction = coords(raw["dir"], f"lines[{i}].dir")
+        if not any(direction):
+            raise ConfigParseError(f"lines[{i}].dir: zero direction")
+        lines.append(RationalLine(base, tuple(direction)))
+    return Configuration(tuple(points), tuple(lines), data.get("meta", {}))
+
+
+def outcome(load):
+    """The ints of every point and line a loader returns, or the type and
+    message of what it raises."""
+    try:
+        cfg = load()
+    except (ConfigParseError, InvalidConfigurationError) as err:
+        return type(err), str(err)
+    return (
+        [p.ints for p in cfg.points],
+        [(l.base.ints, l.dir) for l in cfg.lines],
+    )
+
+
+def load_both(tmp, data):
+    path = Path(tmp, "cfg.json")
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    got = outcome(lambda: load_config(path))
+    assert got == outcome(lambda: reference_load(data))
+    return got
+
+
+HUGE = "7" * 5000  # over int()'s 4300-digit limit
+# mostly strings that int() reads but a canonical literal may not be
+bad_literal = st.sampled_from(
+    ["١", "1١", "１", "2１", "+1", "01", "-00", "1_0", "1\n", " 1", "1.5", "", "1/0", HUGE]
+) | st.sampled_from([1, None, ["1"]])
+int_literal = st.builds(str, st.integers(-3, 3)) | st.just("-0")
+any_literal = int_literal | st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 4)
+) | st.just("4/2")
+bad_triple = st.sampled_from([[], ["1", "2"], ["1", "2", "3", "4"], "123", 5, None, {"x": "1"}])
+
+
+@st.composite
+def loader_inputs(draw):
+    """Blocks of mostly valid literals, all-integer or mixed with p/q, with
+    a few entries or literals swapped for invalid ones."""
+
+    def block(literal, size):
+        triples = draw(st.lists(st.lists(literal, min_size=3, max_size=3), max_size=size))
+        for _ in range(draw(st.integers(0, 2)) if triples else 0):
+            i = draw(st.integers(0, len(triples) - 1))
+            swap_literal = draw(st.sampled_from([True, True, True, False]))
+            if swap_literal and isinstance(triples[i], list) and len(triples[i]) == 3:
+                triples[i] = list(triples[i])
+                triples[i][draw(st.integers(0, 2))] = draw(bad_literal)
+            else:
+                triples[i] = draw(bad_triple)
+        return triples
+
+    literal = draw(st.sampled_from([int_literal, any_literal]))
+    points = block(literal, 6)
+    lines = [
+        {"base": b, "dir": d}
+        for b, d in zip(block(draw(st.sampled_from([int_literal, any_literal])), 5),
+                        block(literal, 5))
+    ]
+    if lines and draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(
+            st.sampled_from([{"base": ["0", "0", "0"]}, {"dir": ["1", "0", "0"]}, [], "line"])
+        )
+    return {"points": points, "lines": lines}
+
+
+@settings(deadline=None, max_examples=400)
+@given(loader_inputs())
+def test_load_config_matches_the_qparse_reference(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        load_both(tmp, data)
+
+
+def _point(literals):
+    return {"points": [literals], "lines": []}
+
+
+def _line(base, direction):
+    return {"points": [], "lines": [{"base": base, "dir": direction}]}
+
+
+@pytest.mark.parametrize(
+    ("data", "want"),
+    [
+        (_point(["0", "١", "0"]), "points[0].y: not a canonical rational literal: '١'"),
+        (_point(["１", "0", "0"]), "points[0].x: not a canonical rational literal: '１'"),
+        (_point(["1١", "0", "0"]), "points[0].x: not a canonical rational literal: '1١'"),
+        (_point(["0", "0", "2１"]), "points[0].z: not a canonical rational literal: '2１'"),
+        (_point(["+1", "0", "0"]), "points[0].x: not a canonical"),
+        (_point(["0", "01", "0"]), "points[0].y: not a canonical"),
+        (_line(["0", "0", "0"], ["-00", "1", "0"]), "lines[0].dir.x: not a canonical"),
+        (_point(["0", "0", "1_0"]), "points[0].z: not a canonical"),
+        (_point(["1\n", "0", "0"]), "points[0].x: not a canonical"),
+        (_point([HUGE, "0", "0"]), "points[0].x: Exceeds the limit"),
+        (_line(["0", "0", "0"], ["1", "2", HUGE]), "lines[0].dir.z: Exceeds the limit"),
+        (_point([1, "0", "0"]), "points[0].x: not a canonical rational literal: 1"),
+        (_point(["1", "2"]), "points[0]: expected a 3-element list, got ['1', '2']"),
+        (_point(["1", "2", "3", "4"]), "points[0]: expected a 3-element list"),
+        (_line(["1", "2", "3"], ["0", "-0", "0"]), "lines[0].dir: zero direction"),
+        (
+            {"points": [["1", "2", "3"], ["0", "0", "0"], ["1", "2", "3"]], "lines": []},
+            "duplicate point at indexes 0 and 2",
+        ),
+    ],
+)
+def test_load_config_rejects_what_the_reference_rejects(tmp_path, data, want):
+    kind, message = load_both(tmp_path, data)
+    assert message.startswith(want)
+    duplicate = message.startswith("duplicate")
+    assert kind is (InvalidConfigurationError if duplicate else ConfigParseError)
+
+
+def test_load_config_reads_signed_zero_and_unreduced_literals(tmp_path):
+    line = {"base": ["-0", "1", "0"], "dir": ["4/2", "0", "2"]}
+    points, lines = load_both(tmp_path, {"points": [["-0", "4/2", "3"]], "lines": [line]})
+    assert points == [(0, 2, 3, 1)]
+    assert lines == [((0, 1, 0, 1), (1, 0, 1))]

@@ -111,6 +111,27 @@ def test_point_coords_and_translate():
     assert q.coords == (2, Fraction(3, 2), -2)
 
 
+@given(
+    st.tuples(entry, entry, entry),
+    st.tuples(*[st.integers(-10**6, 10**6)] * 3).filter(any),
+)
+def test_integer_direction_skips_clearing_to_the_same_line(base, direction):
+    # an int 3-tuple goes straight to `primitive`; as Fractions or a list it
+    # is cleared first
+    line = RationalLine(Rational3Point(*base), direction)
+    assert line == RationalLine(Rational3Point(*base), tuple(map(Fraction, direction)))
+    assert line == RationalLine(Rational3Point(*base), list(direction))
+    assert line.dir == tuple(_primitive_reference(list(direction)))
+
+
+def test_integer_direction_pinned():
+    line = RationalLine(Rational3Point(1, 2, 3), (-2, 4, -6))
+    assert line.dir == (1, -2, 3)
+    assert line.base.ints == (0, 4, 0, 1)
+    with pytest.raises(ValueError, match="zero vector"):
+        RationalLine(Rational3Point(0, 0, 0), (0, 0, 0))
+
+
 def test_line_canonical_form_is_parametrization_free():
     a = RationalLine(Rational3Point(0, 0, 0), (1, 1, 0))
     b = RationalLine(Rational3Point(2, 2, 0), (-3, -3, 0))

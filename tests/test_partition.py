@@ -18,6 +18,7 @@ from incilab.partition import (
     PartitionPoly,
     _Search,
     _form,
+    _scaled,
     _signs,
     _window_picks,
     _zero_free_pick,
@@ -196,9 +197,21 @@ def test_slab_second_cut_counts_keys_left_of_a_half_integer_cut():
 
 
 def test_window_picks_count_zeros_only_at_an_integer_midpoint():
-    assert _window_picks([0, 2, 2, 4], 1, 3) == [(Fraction(3, 2), 0), (Fraction(2), 2)]
-    assert _window_picks([2, 2, 2, 5], 2, 2) == [(Fraction(2), 3)]
-    assert _window_picks([1, 2], 1, 2) == [(Fraction(3, 2), 0), (Fraction(3, 2), 0)]
+    assert list(_window_picks([0, 2, 2, 4], 1, 3)) == [(Fraction(3, 2), 0), (Fraction(2), 2)]
+    assert list(_window_picks([2, 2, 2, 5], 2, 2)) == [(Fraction(2), 3)]
+    assert list(_window_picks([1, 2], 1, 2)) == [(Fraction(3, 2), 0), (Fraction(3, 2), 0)]
+
+
+class _Uncountable(list):
+    def count(self, value):
+        raise AssertionError("the midpoint's zeros were counted")
+
+
+def test_window_picks_count_the_midpoint_only_when_asked():
+    # the slab cut reads only the first pick: a zero-free one needs no count
+    assert next(_window_picks(_Uncountable([0, 2, 2, 4]), 1, 3)) == (Fraction(3, 2), 0)
+    with pytest.raises(AssertionError, match="counted"):
+        next(_window_picks(_Uncountable([2, 2, 2, 5]), 2, 2))
 
 
 def test_key_memo_keeps_structured_directions_until_balanced():
@@ -303,6 +316,75 @@ def test_sign_kernel_and_form_value_match_evaluate(terms, coords, on, mult):
     assert [(v > 0) - (v < 0) for v in (form_value(form, h) for h in homog)] == want
     assert [form_value(form, tuple(-c for c in h)) == 0 for h in homog] == [s == 0 for s in want]
     assert want[on % len(pts)] == 0
+
+
+plane_terms = st.dictionaries(
+    st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]),
+    st.integers(-30, 30).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    plane_terms,
+    st.lists(st.tuples(*[st.integers(-40, 40)] * 3), min_size=1, max_size=10),
+    st.integers(1, 6),
+    st.integers(0, 9),
+)
+def test_plane_signs_match_form_value(terms, coords, W, on):
+    # every subset of x, y, z and the constant, at W = 1 and W > 1, with one
+    # point moved onto the plane
+    assume(set(terms) != {(0, 0, 0)})  # the constant alone is not a plane
+    form = _form(TriPoly({e: Fraction(c) for e, c in terms.items()}))
+    pts = [(*c, W) for c in coords]
+    # slide the chosen point along its pivot axis i by -v/c_i, in homogeneous
+    # coordinates scaled by |c_i| so that W stays positive
+    i, c = next((e.index(1), C) for *e, C in form if sum(e[:3]) == 1)
+    chosen = pts[on % len(pts)]
+    v = form_value(form, chosen)
+    sign = 1 if c > 0 else -1
+    pts.append(tuple(sign * (c * u - (v if axis == i else 0)) for axis, u in enumerate(chosen)))
+    assert form_value(form, pts[-1]) == 0 and pts[-1][3] > 0
+    want = [(v > 0) - (v < 0) for v in (form_value(form, p) for p in pts)]
+    assert _signs(form, pts) == want
+    assert want[-1] == 0
+
+
+def test_plane_signs_on_each_single_term():
+    pts = [(2, -3, 5, 1), (0, 0, 0, 4), (-1, 7, -2, 3)]
+    for e, want in [
+        ((1, 0, 0), [1, 0, -1]),
+        ((0, 1, 0), [-1, 0, 1]),
+        ((0, 0, 1), [1, 0, -1]),
+    ]:
+        form = _form(TriPoly({e: Fraction(1)}))
+        assert _signs(form, pts) == want
+    # w only is a constant, of degree 0: its sign at every point
+    assert _signs(_form(TriPoly({(0, 0, 0): Fraction(-5)})), pts) == [-1, -1, -1]
+    # w next to x: the plane x + 5 = 0 at (X, Y, Z, W) is X + 5W
+    form = _form(TriPoly({(1, 0, 0): Fraction(1), (0, 0, 0): Fraction(5)}))
+    assert _signs(form, pts) == [1, 1, 1]
+    assert _signs(form, [(-10, 0, 0, 2), (-11, 0, 0, 2)]) == [0, -1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(*[st.fractions(-9, 9, max_denominator=6)] * 3), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_scaled_matches_the_generic_scaling(coords, integral):
+    points = [Rational3Point(*(math.floor(c) if integral else c for c in p)) for p in coords]
+    L = math.lcm(*(p.ints[3] for p in points))
+    want = [(*(c * (L // p.ints[3]) for c in p.ints[:3]), L) for p in points]
+    assert _scaled(points) == (L, want)
+
+
+def test_scaled_scales_mixed_denominators():
+    points = [P(1, 2, 3), P(Fraction(1, 2), 0, 0), P(0, Fraction(2, 3), 1)]
+    assert _scaled(points) == (6, [(6, 12, 18, 6), (3, 0, 0, 6), (0, 4, 6, 6)])
+    assert _scaled(points[:1]) == (1, [(1, 2, 3, 1)])
 
 
 @settings(deadline=None, max_examples=120)
