@@ -33,6 +33,7 @@ from .pipeline import (
     PipelineError,
     _detect_planes,
     _jsonable,
+    _sign_str,
     full_report,
     ratio_denominator,
     run_stage1,
@@ -124,10 +125,7 @@ def _cmd_partition(args) -> int:
     _emit(
         {
             "partition": part.to_json_dict(),
-            "occupancy": {
-                "".join("+" if s > 0 else "-" for s in k): v
-                for k, v in sorted(occ.items())
-            },
+            "occupancy": {_sign_str(k): v for k, v in sorted(occ.items())},
             "on_surface": surface,
             "lines_contained": len(lc.contained),
             "lines_crossing": len(lc.crossing),

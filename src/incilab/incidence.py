@@ -22,7 +22,8 @@ coplanar pair is keyed by the primitive integer coefficients of its plane
 (`plane_key`), and pairs inside a plane already complete are skipped.  No
 `Fraction` or plane object is built per pair.  Per-pair `plane_key` and the
 pairwise `plane_through_lines` bucketing stay as the references that the
-tests and `incilab verify` check the kernel against.
+tests and `incilab verify` check the kernel against.  A `Quadric` decides
+its points and lines on its integer form, with `algebra` as the reference.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .geom import (
     primitive,
     primitive_int_vector,
 )
+from .partition import form_value, line_in_zero_set
 
 
 class InvalidConfigurationError(ValueError):
@@ -469,15 +471,21 @@ class Quadric:
     """Degree-2 surface, stored as 10 coprime integer coefficients.
 
     Coefficient order follows MONOMIALS_DEG2; the first nonzero entry is
-    positive.
+    positive.  `form` holds the terms (a, b, c, 2 - a - b - c, C) of its
+    homogeneous integer form, on which points and lines are decided; `poly`
+    is the `Fraction` reference.
     """
 
     coeffs: tuple[int, ...]
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 10 or not any(self.coeffs):
             raise ValueError("quadric needs 10 coefficients, not all zero")
-        object.__setattr__(self, "coeffs", primitive_int_vector(self.coeffs))
+        coeffs = primitive_int_vector(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        terms = ((*e, 2 - sum(e), C) for e, C in zip(MONOMIALS_DEG2, coeffs) if C)
+        object.__setattr__(self, "form", tuple(terms))
 
     @property
     def poly(self) -> algebra.TriPoly:
@@ -486,10 +494,10 @@ class Quadric:
         )
 
     def contains_point(self, p: Rational3Point) -> bool:
-        return self.poly.evaluate_point(p) == 0
+        return form_value(self.form, p.ints) == 0
 
     def contains_line(self, line: RationalLine) -> bool:
-        return algebra.line_in_zero_set(self.poly, line)
+        return line_in_zero_set(self.form, line)
 
 
 def regulus_through(l1: RationalLine, l2: RationalLine, l3: RationalLine) -> Quadric:

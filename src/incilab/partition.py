@@ -63,7 +63,9 @@ grid (Alon's Combinatorial Nullstellensatz, 1999; Schwartz-Zippel), so g's
 form is evaluated at the grid's points and the first nonzero value ends the
 test.  For a zero test the sign of W does not matter: the form at
 (X, Y, Z, W) is W^d * g(X/W, Y/W, Z/W), zero exactly when g is zero there
-for any W != 0.
+for any W != 0.  A line lies in one level's zero set when its restriction
+is zero (`line_in_zero_set`), which decides the pipeline's cone and regulus
+components; `algebra.line_in_zero_set` is the reference.
 """
 
 from __future__ import annotations
@@ -82,9 +84,6 @@ from .algebra import (
     TriPoly,
     UniPoly,
     count_real_roots,
-    # not called here; kept so the trace target partition.line_in_zero_set
-    # in perfbench/tracing.py still resolves
-    line_in_zero_set,
     primitive_normalize,
     restrict_to_line,
     sign_gap_samples,
@@ -686,6 +685,13 @@ def _restrictions(forms, line: RationalLine) -> list[list[int]]:
             h.pop()
         out.append(h)
     return out
+
+
+def line_in_zero_set(form, line: RationalLine) -> bool:
+    """Whether the level whose `_form` is given vanishes on the whole line:
+    its integer restriction (`_restrictions`) is zero.  The `Fraction`
+    reference is `algebra.line_in_zero_set`."""
+    return not _restrictions([form], line)[0]
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:

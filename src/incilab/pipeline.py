@@ -3,9 +3,11 @@
 Stage 1 partitions the points with a polynomial of the planned degree,
 splits entities by the zero set, prunes plane/cone/regulus components of
 the surface under first-come-first-serve assignment, and buckets every
-incidence of the input into pruned / cross-charge / residual.  Stage 2
-repeats the partitioning on the residual at the window degree E and reports
-per-class occupancy and line-crossing counts against their target quotas.
+incidence of the input into pruned / cross-charge / residual.  Each
+component decides its points and lines on integer forms; `algebra` holds
+the `Fraction` references.  Stage 2 repeats the partitioning on the
+residual at the window degree E and reports per-class occupancy and
+line-crossing counts against their target quotas.
 
 Both stages share one skeleton, which walks points_by_line of the report's
 single incidence count (renumbered for the residual in stage 2) once to
@@ -23,10 +25,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bounds as bounds_mod
-from .algebra import is_cone_with_apex, line_in_zero_set, tp_divides
+from .algebra import is_cone_with_apex, tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
@@ -49,6 +51,7 @@ from .partition import (
     classify_points,
     degree_budget,
     form_value,
+    line_in_zero_set,
     # bound as divides_by_plane, the name perfbench/tracing.py wraps
     plane_divides_form as divides_by_plane,
 )
@@ -64,14 +67,6 @@ class PipelineError(RuntimeError):
 
 class WindowError(ValueError):
     """No usable window for the second-stage degree E."""
-
-
-@dataclass
-class SurfaceComponent:
-    cause: str  # planar | conic | regulus
-    description: str
-    contains_point: Callable[[Rational3Point], bool]
-    contains_line: Callable[[RationalLine], bool]
 
 
 def _levels_for_degree(d: int) -> int:
@@ -182,8 +177,11 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 # coplanar.  So f is never expanded to test a component.  A plane divides a
 # level of degree d exactly when the level's integer form vanishes on a
 # (d+1) x (d+1) grid of plane points (`partition.plane_divides_form`), so the
-# plane test does no `Fraction` division; `algebra.divides_by_plane` is its
-# reference.
+# plane test does no `Fraction` division.  Each component then decides its
+# points and lines on integer forms: a `RationalPlane` on its coefficients, a
+# cone on its level's form and a `Quadric` on its own, by `form_value` and
+# the integer kernel `partition.line_in_zero_set`.  `algebra` holds the
+# `Fraction` references (`divides_by_plane`, `line_in_zero_set`).
 
 
 def _detect_planes(part: PartitionPoly, buckets: dict):
@@ -195,14 +193,28 @@ def _detect_planes(part: PartitionPoly, buckets: dict):
     ]
 
 
+@dataclass
+class _Cone:
+    """A cone-shaped level of f, as its `_form`, and the cone's apex."""
+
+    form: list
+    apex: Rational3Point
+
+    def contains_point(self, p: Rational3Point) -> bool:
+        return form_value(self.form, p.ints) == 0
+
+    def contains_line(self, line: RationalLine) -> bool:
+        return line_in_zero_set(self.form, line)
+
+
 def _detect_cones(
     part: PartitionPoly,
     points: Sequence[Rational3Point],
     surface_idx: list[int],
     richness: dict[int, int],
-):
-    """(level, form, apex) for cone-shaped level factors apexed at rich
-    surface points; a candidate apex must zero the level's integer form."""
+) -> list[_Cone]:
+    """Cone-shaped level factors apexed at rich surface points; a candidate
+    apex must zero the level's integer form."""
     candidates = sorted(
         (i for i in surface_idx if richness.get(i, 0) >= 2),
         key=lambda i: (-richness.get(i, 0), i),
@@ -220,7 +232,7 @@ def _detect_cones(
                 key = (g, p)
                 if key not in seen:
                     seen.add(key)
-                    out.append((g, form, p))
+                    out.append(_Cone(form, p))
     return out
 
 
@@ -378,52 +390,27 @@ def run_stage1(
         for pi in tally.points_by_line[li]:
             richness_l1[pi] = richness_l1.get(pi, 0) + 1
     buckets = coplanar_buckets([cfg.lines[i] for i in contained])
-    planes = _detect_planes(part, buckets)
-    cones = _detect_cones(part, cfg.points, surface_idx, richness_l1)
-    want_reguli = (
-        include_reguli
-        if include_reguli is not None
-        else (plan is not None and plan.regime == "large-m")
-    )
-    reguli = _detect_reguli(part, cfg.lines, contained, seed) if want_reguli else []
-    comps: list[SurfaceComponent] = []
-    for pl in planes:
-        comps.append(
-            SurfaceComponent(
-                cause="planar",
-                description=f"plane {pl.coeffs}",
-                contains_point=pl.contains_point,
-                contains_line=pl.contains_line,
-            )
-        )
-    for g, form, apex in cones:
-        comps.append(
-            SurfaceComponent(
-                cause="conic",
-                description=f"cone apex ({qstr(apex.x)},{qstr(apex.y)},{qstr(apex.z)})",
-                contains_point=lambda p, form=form: form_value(form, p.ints) == 0,
-                contains_line=lambda l, g=g: line_in_zero_set(g, l),
-            )
-        )
-    for quad in reguli:
-        comps.append(
-            SurfaceComponent(
-                cause="regulus",
-                description=f"regulus {quad.coeffs}",
-                contains_point=quad.contains_point,
-                contains_line=quad.contains_line,
-            )
-        )
-    report.components = [(c.cause, c.description) for c in comps]
+    comps = [("planar", f"plane {pl.coeffs}", pl) for pl in _detect_planes(part, buckets)]
+    comps += [
+        ("conic", f"cone apex ({','.join(map(qstr, c.apex.coords))})", c)
+        for c in _detect_cones(part, cfg.points, surface_idx, richness_l1)
+    ]
+    if include_reguli is None:
+        include_reguli = plan is not None and plan.regime == "large-m"
+    if include_reguli:
+        reguli = _detect_reguli(part, cfg.lines, contained, seed)
+        comps += [("regulus", f"regulus {quad.coeffs}", quad) for quad in reguli]
+    report.components = [(cause, description) for cause, description, _ in comps]
 
     # Every component divides f, so only surface points and contained lines
     # can be assigned; cell incidences are residual by the identity.
-    assign = assign_to_components(cfg.points, cfg.lines, comps, tally.points_by_line)
+    surfaces = [surface for *_, surface in comps]
+    assign = assign_to_components(cfg.points, cfg.lines, surfaces, tally.points_by_line)
     if any(assign.point_comp[i] is not None for i in cell_idx):
         raise AssertionError("a cell point lies on a pruned surface component")
     pruned: dict[str, int] = {"planar": 0, "conic": 0, "regulus": 0}
-    for comp, within in zip(comps, assign.within_incidences):
-        pruned[comp.cause] += within
+    for (cause, *_), within in zip(comps, assign.within_incidences):
+        pruned[cause] += within
     ident = report.identity
     report.pruned_by_cause = pruned
     report.cross_charges = assign.cross_charges

@@ -298,8 +298,8 @@ json_values = st.recursive(
 )
 # rational literals, canonical or not, and anything else in a coordinate slot
 coordinate = st.one_of(
-    st.builds(str, st.integers(-3, 3)),
-    st.builds(lambda a, b: f"{a}/{b}", st.integers(-4, 4), st.integers(-2, 4)),
+    st.sampled_from([str(a) for a in range(-3, 4)]),
+    st.sampled_from([f"{a}/{b}" for a in range(-4, 5) for b in range(-2, 5)]),
     st.sampled_from(["-0", "4/2", "1.5", " 1", "1e3", "x"]),
     json_values,
 )
@@ -410,11 +410,24 @@ HUGE = "7" * 5000  # over int()'s 4300-digit limit
 bad_literal = st.sampled_from(
     ["١", "1١", "１", "2１", "+1", "01", "-00", "1_0", "1\n", " 1", "1.5", "", "1/0", HUGE]
 ) | st.sampled_from([1, None, ["1"]])
-int_literal = st.builds(str, st.integers(-3, 3)) | st.just("-0")
-any_literal = int_literal | st.builds(
-    lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 4)
-) | st.just("4/2")
+# each literal set as one sampled_from: a single draw per literal, where a
+# one_of over built strings takes three
+INT_LITERALS = [*map(str, range(-3, 4)), "-0"]
+int_literal = st.sampled_from(INT_LITERALS)
+any_literal = st.sampled_from(
+    [*INT_LITERALS, *(f"{p}/{q}" for p in range(-6, 7) for q in range(1, 5)), "4/2"]
+)
 bad_triple = st.sampled_from([[], ["1", "2"], ["1", "2", "3", "4"], "123", 5, None, {"x": "1"}])
+# the strategies loader_inputs draws from, built once rather than per example
+literal_kind = st.sampled_from([int_literal, any_literal])
+blocks = {
+    (literal, size): st.lists(st.lists(literal, min_size=3, max_size=3), max_size=size)
+    for literal in (int_literal, any_literal)
+    for size in (5, 6)
+}
+zero_to_two = st.integers(0, 2)
+swap_literal_first = st.sampled_from([True, True, True, False])
+bad_line = st.sampled_from([{"base": ["0", "0", "0"]}, {"dir": ["1", "0", "0"]}, [], "line"])
 
 
 @st.composite
@@ -423,28 +436,24 @@ def loader_inputs(draw):
     a few entries or literals swapped for invalid ones."""
 
     def block(literal, size):
-        triples = draw(st.lists(st.lists(literal, min_size=3, max_size=3), max_size=size))
-        for _ in range(draw(st.integers(0, 2)) if triples else 0):
+        triples = draw(blocks[literal, size])
+        for _ in range(draw(zero_to_two) if triples else 0):
             i = draw(st.integers(0, len(triples) - 1))
-            swap_literal = draw(st.sampled_from([True, True, True, False]))
-            if swap_literal and isinstance(triples[i], list) and len(triples[i]) == 3:
+            if draw(swap_literal_first) and isinstance(triples[i], list) and len(triples[i]) == 3:
                 triples[i] = list(triples[i])
-                triples[i][draw(st.integers(0, 2))] = draw(bad_literal)
+                triples[i][draw(zero_to_two)] = draw(bad_literal)
             else:
                 triples[i] = draw(bad_triple)
         return triples
 
-    literal = draw(st.sampled_from([int_literal, any_literal]))
+    literal = draw(literal_kind)
     points = block(literal, 6)
     lines = [
         {"base": b, "dir": d}
-        for b, d in zip(block(draw(st.sampled_from([int_literal, any_literal])), 5),
-                        block(literal, 5))
+        for b, d in zip(block(draw(literal_kind), 5), block(literal, 5))
     ]
     if lines and draw(st.booleans()):
-        lines[draw(st.integers(0, len(lines) - 1))] = draw(
-            st.sampled_from([{"base": ["0", "0", "0"]}, {"dir": ["1", "0", "0"]}, [], "line"])
-        )
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(bad_line)
     return {"points": points, "lines": lines}
 
 

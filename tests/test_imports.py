@@ -9,10 +9,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "incilab"
 
-# `__init__` imports names only to re-export them.  `partition` imports
-# `line_in_zero_set` without calling it because the benchmark's tracer
-# (perfbench/tracing.py) wraps it under the name `partition.line_in_zero_set`.
-EXEMPT = {("partition", "line_in_zero_set")}
+# `__init__` imports names only to re-export them.  No other module keeps an
+# import only so that the benchmark's tracer (perfbench/tracing.py) can wrap
+# it: every trace target is a name its module uses.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -31,8 +30,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_has_no_unused_import(path):
-    unused = [n for n in unused_imports(path.read_text()) if (path.stem, n) not in EXEMPT]
-    assert unused == []
+    assert unused_imports(path.read_text()) == []
 
 
 def test_scan_finds_an_unused_import():

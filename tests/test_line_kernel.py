@@ -38,6 +38,14 @@ lines = st.builds(
     direction,
 )
 EXPONENTS = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+# strategies the draws below reuse, built once: a strategy made inside a
+# draw is built, and its properties computed, again for every example
+nonzero_rational = rational.filter(bool)
+free_exponents = st.lists(st.sampled_from(EXPONENTS), max_size=5)
+level_kind = st.sampled_from(["free", "contains", "square", "constant", "root"])
+zero_or_one = st.sampled_from([0, 1])
+level_count = st.integers(1, 3)
+kernel_lines = st.lists(lines, min_size=1, max_size=3, unique=True)
 
 
 def _linear(u, c) -> TriPoly:
@@ -55,38 +63,34 @@ def _dot(a, b):
 @st.composite
 def level_for(draw, line: RationalLine) -> TriPoly:
     """A level with rational coefficients, often special along `line`."""
-    free = TriPoly(
-        {e: draw(rational) for e in draw(st.lists(st.sampled_from(EXPONENTS), max_size=5))}
-    )
+    free = TriPoly({e: draw(rational) for e in draw(free_exponents)})
     if free.is_zero():
-        free = TriPoly.constant(draw(rational.filter(bool)))
+        free = TriPoly.constant(draw(nonzero_rational))
     base = line.base.coords
     # a normal to the line's direction: linear forms with it are constant along the line
     normal = _cross(line.dir, draw(direction))
-    kind = draw(st.sampled_from(["free", "contains", "square", "constant", "root"]))
+    kind = draw(level_kind)
     if kind == "free" or not any(normal):
         return free
     plane = _linear(normal, _dot(normal, base))  # vanishes on the whole line
     if kind == "contains":
-        return plane * (draw(rational.filter(bool)) + free * draw(st.sampled_from([0, 1])))
-    shift = draw(rational.filter(bool))
+        return plane * (draw(nonzero_rational) + free * draw(zero_or_one))
+    shift = draw(nonzero_rational)
     if kind == "constant":
         return _linear(normal, _dot(normal, base) + shift)  # nonzero along the line
     # a linear form vanishing at base + shift * dir but not on the whole line
     u = draw(direction.filter(lambda v: _dot(v, line.dir) != 0))
     point = line.point_at(shift).coords
-    root = _linear(u, _dot(u, point)) * draw(rational.filter(bool))
+    root = _linear(u, _dot(u, point)) * draw(nonzero_rational)
     if kind == "square":
-        return root * root * draw(st.sampled_from([TriPoly.one(), free]))
+        return root * root * (free if draw(zero_or_one) else TriPoly.one())
     return root * free
 
 
 @st.composite
 def kernel_inputs(draw):
-    lns = draw(st.lists(lines, min_size=1, max_size=3, unique=True))
-    levels = [
-        draw(level_for(draw(st.sampled_from(lns)))) for _ in range(draw(st.integers(1, 3)))
-    ]
+    lns = draw(kernel_lines)
+    levels = [draw(level_for(draw(st.sampled_from(lns)))) for _ in range(draw(level_count))]
     levels = [g for g in levels if not g.is_zero()] or [TriPoly.variable(0)]
     # from_json_dict keeps the coefficients as given, without primitive scaling
     part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)

@@ -112,13 +112,30 @@ def test_forced_plane_surface_prunes_planar_family():
     assert st.residual_coplanar_within_degree
 
 
-def test_forced_cone_surface_prunes_concurrent_family():
-    cfg = gen("concurrent", k=5)
-    override = PartitionPoly.from_levels([Y * Y - X * Z])
-    st = run_stage1(cfg, partition_override=override)
+def _cone_off_the_origin():
+    """Five lines through (1/2, -1, 2/3) with directions (1, i, i^2), whose
+    feet have w = 3 and w = 6, the apex as the only point, and the cone
+    (y + 1)^2 - (x - 1/2)(z - 2/3) that holds them."""
+    apex = Rational3Point(Fraction(1, 2), -1, Fraction(2, 3))
+    lines = tuple(RationalLine(apex, (1, i, i * i)) for i in range(5))
+    assert {line.base.ints[3] for line in lines} == {3, 6}
+    x, y, z = (v - TriPoly.constant(c) for v, c in zip((X, Y, Z), apex.coords))
+    return Configuration((apex,), lines, {}), y * y - x * z
+
+
+@pytest.mark.parametrize(
+    "cfg, level, apex",
+    [
+        (gen("concurrent", k=5), Y * Y - X * Z, "(0,0,0)"),
+        (*_cone_off_the_origin(), "(1/2,-1,2/3)"),
+    ],
+    ids=["origin", "off-the-origin"],
+)
+def test_forced_cone_surface_prunes_concurrent_family(cfg, level, apex):
+    st = run_stage1(cfg, partition_override=PartitionPoly.from_levels([level]))
     assert st.pruned_by_cause["conic"] == 5
     assert st.cross_charges == 0 and st.residual_incidences == 0
-    assert st.components == [("conic", "cone apex (0,0,0)")]
+    assert st.components == [("conic", f"cone apex {apex}")]
 
 
 @pytest.mark.parametrize(
@@ -423,6 +440,12 @@ def test_residual_coplanarity_counts_only_unpruned_lines_of_a_bucket():
     assert st1.residual.n == 4
     assert st1.residual_contained_max_coplanar == 4
     _assert_residual_facts_match_recounts(st1)
+    # one low line left: it is skew to the pruned ones and in no bucket of its
+    # own, so the residual's coplanarity is 1
+    one = Configuration(points, lines[3:], {})
+    st1 = run_stage1(one, partition_override=part, include_reguli=False)
+    assert st1.residual.n == 1
+    assert st1.residual_contained_max_coplanar == 1
 
 
 def test_stages_reject_a_tally_of_another_configuration():

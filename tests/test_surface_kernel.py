@@ -1,16 +1,22 @@
-"""Differential and pinned tests of the integer plane predicate
-`partition.plane_divides_form` against the `Fraction` long division
-`algebra.divides_by_plane`."""
+"""Differential and pinned tests of the integer surface predicates against
+their `Fraction` references: the plane predicate
+`partition.plane_divides_form` against the long division
+`algebra.divides_by_plane`, and the zero-set kernel
+`partition.line_in_zero_set` and `Quadric`'s point and line tests against
+`algebra.line_in_zero_set` and `TriPoly.evaluate_point`."""
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from incilab import algebra, partition
 from incilab.algebra import TriPoly, X, Y, Z, divides_by_plane, plane_poly
-from incilab.geom import RationalPlane
-from incilab.partition import PartitionPoly, plane_divides_form
+from incilab.geom import Rational3Point, RationalLine, RationalPlane
+from incilab.incidence import Quadric, regulus_through
+from incilab.partition import PartitionPoly, _form, plane_divides_form
 
 rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 nonzero_rational = rational.filter(bool)
@@ -121,3 +127,144 @@ def test_plane_predicate_evaluates_points_of_the_plane(key):
     assert not plane_divides_form(form_of(positive), key)
     parallel = scaled_plane((*key[:3], key[3] + 1), Fraction(3, 7))
     assert not plane_divides_form(form_of(parallel * positive), key)
+
+
+# -- the zero-set kernel and Quadric against their Fraction references -------------
+
+small = st.integers(-3, 3)
+direction = st.tuples(small, small, small).filter(any)
+rational_triple = st.tuples(rational, rational, rational)
+# lines whose canonical foot is not integral: stored as B/w with w > 1
+fractional_lines = st.builds(
+    lambda b, d: RationalLine(Rational3Point(*b), d), rational_triple, direction
+).filter(lambda line: line.base.ints[3] > 1)
+non_integer = st.builds(Fraction, nonzero, st.integers(2, 7)).filter(lambda f: f.denominator > 1)
+# nonzero levels of degree at most 2, 3 and 4 with rational coefficients
+LEVELS_UP_TO = {
+    top: st.dictionaries(
+        st.sampled_from([e for e in product(range(top + 1), repeat=3) if sum(e) <= top]),
+        rational,
+        min_size=1,
+        max_size=5,
+    )
+    .map(TriPoly)
+    .filter(lambda g: not g.is_zero())
+    for top in (2, 3, 4)
+}
+level_kind = st.sampled_from(["plane", "ruling", "free", "parallel"])
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _plane(normal, point, shift=0) -> TriPoly:
+    """normal . (x - point) + shift; with shift 0, a plane through point."""
+    c = shift - sum(n * p for n, p in zip(normal, point))
+    return TriPoly({(1, 0, 0): normal[0], (0, 1, 0): normal[1], (0, 0, 1): normal[2], (0, 0, 0): c})
+
+
+@st.composite
+def line_and_level(draw):
+    """A line with a non-integral foot and a level of degree 1-4 with
+    non-integer rational coefficients, which vanishes on the line in half
+    the cases: a plane through the line times a random factor, or
+    l1*m1 + l2*m2 with l1, l2 planes through the line and m1, m2 random
+    planes (a quadric with the line as a ruling) times a random factor.  The
+    other half are random levels, and planes parallel to the line, whose
+    restriction is a nonzero constant."""
+    line = draw(fractional_lines)
+    base = line.base.coords
+    n1, n2 = (_cross(line.dir, draw(direction)) for _ in range(2))
+    assume(any(_cross(n1, n2)))  # two independent planes through the line
+    kind = draw(level_kind)
+    if kind == "plane":
+        g = _plane(n1, base) * draw(LEVELS_UP_TO[3])
+    elif kind == "ruling":
+        m1, m2 = (_plane(draw(direction), draw(rational_triple)) for _ in range(2))
+        quadric = _plane(n1, base) * m1 + _plane(n2, base) * m2
+        assume(not quadric.is_zero())
+        g = quadric * draw(LEVELS_UP_TO[2])
+    elif kind == "free":
+        g = draw(LEVELS_UP_TO[4])
+        assume(g.degree >= 1)
+    else:
+        g = _plane(n1, base, draw(non_integer))
+    return line, g * draw(non_integer), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(line_and_level())
+def test_zero_set_kernel_matches_the_fraction_reference(case):
+    line, g, kind = case
+    want = algebra.line_in_zero_set(g, line)
+    assert partition.line_in_zero_set(_form(g), line) == want
+    if kind in ("plane", "ruling"):
+        assert want
+    elif kind == "parallel":
+        assert not want
+
+
+def _transversal(point, l2, l3) -> RationalLine:
+    """The line through `point` that meets l2 and l3 (perhaps at infinity):
+    the meet of the planes that the point spans with each line."""
+    n2, n3 = (_cross([b - p for b, p in zip(l.base.coords, point.coords)], l.dir) for l in (l2, l3))
+    return RationalLine(point, _cross(n2, n3))
+
+
+@st.composite
+def quadric_cases(draw):
+    """The quadric through three lines with non-integral feet
+    (`regulus_through`), with points on it (on the three lines) and off it,
+    lines on it (the three, and a transversal of them, which is a ruling of
+    the other family) and lines off it (a random line, and a line through a
+    point of the quadric).  Each point and line is paired with whether it
+    was drawn on the quadric (None: not known)."""
+    trio = draw(st.lists(fractional_lines, min_size=3, max_size=3, unique=True))
+    try:
+        quad = regulus_through(*trio)
+    except ValueError:  # not pairwise skew, or no unique quadric
+        assume(False)
+    on = [draw(st.sampled_from(trio)).point_at(draw(rational)) for _ in range(2)]
+    points = [(p, True) for p in on] + [(Rational3Point(*draw(rational_triple)), None)]
+    a = trio[0].point_at(draw(rational))  # on neither trio[1] nor trio[2]: they are skew
+    lines = [(l, True) for l in trio] + [(_transversal(a, *trio[1:]), True)]
+    lines += [(draw(fractional_lines), None), (RationalLine(on[0], draw(direction)), None)]
+    return quad, points, lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadric_cases())
+def test_quadric_tests_match_the_fraction_reference(case):
+    quad, points, lines = case
+    for p, on in points:
+        want = quad.poly.evaluate_point(p) == 0
+        assert quad.contains_point(p) == want
+        assert want or not on
+    for line, on in lines:
+        want = algebra.line_in_zero_set(quad.poly, line)
+        assert quad.contains_line(line) == want
+        assert want or not on
+
+
+def test_zero_set_kernel_reads_the_constant_term():
+    # the line x = 1/2, z = y/2 (foot (1/2, 0, 0) over w = 2), a plane
+    # through it and a plane parallel to it
+    line = RationalLine(Rational3Point(Fraction(1, 2), 0, 0), (0, 2, 1))
+    assert line.base.ints == (1, 0, 0, 2)
+    through = X - TriPoly.constant(Fraction(1, 2))
+    parallel = X - TriPoly.constant(Fraction(1, 3))
+    assert partition.line_in_zero_set(_form(through), line)
+    assert not partition.line_in_zero_set(_form(parallel), line)
+    assert not partition.line_in_zero_set(_form(parallel * (X * Y + Z)), line)
+    assert partition.line_in_zero_set(_form(through * parallel), line)
+
+
+def test_quadric_decides_points_and_lines_off_the_integer_lattice():
+    saddle = Quadric((0, 0, 0, 2, 0, 0, 0, 0, -2, 0))  # z = x y
+    assert saddle.form == ((1, 1, 0, 0, 1), (0, 0, 1, 1, -1))
+    assert saddle.contains_point(Rational3Point(Fraction(1, 2), 3, Fraction(3, 2)))
+    assert not saddle.contains_point(Rational3Point(Fraction(1, 2), 3, 3))
+    # the ruling x = 1/2, z = y/2, and the line through its foot along z
+    assert saddle.contains_line(RationalLine(Rational3Point(Fraction(1, 2), 0, 0), (0, 2, 1)))
+    assert not saddle.contains_line(RationalLine(Rational3Point(Fraction(1, 2), 0, 0), (0, 0, 1)))
