@@ -78,7 +78,6 @@ from .partition import (
     classify_points,
     degree_budget,
     level_degree_cap,
-    sign_vector,
 )
 from .pipeline import (
     IncidenceReport,

@@ -478,8 +478,9 @@ class _Search:
             for k in range(d + 1 - i - j)
             if (i, j, k) != (0, 0, 0)
         )
-        # only the first 8 basis vectors are used.  The rank is at most
-        # len(classes) - 1, so their free columns lie in this column prefix,
+        # only the first 8 basis vectors are used, and the elimination stops
+        # at the 8th free column.  The rank is at most len(classes) - 1, so
+        # that column is at most rank + 7 and lies in this column prefix,
         # whose reduced row echelon form is the prefix of the full one: the
         # same 8 vectors, cut to the prefix (the rest of each is zero)
         exps = exps[: len(self.classes) - 1 + 8]
@@ -497,7 +498,7 @@ class _Search:
             [n0 * sj - len(cls_) * s0 for sj, s0 in zip(s, sums[0])]
             for cls_, s in zip(self.classes[1:], sums[1:])
         ]
-        basis = nullspace(rows)[:8]
+        basis = nullspace(rows, limit=8)
         if not basis:
             return
         den, flat = cleared([v for vec in basis for v in vec])
@@ -596,10 +597,6 @@ def build_partition(
 
 
 # -- classification -----------------------------------------------------------
-
-
-def sign_vector(part: PartitionPoly, point: Rational3Point) -> tuple[int, ...]:
-    return _sign_vectors(part, [point])[0]
 
 
 def cell_occupancy(

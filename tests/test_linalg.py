@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incilab._linalg import nullspace
 
@@ -69,12 +69,24 @@ def matrices(draw):
     return [rows[i] for i in order], ncols
 
 
+@st.composite
+def limited_matrices(draw):
+    """A matrix of `matrices()` and a limit: None, or 0 up to one past the
+    nullity's largest possible value."""
+    rows, ncols = draw(matrices())
+    return rows, ncols, draw(st.one_of(st.none(), st.integers(0, ncols + 1)))
+
+
 @settings(deadline=None, max_examples=300)
-@given(matrices())
+@given(limited_matrices())
+# rank 2 of 3 rows: the first free column, 1, comes before the last pivot, 2
+@example(([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]], 4, 1))
+# full row rank: both free columns come after the last pivot row
+@example(([[1, 0, 2, 3], [0, 1, 4, 5]], 4, None))
 def test_nullspace_matches_fraction_rref(case):
-    rows, ncols = case
-    got = nullspace(rows, ncols)
-    assert got == nullspace_oracle(rows, ncols)
+    rows, ncols, limit = case
+    got = nullspace(rows, ncols, limit=limit)
+    assert got == nullspace_oracle(rows, ncols)[:limit]
     for vec in got:
         assert all(isinstance(v, Fraction) for v in vec)
         for row in rows:

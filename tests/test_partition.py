@@ -19,6 +19,7 @@ from incilab.partition import (
     _Search,
     _form,
     _scaled,
+    _sign_vectors,
     _signs,
     _window_picks,
     _zero_free_pick,
@@ -30,7 +31,6 @@ from incilab.partition import (
     degree_budget,
     form_value,
     level_degree_cap,
-    sign_vector,
 )
 
 P = Rational3Point
@@ -153,10 +153,11 @@ def test_classify_points_matches_sign_vectors():
     part = build_partition(pts, 2, Fraction(1, 10), seed=5)
     on_surface, in_cells = classify_points(part, pts)
     assert sorted(on_surface + in_cells) == list(range(64))
+    svs = _sign_vectors(part, pts)
     for i in on_surface:
-        assert 0 in sign_vector(part, pts[i])
+        assert 0 in svs[i]
     for i in in_cells:
-        assert 0 not in sign_vector(part, pts[i])
+        assert 0 not in svs[i]
 
 
 # Levels built by the Fraction-key search that the integer kernel replaced,
@@ -446,7 +447,7 @@ def test_integer_sign_kernel_matches_evaluate(levels, coords, data):
         PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0),
     ):
         want = [tuple(_sign(g.evaluate_point(p)) for g in part.levels) for p in pts]
-        assert [sign_vector(part, p) for p in pts] == want
+        assert _sign_vectors(part, pts) == want
         for j, k in enumerate(on):
             assert want[k][j] == 0
         on_surface, in_cells = classify_points(part, pts)
