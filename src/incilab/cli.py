@@ -22,6 +22,7 @@ from .incidence import (
     richness_histogram,
 )
 from .partition import (
+    PartitionBudgetError,
     _classes_crossed_reference,
     _classify_lines_reference,
     build_partition,
@@ -234,6 +235,8 @@ def _cmd_verify(args) -> int:
                 )
         except (OutOfRangeError, PipelineError) as err:
             check("stage-1 skipped", True, str(err))
+        except PartitionBudgetError as err:
+            check("stage-1 partition", False, str(err))
     failures = 0
     for name, ok, detail in checks:
         tag = "ok" if ok else "FAIL"
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PipelineError, OSError) as err:
+    except (ValueError, PipelineError, PartitionBudgetError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

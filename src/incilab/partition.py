@@ -17,13 +17,15 @@ mean).  Each candidate's threshold is placed inside every class's
 order-statistic window, which certifies that no open side exceeds the
 class's cap, so candidates are compared only by their zeros: the first one
 vanishing on no more points than the caps force wins, otherwise the first
-with the fewest zeros.  The search runs on ints: each class's points are
-gathered once per level, the planes' sorted keys of the fixed directions
-are kept for the slabs (the random directions differ between the two
-families, and the kept keys are dropped before the balanced family), a
-slab's half-integer first cut c1 is compared with the keys as floor(c1),
-a midpoint counts zeros only when it is an integer, and a balanced basis
-vector's values are computed when a plan entry first uses it.
+with the fewest zeros.  The windows meet in [lo, hi] with lo a key, and
+give one threshold: lo when lo == hi, else the midpoint of lo and the next
+key or hi, which meets no key and so ends the search.  The search runs on
+ints: each class's points are gathered once per level, the planes' sorted
+keys of the fixed directions are kept for the slabs (the random directions
+differ between the two families, and the kept keys are dropped before the
+balanced family), a slab's half-integer first cut c1 is compared with the
+keys as floor(c1), and a balanced basis vector's values are computed when
+a plan entry first uses it.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition carries one homogeneous integer form
@@ -207,61 +209,32 @@ def _side_caps(classes: Sequence[Sequence[int]], epsilon: Fraction) -> list[int]
     return [int(half * len(c)) for c in classes]
 
 
-def _window_from_values(values: list, q: int):
-    # both open sides <= q forces the threshold into a closed order-statistic window
-    sz = len(values)
-    lo = values[sz - 1 - q] if sz - 1 - q >= 0 else None
-    hi = values[q] if q < sz else None
-    return lo, hi
-
-
 def _mid(a, b) -> Fraction:
     # (a + b) / 2 on two ints would be a float
     return Fraction(a + b, 2)
 
 
-def _zero_free_pick(all_values: list, lo, hi):
-    """A threshold in [lo, hi] equal to no listed value, or None."""
-    inside = sorted({v for v in all_values if lo <= v <= hi})
-    if not inside:
-        return _mid(lo, hi)
-    if lo < inside[0]:
-        return _mid(lo, inside[0])
-    for a, b in zip(inside, inside[1:]):
-        if a < b:
-            return _mid(a, b)
-    if inside[-1] < hi:
-        return _mid(inside[-1], hi)
-    return None
+def _window_pick(values_by_class, lo: int, hi: int) -> tuple[Fraction, int]:
+    """(threshold, zeros) in [lo, hi], lo a key of the sorted per-class
+    keys: lo and the keys equal to it when lo == hi, else the zero-free
+    midpoint of lo and the next key above it, or hi if that is nearer."""
+    if lo == hi:
+        return _mid(lo, hi), sum(
+            bisect.bisect_right(vs, lo) - bisect.bisect_left(vs, lo) for vs in values_by_class
+        )
+    above = [vs[i] for vs in values_by_class if (i := bisect.bisect_right(vs, lo)) < len(vs)]
+    return _mid(lo, min([hi, *above])), 0
 
 
-def _window_picks(all_values: list[int], lo: int, hi: int):
-    """Yield (threshold, zeros) in [lo, hi]: the zero-free pick if there is
-    one, then the midpoint; zeros counts the listed values equal to it,
-    which only an integer midpoint can meet, and is counted only when the
-    midpoint is asked for."""
-    free = _zero_free_pick(all_values, lo, hi)
-    if free is not None:
-        yield free, 0
-    mid = _mid(lo, hi)
-    yield mid, (all_values.count(mid.numerator) if mid.denominator == 1 else 0)
-
-
-def _threshold_candidates(values_by_class, qs):
-    """(threshold, zeros) splitting every class within its cap, zero-free
-    first; each threshold lies in every class's window.  The keys are
-    flattened only when the windows meet."""
-    lo = None
-    hi = None
-    for values, q in zip(values_by_class, qs):
-        a, b = _window_from_values(values, q)
-        if a is not None:
-            lo = a if lo is None else max(lo, a)
-        if b is not None:
-            hi = b if hi is None else min(hi, b)
-    if lo is None or hi is None or lo > hi:
-        return []
-    return list(_window_picks([v for vs in values_by_class for v in vs], lo, hi))
+def _threshold_candidate(values_by_class, qs):
+    """(threshold, zeros) splitting every class within its cap, or None.
+    Both open sides of sz sorted keys are at most q exactly in the window
+    [keys[sz-1-q], keys[q]], which exists since slack < 1/2 makes q < sz."""
+    lo = max(vs[len(vs) - 1 - q] for vs, q in zip(values_by_class, qs))
+    hi = min(vs[q] for vs, q in zip(values_by_class, qs))
+    if lo > hi:
+        return None
+    return _window_pick(values_by_class, lo, hi)
 
 
 def _functional_poly_plane(u) -> TriPoly:
@@ -351,10 +324,10 @@ class _Search:
     """One level's candidate enumeration over the current classes; keys and
     thresholds are in the units of pts, the search points of `_scaled`.
 
-    Each family yields (g, zeros): g places its threshold inside every
-    class's order-statistic window, so no open side of g exceeds a class's
-    cap, and zeros is the number of class points where g vanishes, read off
-    the keys equal to the threshold.  No candidate is evaluated here.
+    Each family yields at most one (g, zeros) per window: g places its
+    threshold inside every class's order-statistic window, so no open side
+    of g exceeds a class's cap, and zeros is the number of class points
+    where g vanishes (`_window_pick`).  No candidate is evaluated here.
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -411,7 +384,9 @@ class _Search:
     # family: planes u.x = c (covers the axis median fallback: axes first)
     def _planes(self):
         for u in self.directions():
-            for c, zeros in _threshold_candidates(self._keys(u), self.qs):
+            got = _threshold_candidate(self._keys(u), self.qs)
+            if got is not None:
+                c, zeros = got
                 yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L)), zeros
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
@@ -461,7 +436,7 @@ class _Search:
             hi = lo + self.L  # one unit of x
         if lo > hi:
             return None
-        return next(_window_picks([v for vs in values_by_class for v in vs], lo, hi))
+        return _window_pick(values_by_class, lo, hi)
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -533,20 +508,18 @@ class _Search:
                     sorted([c0 * v + c1 * w for v, w in zip(vs, ws)])
                     for vs, ws in zip(values(take[0]), values(take[1]))
                 ]
-            thresholds = _threshold_candidates(values_by_class, self.qs)
-            if not thresholds:
+            got = _threshold_candidate(values_by_class, self.qs)
+            if got is None:
                 continue
+            cthr, zeros = got
+            # never empty: the basis is independent and some coefficient is not 0
             terms: dict[tuple[int, int, int], Fraction] = {}
             for b, c in zip(take, coeffs):
                 for e, coef in zip(exps, basis[b]):
                     if c and coef:
                         terms[e] = terms.get(e, Fraction(0)) + c * coef
             terms = {e: v for e, v in terms.items() if v != 0}
-            if not terms:
-                continue
-            shape = TriPoly(terms)
-            for cthr, zeros in thresholds:
-                yield shape - TriPoly.constant(Fraction(cthr, scale)), zeros
+            yield TriPoly(terms) - TriPoly.constant(Fraction(cthr, scale)), zeros
 
 
 def build_partition(

@@ -185,6 +185,37 @@ def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):
     assert "stage-1 skipped" in out
 
 
+@pytest.fixture
+def random40_cfg(tmp_path, capsys):
+    path = tmp_path / "random40.json"
+    code, out, _ = run(
+        capsys, "generate", "--family", "random", "--params", "m=40", "n=400", "-o", str(path)
+    )
+    assert code == 0 and "m=40 n=400" in out
+    return path
+
+
+def test_verify_reports_a_partition_budget_failure(random40_cfg, capsys):
+    # at --D 8 the search finds no level-4 bisector for these 40 points
+    code, out, _ = run(capsys, "verify", str(random40_cfg), "--D", "8")
+    assert code == 1
+    assert out.splitlines() == [
+        "[ok] incidences agree: I=400",
+        "[ok] coplanarity agrees: s=3",
+        "[ok] ratio finite: ratio=0.3540",
+        "[FAIL] stage-1 partition: level 4: no bisector met the slack at this level",
+    ]
+
+
+def test_partition_budget_failure_is_a_clean_error(random40_cfg, capsys):
+    code, out, err = run(
+        capsys, "partition", str(random40_cfg), "--levels", "4", "--eps", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: level 3: no bisector met the slack at this level\n"
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "count", "no-such-file.json")
     assert code == 2

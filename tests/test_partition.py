@@ -1,16 +1,19 @@
 """Certified bisector-ladder partitions of rational point sets."""
 
 import bisect
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from incilab.algebra import TriPoly, X, Y, Z
+from incilab._linalg import nullspace
 from incilab.geom import Rational3Point, RationalLine
 from incilab.partition import (
     _STRUCTURED_DIRS,
@@ -21,8 +24,7 @@ from incilab.partition import (
     _scaled,
     _sign_vectors,
     _signs,
-    _window_picks,
-    _zero_free_pick,
+    _window_pick,
     build_partition,
     cell_occupancy,
     classes_crossed,
@@ -197,22 +199,16 @@ def test_slab_second_cut_counts_keys_left_of_a_half_integer_cut():
     assert search._slab_second_cut([[0, 1, 2, 3]], Fraction(3, 2)) == (Fraction(5, 2), 0)
 
 
-def test_window_picks_count_zeros_only_at_an_integer_midpoint():
-    assert list(_window_picks([0, 2, 2, 4], 1, 3)) == [(Fraction(3, 2), 0), (Fraction(2), 2)]
-    assert list(_window_picks([2, 2, 2, 5], 2, 2)) == [(Fraction(2), 3)]
-    assert list(_window_picks([1, 2], 1, 2)) == [(Fraction(3, 2), 0), (Fraction(3, 2), 0)]
-
-
-class _Uncountable(list):
-    def count(self, value):
-        raise AssertionError("the midpoint's zeros were counted")
-
-
-def test_window_picks_count_the_midpoint_only_when_asked():
-    # the slab cut reads only the first pick: a zero-free one needs no count
-    assert next(_window_picks(_Uncountable([0, 2, 2, 4]), 1, 3)) == (Fraction(3, 2), 0)
-    with pytest.raises(AssertionError, match="counted"):
-        next(_window_picks(_Uncountable([2, 2, 2, 5]), 2, 2))
+def test_window_pick_takes_one_threshold_per_window():
+    # lo < hi: the midpoint of lo and the next key above it, here another
+    # class's key, which meets no key
+    assert _window_pick([[0, 2, 7], [3, 9]], 2, 7) == (Fraction(5, 2), 0)
+    # no key between lo and hi, as in a slab window one unit of x wide:
+    # the midpoint of lo and hi
+    assert _window_pick([[0, 2], [1, 2]], 2, 5) == (Fraction(7, 2), 0)
+    assert _window_pick([[0, 2, 9]], 2, 4) == (Fraction(3), 0)
+    # lo == hi: lo itself, its zeros summed over every class
+    assert _window_pick([[2, 2, 5], [1, 2], [0, 3]], 2, 2) == (Fraction(2), 3)
 
 
 def test_key_memo_keeps_structured_directions_until_balanced():
@@ -229,9 +225,52 @@ def test_key_memo_keeps_structured_directions_until_balanced():
     assert search.key_memo == {}
 
 
+# The two-pick search, kept as the reference: each window yielded its
+# zero-free pick, if any, and then its midpoint, counting the keys equal to it.
+
+
+def _zero_free_pick(all_values, lo, hi):
+    """A threshold in [lo, hi] equal to no listed value, or None."""
+    inside = sorted({v for v in all_values if lo <= v <= hi})
+    if not inside:
+        return Fraction(lo + hi, 2)
+    if lo < inside[0]:
+        return Fraction(lo + inside[0], 2)
+    for a, b in zip(inside, inside[1:]):
+        if a < b:
+            return Fraction(a + b, 2)
+    if inside[-1] < hi:
+        return Fraction(inside[-1] + hi, 2)
+    return None
+
+
+def _window_picks(all_values, lo, hi):
+    free = _zero_free_pick(all_values, lo, hi)
+    if free is not None:
+        yield free, 0
+    mid = Fraction(lo + hi, 2)
+    yield mid, all_values.count(mid)
+
+
+def _threshold_candidates(values_by_class, qs):
+    lo = None
+    hi = None
+    for values, q in zip(values_by_class, qs):
+        sz = len(values)
+        if sz - 1 - q >= 0:
+            lo = values[sz - 1 - q] if lo is None else max(lo, values[sz - 1 - q])
+        if q < sz:
+            hi = values[q] if hi is None else min(hi, values[q])
+    if lo is None or hi is None or lo > hi:
+        return []
+    return list(_window_picks([v for vs in values_by_class for v in vs], lo, hi))
+
+
 class _ReferenceSearch(_Search):
-    """`_Search` with keys built point by point and the slab cut's left count
-    taken against the `Fraction` c1, as before the integer search."""
+    """`_Search` with keys built point by point, the slab cut's left count
+    taken against the `Fraction` c1, as before the integer search, and the
+    two-pick windows.  The balanced family reads `Fraction` values of the
+    first 8 vectors of the full nullspace of the centroid differences."""
 
     def __init__(self, pts, *args):
         super().__init__(pts, *args)
@@ -245,6 +284,11 @@ class _ReferenceSearch(_Search):
             )
             for cls_ in self.classes
         ]
+
+    def _planes(self):
+        for u in self.directions():
+            for c, zeros in _threshold_candidates(self._keys(u), self.qs):
+                yield X * u[0] + Y * u[1] + Z * u[2] - TriPoly.constant(Fraction(c, self.L)), zeros
 
     def _slab_second_cut(self, values_by_class, c1):
         lo = None
@@ -265,11 +309,53 @@ class _ReferenceSearch(_Search):
             hi = lo + self.L
         if lo > hi:
             return None
-        free = _zero_free_pick(all_inside, lo, hi)
-        if free is not None:
-            return free, 0
-        mid = Fraction(lo + hi, 2)
-        return mid, all_inside.count(mid)
+        return next(_window_picks(all_inside, lo, hi))
+
+    def _balanced(self):
+        if self.cap < 2 or len(self.classes) < 2:
+            return
+        d = self.cap
+        exps = [
+            e for e in itertools.product(range(d + 1), repeat=3) if 0 < sum(e) <= d
+        ]  # sorted, as product enumerates
+        lifted = [
+            [
+                [Fraction(x, w) ** a * Fraction(y, w) ** b * Fraction(z, w) ** c for a, b, c in exps]
+                for x, y, z, w in (self.pts[i] for i in cls_)
+            ]
+            for cls_ in self.classes
+        ]
+        means = [[sum(col) / len(ms) for col in zip(*ms)] for ms in lifted]
+        basis = nullspace([[a - b for a, b in zip(m, means[0])] for m in means[1:]])[:8]
+        if not basis:
+            return
+        plan = [((k,), (1,)) for k in range(len(basis))]
+        for _ in range(24):
+            take = tuple(self.rng.sample(range(len(basis)), min(2, len(basis))))
+            coeffs = tuple(self.rng.randint(-3, 3) for _ in take)
+            if any(coeffs):
+                plan.append((take, coeffs))
+        for take, coeffs in plan:
+            vec = [sum(c * basis[b][i] for b, c in zip(take, coeffs)) for i in range(len(exps))]
+            values_by_class = [sorted(sum(map(mul, vec, m)) for m in ms) for ms in lifted]
+            thresholds = _threshold_candidates(values_by_class, self.qs)
+            terms = {e: v for e, v in zip(exps, vec) if v != 0}
+            if not thresholds or not terms:
+                continue
+            for c, zeros in thresholds:
+                yield TriPoly(terms) - TriPoly.constant(c), zeros
+
+
+def _drop_unread(stream):
+    """A two-pick stream without each window's midpoint after its zero-free
+    pick: `run` returns a candidate with 0 zeros, so it is never read."""
+    out = []
+    it = iter(stream)
+    for g, zeros in it:
+        out.append((g, zeros))
+        if zeros == 0:
+            next(it)
+    return out
 
 
 search_coords = st.lists(
@@ -287,8 +373,11 @@ def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, c
     seed = data.draw(st.integers(0, 9))
     fast = _Search(pts, W, classes, cap, eps, random.Random(seed))
     ref = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed))
-    for name in ("_planes", "_slabs", "_balanced"):
-        assert list(getattr(fast, name)()) == list(getattr(ref, name)())
+    assert list(fast._planes()) == _drop_unread(ref._planes())
+    assert list(fast._slabs()) == list(ref._slabs())
+    assert list(fast._balanced()) == _drop_unread(ref._balanced())
+    fresh = _Search(pts, W, classes, cap, eps, random.Random(seed))
+    assert fresh.run() == _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed)).run()
 
 
 @st.composite
@@ -400,14 +489,24 @@ def test_scaled_scales_mixed_denominators():
 
 
 @settings(deadline=None, max_examples=120)
-@given(search_coords, st.integers(1, 4), st.integers(1, 4), search_eps, st.integers(1, 3), st.data())
-def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, data):
+@given(
+    search_coords,
+    st.integers(1, 4),
+    st.integers(1, 4),
+    search_eps,
+    st.integers(1, 3),
+    st.lists(st.integers(0, 3), min_size=14, max_size=14),
+    st.integers(0, 9),
+)
+# single-point classes at slack 5/12 have cap 0: a window is one key, and the
+# balanced values, equal in every class, meet in it with one zero per class
+@example([(0, 0, 0), (1, 2, 3), (2, -1, 4)], 1, 3, Fraction(5, 12), 2, [0, 1, 2] + [0] * 11, 0)
+def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, labels, seed):
     # the windows are the search's only certificate: evaluate every candidate
     # of every family and check each class's open sides and the zero count
     pts = [(*c, W) for c in coords]
-    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
-    classes = [[i for i, c in enumerate(labels) if c == j] for j in range(k)]
-    search = _Search(pts, W, classes, cap, eps, random.Random(data.draw(st.integers(0, 9))))
+    classes = [[i for i in range(len(pts)) if labels[i] % k == j] for j in range(k)]
+    search = _Search(pts, W, classes, cap, eps, random.Random(seed))
     for family in (search._planes, search._slabs, search._balanced):
         for g, zeros in family():
             form = _form(g)
