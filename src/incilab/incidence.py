@@ -17,17 +17,19 @@ more than testing every point against every line.  The pairwise
 Coplanarity reads each line as integer Pluecker data: its stored base B
 over w, primitive direction d and moment B x d.  The reciprocal products of
 one line with all later lines come from one big-int linear combination of
-packed columns, so no pair is visited in Python unless it is coplanar; a
-coplanar pair is keyed by the primitive integer coefficients of its plane
-(`plane_key`), and pairs inside a plane already complete are skipped.  No
-`Fraction` or plane object is built per pair.  Per-pair `plane_key` and the
-pairwise `plane_through_lines` bucketing stay as the references that the
-tests and `incilab verify` check the kernel against.  A `Quadric` decides
-its points and lines on its integer form, with `algebra` as the reference.
+packed columns.  The pairs inside a plane already complete are masked out
+of that result before it is read, so no pair is visited in Python unless
+it is coplanar and needs its key: the primitive integer coefficients of
+its plane (`plane_key`).  No `Fraction` or plane object is built per pair.
+Per-pair `plane_key` and the pairwise `plane_through_lines` bucketing stay
+as the references that the tests and `incilab verify` check the kernel
+against.  A `Quadric` decides its points and lines on its integer form,
+with `algebra` as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,7 +41,6 @@ from .geom import (
     RationalPlane,
     plane_through_lines,
     point_on_line,
-    primitive,
     primitive_int_vector,
 )
 from .partition import form_value, line_in_zero_set
@@ -269,10 +270,16 @@ def plane_key(ri, rj) -> tuple[int, int, int, int] | None:
     n0 = di[1] * v[2] - di[2] * v[1]
     n1 = di[2] * v[0] - di[0] * v[2]
     n2 = di[0] * v[1] - di[1] * v[0]
-    if not (n0 or n1 or n2):
+    lead = n0 or n1 or n2
+    if not lead:
         return None
     d = -(n0 * bi[0] + n1 * bi[1] + n2 * bi[2])
-    return tuple(primitive((wi * n0, wi * n1, wi * n2, d)))
+    a, b, c = wi * n0, wi * n1, wi * n2
+    # `geom.primitive`, signed by the normal's first nonzero entry (wi > 0)
+    g = math.gcd(a, b, c, d)
+    if lead < 0:
+        g = -g
+    return (a // g, b // g, c // g, d // g)
 
 
 def _aligned_matches(buf: bytes, pattern: bytes):
@@ -305,12 +312,19 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
     The zero pairs are the fields equal to 2^(F-1), found by `bytes.find` on
     the big-endian bytes at field-aligned offsets, in ascending j.
 
-    Only those pairs reach `plane_key`, and a pair is skipped when its two
-    lines already share a complete plane: when line i creates a key whose
-    bucket then holds at least 3 lines, the key is recorded for each of
-    them.  Two distinct lines in one recorded plane span exactly that plane,
-    and identical lines span none, so a skipped pair would add nothing and
-    create no key.  A plane of k distinct lines thus costs k-1 `plane_key` calls.
+    A pair is skipped inside the filter when its two lines already share a
+    complete plane: when line i creates a key whose bucket then holds at
+    least 3 lines, the plane's cover mask, bit 0 set in field n-1-x of each
+    member x, is recorded for each member.  Before line i's fields are read,
+    its recorded masks are OR'd in.  A covered field holds exactly 2^(F-1),
+    since the two lines are coplanar, so it becomes 2^(F-1)+1 and no longer
+    matches; an OR cannot carry, so a field covered by several planes (a
+    repeated line) reads 2^(F-1)+1 as well.  Every match thus reaches
+    `plane_key`.  Two distinct lines in one recorded plane span exactly that
+    plane, and identical lines span none, so a covered pair would add
+    nothing and create no key.  A plane of k distinct lines thus costs k-1
+    `plane_key` calls.  A mask is freed once the scan has passed its
+    plane's last member.
     """
     reps = plucker_reps(lines)
     n = len(reps)
@@ -329,7 +343,8 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
     for k in range(6):
         raw = b"".join((u[(k + 3) % 6] + half).to_bytes(width, "big") for u in us)
         cols.append(int.from_bytes(raw, "big") - bias)
-    planes_of: list[set] = [set() for _ in range(n)]
+    # covers[x]: the cover mask of each recorded plane that holds line x
+    covers: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1):
         cnt = n - 1 - i
         mask = (1 << 8 * width * cnt) - 1
@@ -337,11 +352,11 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
         u0, u1, u2, u3, u4, u5 = us[i]
         acc = u0 * c0 + u1 * c1 + u2 * c2 + u3 * c3 + u4 * c4 + u5 * c5
         acc = (acc + (bias & mask)) & mask
-        mine, created = planes_of[i], []
+        for cover in covers[i]:
+            acc |= cover & mask
+        created = []
         for k in _aligned_matches(acc.to_bytes(width * cnt, "big"), zero):
             j = i + 1 + k
-            if not mine.isdisjoint(planes_of[j]):
-                continue
             key = plane_key(reps[i], reps[j])
             if key is None:
                 continue
@@ -352,9 +367,12 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
             else:
                 bucket.update((i, j))
         for key in created:
-            if len(buckets[key]) >= 3:
-                for x in buckets[key]:
-                    planes_of[x].add(key)
+            members = buckets[key]
+            if len(members) >= 3:
+                cover = sum(1 << 8 * width * (n - 1 - x) for x in members)
+                for x in members:
+                    covers[x].append(cover)
+        covers[i].clear()
     return buckets
 
 

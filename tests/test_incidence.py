@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incilab.configs import GeneratorSpec, generate
 from incilab.geom import (
@@ -12,6 +12,7 @@ from incilab.geom import (
     RationalPlane,
     plane_through_lines,
     point_on_line,
+    primitive,
 )
 from incilab.incidence import (
     Configuration,
@@ -453,6 +454,128 @@ def test_coplanar_buckets_key_a_complete_plane_once_per_other_line(monkeypatch):
     monkeypatch.setattr("incilab.incidence.plane_key", counted)
     assert coplanar_buckets(lines) == {(0, 0, 1, 0): set(range(600))}
     assert len(calls) == len(lines) - 1
+
+
+@pytest.mark.parametrize(
+    "family, params, matches",
+    [(None, None, 599), ("elekes2d", {"N": 6}, 215), ("grid3d", {"N": 10}, 9348)],
+    ids=["plane600", "elekes2d-6", "grid3d-10"],
+)
+def test_every_filter_match_gets_a_plane_key(monkeypatch, family, params, matches):
+    """The cover masks drop every pair inside a complete plane before the
+    fields are read, so each match the filter yields is keyed."""
+    if family is None:
+        lines = [L(P(0, k, 0), (1, k, 0)) for k in range(600)]
+    else:
+        lines = generate(GeneratorSpec(family, params)).lines
+    seen = {"matches": 0, "keys": 0}
+
+    def counted_matches(buf, pattern):
+        for k in _aligned_matches(buf, pattern):
+            seen["matches"] += 1
+            yield k
+
+    def counted_key(ri, rj):
+        seen["keys"] += 1
+        return plane_key(ri, rj)
+
+    monkeypatch.setattr("incilab.incidence._aligned_matches", counted_matches)
+    monkeypatch.setattr("incilab.incidence.plane_key", counted_key)
+    coplanar_buckets(lines)
+    assert seen == {"matches": matches, "keys": matches}
+
+
+lattice_line = st.builds(
+    L,
+    st.builds(P, *[st.integers(-1, 1)] * 3),
+    st.sampled_from(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (0, 1, -1), (1, 1, 1)]
+    ),
+)
+
+
+@st.composite
+def lattice_lines(draw):
+    """Lines through the points of [-1, 1]^3 along axis and diagonal
+    directions, some repeated, shuffled: many planes hold 3 or more lines,
+    and most lines lie in several of them."""
+    lines = draw(st.lists(lattice_line, max_size=20))
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=4))
+    return draw(st.permutations(lines))
+
+
+# a, b, c and d lie in z = 0, and a, e and f in y = 0; each of b, c is skew
+# to each of e, f
+_a = L(P(0, 0, 0), (1, 0, 0))
+_b = L(P(0, 1, 0), (1, 1, 0))
+_c = L(P(0, 2, 0), (1, -1, 0))
+_d = L(P(0, 1, 0), (1, 0, 0))
+_e = L(P(5, 0, 1), (1, 0, 2))
+_f = L(P(0, 0, 3), (1, 0, -1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(lattice_lines())
+# the repeated a joins the plane z = 0 after line 0 recorded it
+@example([_a, _c, _d, _a])
+# both copies of a are members of both recorded planes, z = 0 and y = 0
+@example([_b, _e, _a, _c, _a, _f])
+def test_coplanar_buckets_match_per_pair_keys_on_lattice_lines(lines):
+    fast, ref = coplanar_buckets(lines), per_pair_buckets(lines)
+    assert list(fast.items()) == list(ref.items())
+
+
+def raw_plane(ri, rj):
+    """The (a, b, c, d) that `plane_key` reduces, for a pair it keys."""
+    wi, bi, di, _ = ri
+    wj, bj, dj, _ = rj
+    v = dj if di != dj else tuple(wi * q - wj * p for p, q in zip(bi, bj))
+    n = _cross(di, v)
+    return (*(wi * c for c in n), -sum(c * b for c, b in zip(n, bi)))
+
+
+@pytest.mark.parametrize(
+    "pair, raw, key",
+    [
+        # a = 0, b < 0
+        (
+            (L(P(0, 0, Fraction(3, 2)), (1, 0, 0)), L(P(1, 2, 2), (1, 0, 0))),
+            (0, -2, 8, -12),
+            (0, 1, -4, 6),
+        ),
+        # a = b = 0, c < 0
+        (
+            (L(P(0, 0, Fraction(3, 2)), (1, 1, 0)), L(P(0, 0, Fraction(3, 2)), (1, -1, 0))),
+            (0, 0, -4, 6),
+            (0, 0, 2, -3),
+        ),
+        # only d < 0
+        (
+            (L(P(0, 0, Fraction(3, 2)), (1, 0, 0)), L(P(0, Fraction(2, 3), 0), (1, 0, 0))),
+            (0, 18, 8, -12),
+            (0, 9, 4, -6),
+        ),
+    ],
+    ids=["a0-b-neg", "ab0-c-neg", "d-neg"],
+)
+def test_plane_key_signs_like_primitive(pair, raw, key):
+    ri, rj = plucker_reps(pair)
+    assert raw_plane(ri, rj) == raw
+    assert plane_key(ri, rj) == tuple(primitive(raw)) == RationalPlane(*raw).coeffs == key
+    assert plane_through_lines(*pair).coeffs == key
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_lines(max_families=3))
+def test_plane_key_matches_primitive_on_wide_pairs(lines):
+    reps = plucker_reps(lines)
+    for i, ri in enumerate(reps):
+        for rj in reps[i + 1 :]:
+            key = plane_key(ri, rj)
+            if key is not None:
+                raw = raw_plane(ri, rj)
+                assert key == tuple(primitive(raw)) == RationalPlane(*raw).coeffs
 
 
 def test_aligned_matches_skips_matches_across_fields():
