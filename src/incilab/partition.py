@@ -27,6 +27,18 @@ balanced family), a slab's half-integer first cut c1 is compared with the
 keys as floor(c1), and a balanced basis vector's values are computed when
 a plan entry first uses it.
 
+The search's own values split the classes.  Every threshold c is the
+midpoint of two ints, so 2c is an int, and each candidate carries a lazy
+`signs()` that only the winner calls: a plane's sign at a class point is
+sign(2k - 2c) for its key k = u.X, a slab's is the product of two such
+signs, and a balanced candidate's is sign(2v - 2c) for the point's value v
+of the combination.  `build_partition` negates them when
+`primitive_normalize` flips the level, and evaluates no level at a class
+point.  The partition records each input point's cell, its tuple of level
+signs or a marker that it lies on Z(f), and `classify_points` and
+`cell_occupancy` read that record when they are given the same points;
+otherwise `_sign_vectors` evaluates every level at every point.
+
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition carries one homogeneous integer form
 per level (`PartitionPoly.forms`), cleared once when the partition is built:
@@ -77,7 +89,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -134,12 +146,17 @@ def _form(g: TriPoly) -> list[tuple[int, int, int, int, int]]:
 
 @dataclass(frozen=True)
 class PartitionPoly:
-    """Levels g_1..g_t; forms holds each level's `_form`, derived once."""
+    """Levels g_1..g_t; forms holds each level's `_form`, derived once.
+
+    A partition from `build_partition` also keeps `_record`: the points it
+    was built on, and each point's cell (`_cells`).  Other partitions have
+    none."""
 
     levels: tuple[TriPoly, ...]
     epsilon: Fraction
     seed: int
     forms: tuple = field(init=False, compare=False, repr=False)
+    _record: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.levels:
@@ -214,6 +231,17 @@ def _mid(a, b) -> Fraction:
     return Fraction(a + b, 2)
 
 
+def _twice(c: Fraction) -> int:
+    """2c for a threshold c = `_mid` of two ints, as an int."""
+    return 2 * c.numerator // c.denominator
+
+
+def _value_signs(values_by_class, t: int) -> list[list[int]]:
+    """Sign of 2v - t at each value v of each class, with t twice a
+    threshold: v's side of the threshold, on ints."""
+    return [[((d := 2 * v - t) > 0) - (d < 0) for v in vs] for vs in values_by_class]
+
+
 def _window_pick(values_by_class, lo: int, hi: int) -> tuple[Fraction, int]:
     """(threshold, zeros) in [lo, hi], lo a key of the sorted per-class
     keys: lo and the keys equal to it when lo == hi, else the zero-free
@@ -275,9 +303,10 @@ def _signs(form, pts) -> list[int]:
         return [(v > 0) - (v < 0) for v in vals]
     out = []
     for x, y, z, w in pts:
-        # form_value's sum as a plain loop: a call per point costs the
-        # partition search and classify_points 7-10%, and sum(<genexpr>)
-        # is 1.25-1.8x slower than the loop on forms of degree 1-3
+        # form_value's sum as a plain loop: sum(<genexpr>) is 1.25-1.8x
+        # slower than the loop on forms of degree 1-3.  Partitions that
+        # `build_partition` made evaluate no form here at their own points
+        # (`_cells` reads their record); loaded ones and other points do
         v = 0
         for a, b, c, k, C in form:
             v += C * x**a * y**b * z**c * w**k
@@ -286,9 +315,21 @@ def _signs(form, pts) -> list[int]:
 
 
 def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
-    """Each point's tuple of level signs, read at its stored ints."""
+    """Each point's tuple of level signs, read at its stored ints: the
+    evaluator, and the reference for the record `_cells` reads."""
     pts = [p.ints for p in points]
     return list(zip(*(_signs(form, pts) for form in part.forms)))
+
+
+def _cells(part: PartitionPoly, points: Sequence[Rational3Point]) -> list:
+    """Each point's cell: its tuple of level signs, or None on Z(f).
+
+    Read from the partition's record when the points are the ones it was
+    built on, in the same order; else from `_sign_vectors`."""
+    record = part._record
+    if record is not None and record[0] == tuple(points):
+        return record[1]
+    return [None if 0 in sv else sv for sv in _sign_vectors(part, points)]
 
 
 def form_value(form, pt) -> int:
@@ -324,10 +365,12 @@ class _Search:
     """One level's candidate enumeration over the current classes; keys and
     thresholds are in the units of pts, the search points of `_scaled`.
 
-    Each family yields at most one (g, zeros) per window: g places its
-    threshold inside every class's order-statistic window, so no open side
-    of g exceeds a class's cap, and zeros is the number of class points
-    where g vanishes (`_window_pick`).  No candidate is evaluated here.
+    Each family yields at most one (g, zeros, signs) per window: g places
+    its threshold inside every class's order-statistic window, so no open
+    side of g exceeds a class's cap, and zeros is the number of class points
+    where g vanishes (`_window_pick`).  signs() gives each class's signs of
+    g at its points, in class order, from the family's own keys or values;
+    only the winner's is called.  No candidate is evaluated as a polynomial.
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -359,17 +402,18 @@ class _Search:
             dirs.append(d)
         return dirs
 
-    def run(self) -> TriPoly | None:
-        """The first candidate with at most `forced_zeros` zeros, else the
-        first with the fewest; None if no family yields a candidate."""
+    def run(self):
+        """(g, signs) of the first candidate with at most `forced_zeros`
+        zeros, else of the first with the fewest; None if no family yields
+        a candidate."""
         best = None
         for fam in (self._planes, self._slabs, self._balanced):
-            for g, zeros in fam():
+            for g, zeros, signs in fam():
                 if zeros <= self.forced_zeros:
-                    return g
+                    return g, signs
                 if best is None or zeros < best[0]:
-                    best = (zeros, g)
-        return None if best is None else best[1]
+                    best = (zeros, g, signs)
+        return None if best is None else best[1:]
 
     def _keys(self, u) -> list[list[int]]:
         """Sorted keys u.X of each class."""
@@ -381,13 +425,21 @@ class _Search:
                 self.key_memo[u] = keys
         return keys
 
+    def _key_signs(self, u, c: Fraction) -> list[list[int]]:
+        """Each class's signs of u.X - c at its points, in class order."""
+        a, b, cz = u
+        return _value_signs(
+            ([a * x + b * y + cz * z for x, y, z, _ in P] for P in self.class_pts), _twice(c)
+        )
+
     # family: planes u.x = c (covers the axis median fallback: axes first)
     def _planes(self):
         for u in self.directions():
             got = _threshold_candidate(self._keys(u), self.qs)
             if got is not None:
                 c, zeros = got
-                yield _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L)), zeros
+                g = _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L))
+                yield g, zeros, partial(self._key_signs, u, c)
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
@@ -406,7 +458,15 @@ class _Search:
                     continue
                 c2, zeros = got
                 lin = _functional_poly_plane(u)
-                yield (lin - Fraction(c1, self.L)) * (lin - Fraction(c2, self.L)), zeros
+                g = (lin - Fraction(c1, self.L)) * (lin - Fraction(c2, self.L))
+                yield g, zeros, partial(self._slab_signs, u, c1, c2)
+
+    def _slab_signs(self, u, c1: Fraction, c2: Fraction) -> list[list[int]]:
+        """Each class's signs of (u.X - c1)(u.X - c2) at its points."""
+        return [
+            [s * r for s, r in zip(ss, rs)]
+            for ss, rs in zip(self._key_signs(u, c1), self._key_signs(u, c2))
+        ]
 
     def _slab_second_cut(self, values_by_class, c1):
         """(c2, zeros) for the slab c1 < u.x < c2, or None.
@@ -498,17 +558,19 @@ class _Search:
                 plan.append((take, coeffs))
         for take, coeffs in plan:
             # a plan entry combines one or two vectors; spelled out, since a
-            # sum(map(mul, coeffs, ...)) per point costs about 10% of the build
+            # sum(map(mul, coeffs, ...)) per point costs about 10% of the build.
+            # The values stay in class order for signs(); sorted copies give
+            # the windows
             if len(take) == 1:
                 (c,) = coeffs
-                values_by_class = [sorted([c * v for v in vs]) for vs in values(take[0])]
+                combo = [[c * v for v in vs] for vs in values(take[0])]
             else:
                 (c0, c1) = coeffs
-                values_by_class = [
-                    sorted([c0 * v + c1 * w for v, w in zip(vs, ws)])
+                combo = [
+                    [c0 * v + c1 * w for v, w in zip(vs, ws)]
                     for vs, ws in zip(values(take[0]), values(take[1]))
                 ]
-            got = _threshold_candidate(values_by_class, self.qs)
+            got = _threshold_candidate([sorted(vs) for vs in combo], self.qs)
             if got is None:
                 continue
             cthr, zeros = got
@@ -519,7 +581,9 @@ class _Search:
                     if c and coef:
                         terms[e] = terms.get(e, Fraction(0)) + c * coef
             terms = {e: v for e, v in terms.items() if v != 0}
-            yield TriPoly(terms) - TriPoly.constant(Fraction(cthr, scale)), zeros
+            # g = (v - cthr) / scale at each point, with scale > 0
+            g = TriPoly(terms) - TriPoly.constant(Fraction(cthr, scale))
+            yield g, zeros, partial(_value_signs, combo, _twice(cthr))
 
 
 def build_partition(
@@ -542,31 +606,38 @@ def build_partition(
     if not (0 <= epsilon < Fraction(1, 2)):
         raise ValueError("slack must lie in [0, 1/2)")
     L, pts = _scaled(points)
-    classes: list[list[int]] = [list(range(len(points)))]
+    # the nonempty classes, each with its points' signs on the levels so far
+    classes: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(len(points))))]
     levels: list[TriPoly] = []
     for j in range(1, t + 1):
         cap = level_degree_cap(j)
         rng = random.Random(seed * 1000003 + j)
-        live = [c for c in classes if c]
-        if not live:
+        if not classes:
             # everything already migrated to the surface; any admissible
             # polynomial works, keep the degree low
             levels.append(primitive_normalize(TriPoly.variable(0)))
-            classes = []
             continue
-        g = _Search(pts, L, live, cap, epsilon, rng).run()
-        if g is None:
+        got = _Search(pts, L, [c for _, c in classes], cap, epsilon, rng).run()
+        if got is None:
             raise PartitionBudgetError(f"level {j}: no bisector met the slack at this level")
-        g = primitive_normalize(g)
-        levels.append(g)
-        form = _form(g)
-        nxt: list[list[int]] = []
-        for cls_ in classes:
-            signs = _signs(form, [pts[i] for i in cls_])
-            nxt.append([i for i, s in zip(cls_, signs) if s < 0])
-            nxt.append([i for i, s in zip(cls_, signs) if s > 0])
+        g, signs = got
+        terms = g.terms()
+        flip = -1 if terms[max(terms)] < 0 else 1  # as primitive_normalize negates g
+        levels.append(primitive_normalize(g))
+        nxt = []
+        for (sv, cls_), ss in zip(classes, signs()):
+            for side in (-1, 1):
+                kept = [i for i, s in zip(cls_, ss) if s == side * flip]
+                if kept:
+                    nxt.append(((*sv, side), kept))
         classes = nxt
-    return PartitionPoly(levels=tuple(levels), epsilon=epsilon, seed=seed)
+    part = PartitionPoly(levels=tuple(levels), epsilon=epsilon, seed=seed)
+    cells: list = [None] * len(points)  # None: on Z(f)
+    for sv, cls_ in classes:
+        for i in cls_:
+            cells[i] = sv
+    object.__setattr__(part, "_record", (tuple(points), cells))
+    return part
 
 
 # -- classification -----------------------------------------------------------
@@ -575,11 +646,13 @@ def build_partition(
 def cell_occupancy(
     part: PartitionPoly, points: Sequence[Rational3Point]
 ) -> tuple[dict[tuple[int, ...], int], int]:
-    """Counts per full-sign class, plus the count of on-surface points."""
+    """Counts per full-sign class, in order of first appearance among the
+    points, plus the count of on-surface points.  On the points the
+    partition was built on, the cells are read from its record (`_cells`)."""
     cells: dict[tuple[int, ...], int] = {}
     surface = 0
-    for sv in _sign_vectors(part, points):
-        if 0 in sv:
+    for sv in _cells(part, points):
+        if sv is None:
             surface += 1
         else:
             cells[sv] = cells.get(sv, 0) + 1
@@ -589,10 +662,11 @@ def cell_occupancy(
 def classify_points(
     part: PartitionPoly, points: Sequence[Rational3Point]
 ) -> tuple[list[int], list[int]]:
-    """Indexes of points on Z(f) and of points in open cells."""
-    svs = _sign_vectors(part, points)
-    on_surface = [i for i, sv in enumerate(svs) if 0 in sv]
-    return on_surface, [i for i, sv in enumerate(svs) if 0 not in sv]
+    """Indexes of points on Z(f) and of points in open cells, read from the
+    partition's record on the points it was built on (`_cells`)."""
+    cells = _cells(part, points)
+    on_surface = [i for i, sv in enumerate(cells) if sv is None]
+    return on_surface, [i for i, sv in enumerate(cells) if sv is not None]
 
 
 @dataclass

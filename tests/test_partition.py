@@ -155,11 +155,46 @@ def test_classify_points_matches_sign_vectors():
     part = build_partition(pts, 2, Fraction(1, 10), seed=5)
     on_surface, in_cells = classify_points(part, pts)
     assert sorted(on_surface + in_cells) == list(range(64))
+    _assert_cells_are_sign_vectors(part, pts)
+
+
+def _assert_cells_are_sign_vectors(part, pts):
+    """classify_points and cell_occupancy equal what `_sign_vectors` gives,
+    the occupancy in order of first appearance among the points."""
     svs = _sign_vectors(part, pts)
-    for i in on_surface:
-        assert 0 in svs[i]
-    for i in in_cells:
-        assert 0 not in svs[i]
+    assert classify_points(part, pts) == (
+        [i for i, sv in enumerate(svs) if 0 in sv],
+        [i for i, sv in enumerate(svs) if 0 not in sv],
+    )
+    want: dict = {}
+    for sv in svs:
+        if 0 not in sv:
+            want[sv] = want.get(sv, 0) + 1
+    occ, surface = cell_occupancy(part, pts)
+    assert list(occ.items()) == list(want.items())
+    assert surface == sum(1 for sv in svs if 0 in sv)
+
+
+def test_build_records_each_points_cell():
+    # planes win levels 1 and 2, a slab level 3, and level 4 is a balanced
+    # cubic that vanishes at one point and whose lex-leading coefficient
+    # primitive_normalize makes positive, negating the search's signs
+    pts = rational_points(40, 8)
+    part = build_partition(pts, 4, Fraction(1, 10), seed=8)
+    assert [g.degree for g in part.levels] == [1, 1, 2, 3]
+    assert part._record[0] == tuple(pts)
+    _assert_cells_are_sign_vectors(part, pts)
+    assert cell_occupancy(part, pts)[1] == 1
+    # other points, or the same points in another order, are evaluated
+    for other in (pts[::-1], pts[5:], pts[:1], random_points(20, 8)):
+        _assert_cells_are_sign_vectors(part, other)
+    # equal points that are other objects read the record
+    assert cell_occupancy(part, [P(*p.coords) for p in pts]) == cell_occupancy(part, pts)
+    # a partition loaded from JSON has no record
+    back = PartitionPoly.from_json_dict(part.to_json_dict())
+    assert back == part and back._record is None
+    _assert_cells_are_sign_vectors(back, pts)
+    assert repr(back) == repr(part)
 
 
 # Levels built by the Fraction-key search that the integer kernel replaced,
@@ -270,11 +305,16 @@ class _ReferenceSearch(_Search):
     """`_Search` with keys built point by point, the slab cut's left count
     taken against the `Fraction` c1, as before the integer search, and the
     two-pick windows.  The balanced family reads `Fraction` values of the
-    first 8 vectors of the full nullspace of the centroid differences."""
+    first 8 vectors of the full nullspace of the centroid differences.  Each
+    candidate's signs are its form's signs at the class points."""
 
     def __init__(self, pts, *args):
         super().__init__(pts, *args)
         self.pts = pts
+
+    def _evaluated(self, g):
+        form = _form(g)
+        return lambda: [_signs(form, [self.pts[i] for i in cls_]) for cls_ in self.classes]
 
     def _keys(self, u):
         return [
@@ -288,7 +328,12 @@ class _ReferenceSearch(_Search):
     def _planes(self):
         for u in self.directions():
             for c, zeros in _threshold_candidates(self._keys(u), self.qs):
-                yield X * u[0] + Y * u[1] + Z * u[2] - TriPoly.constant(Fraction(c, self.L)), zeros
+                g = X * u[0] + Y * u[1] + Z * u[2] - TriPoly.constant(Fraction(c, self.L))
+                yield g, zeros, self._evaluated(g)
+
+    def _slabs(self):
+        for g, zeros, _ in super()._slabs():
+            yield g, zeros, self._evaluated(g)
 
     def _slab_second_cut(self, values_by_class, c1):
         lo = None
@@ -343,14 +388,21 @@ class _ReferenceSearch(_Search):
             if not thresholds or not terms:
                 continue
             for c, zeros in thresholds:
-                yield TriPoly(terms) - TriPoly.constant(c), zeros
+                g = TriPoly(terms) - TriPoly.constant(c)
+                yield g, zeros, self._evaluated(g)
+
+
+def _pairs(stream):
+    """The (g, zeros) of each candidate of a stream."""
+    return [(g, zeros) for g, zeros, _ in stream]
 
 
 def _drop_unread(stream):
-    """A two-pick stream without each window's midpoint after its zero-free
-    pick: `run` returns a candidate with 0 zeros, so it is never read."""
+    """A two-pick stream's (g, zeros) without each window's midpoint after
+    its zero-free pick: `run` returns a candidate with 0 zeros, so it is
+    never read."""
     out = []
-    it = iter(stream)
+    it = iter(_pairs(stream))
     for g, zeros in it:
         out.append((g, zeros))
         if zeros == 0:
@@ -373,11 +425,16 @@ def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, c
     seed = data.draw(st.integers(0, 9))
     fast = _Search(pts, W, classes, cap, eps, random.Random(seed))
     ref = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed))
-    assert list(fast._planes()) == _drop_unread(ref._planes())
-    assert list(fast._slabs()) == list(ref._slabs())
-    assert list(fast._balanced()) == _drop_unread(ref._balanced())
-    fresh = _Search(pts, W, classes, cap, eps, random.Random(seed))
-    assert fresh.run() == _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed)).run()
+    assert _pairs(fast._planes()) == _drop_unread(ref._planes())
+    assert _pairs(fast._slabs()) == _pairs(ref._slabs())
+    assert _pairs(fast._balanced()) == _drop_unread(ref._balanced())
+    # the same winner, with the signs its form has at the class points
+    won = _Search(pts, W, classes, cap, eps, random.Random(seed)).run()
+    want = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed)).run()
+    assert (won is None) == (want is None)
+    if won is not None:
+        assert won[0] == want[0]
+        assert won[1]() == want[1]()
 
 
 @st.composite
@@ -389,6 +446,32 @@ def small_fraction(draw):
 
 
 small_triple = st.tuples(*[small_fraction()] * 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(small_triple, min_size=1, max_size=40, unique=True),
+    st.integers(1, 4),
+    search_eps,
+    st.integers(0, 9),
+    st.integers(0, 99),
+    st.integers(1, 40),
+)
+# the median plane and then a slab take three of seven points at slack 0
+@example([(Fraction(i, 2), Fraction(i, 3), Fraction(0)) for i in range(1, 8)], 2, Fraction(0), 0, 0, 40)
+def test_recorded_cells_match_sign_vectors(coords, t, eps, seed, shuffle, keep):
+    pts = [P(*c) for c in coords]
+    assume(_scaled(pts)[0] > 1)  # mixed denominators
+    try:
+        part = build_partition(pts, t, eps, seed)
+    except PartitionBudgetError:
+        return
+    _assert_cells_are_sign_vectors(part, pts)
+    _assert_cells_are_sign_vectors(PartitionPoly.from_json_dict(part.to_json_dict()), pts)
+    # a reordered subset must not read the record
+    other = list(pts)
+    random.Random(shuffle).shuffle(other)
+    _assert_cells_are_sign_vectors(part, other[:keep])
 
 
 @settings(deadline=None, max_examples=120)
@@ -506,13 +589,17 @@ def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, label
     # of every family and check each class's open sides and the zero count
     pts = [(*c, W) for c in coords]
     classes = [[i for i in range(len(pts)) if labels[i] % k == j] for j in range(k)]
+    # and the signs each candidate carries are g's signs at the class points
     search = _Search(pts, W, classes, cap, eps, random.Random(seed))
     for family in (search._planes, search._slabs, search._balanced):
-        for g, zeros in family():
+        for g, zeros, carried in family():
             form = _form(g)
+            got = carried()
+            assert len(got) == len(search.classes)
             vanish = 0
-            for cls_, q in zip(search.classes, search.qs):
+            for cls_, q, ss in zip(search.classes, search.qs, got):
                 signs = _signs(form, [pts[i] for i in cls_])
+                assert ss == signs
                 assert signs.count(1) <= q and signs.count(-1) <= q
                 vanish += signs.count(0)
             assert zeros == vanish
