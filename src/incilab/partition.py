@@ -53,20 +53,27 @@ keys are in those units (u.X_L = L*u.x), so they sort and split exactly as
 the rational keys would, and each threshold maps back to a rational by one
 exact division.
 
-The roots of f along a line are the union of the levels' roots, counted
-level by level.  A linear H = h0 + h1*t has the exact root -h0/h1, kept as
-a reduced (num, den) pair so a set drops roots that several planes share;
-a constant H has no root.  Only the product P of the nonlinear H's gets a
-primitive pseudo-remainder Sturm chain (Collins 1967; Brown-Traub 1971),
-read as V(-inf) - V(+inf) from leading signs.  A non-squarefree chain ends
+The line kernel is prepared once per partition (`PartitionPoly._kernel`):
+each plane's four coefficients, each other level's degree and form, and
+each axis's top exponent over the non-plane levels, so restricting a line
+does only that line's arithmetic.  The roots of f along a line are the
+union of the levels' roots, counted level by level.  A linear
+H = h0 + h1*t has the exact root -h0/h1, kept as a reduced (num, den) pair
+so a set drops roots that several planes share; a constant H has no root.
+Only the product P of the nonlinear H's is counted.  A lone quadratic
+P = c + b*t + a*t^2 has 2, 1 or 0 distinct real roots as b^2 - 4ac is
+positive, zero or negative; a P of degree 3 or more gets a primitive
+pseudo-remainder Sturm chain (Collins 1967; Brown-Traub 1971), read as
+V(-inf) - V(+inf) from leading signs.  A non-squarefree chain ends
 in gcd(P, P'), which divides every element, so the count of distinct roots
 is unchanged and no squarefree pass is needed.  The distinct roots number
 P's count plus the rational roots where P does not vanish, so a line along
-which every H is linear or constant, as on planes, builds no chain.  Such a
-line's gap samples lie between its sorted rational roots; on any other
-line the gap sampler bisects on the chain of the product of all H's,
-taking its squarefree part, since it evaluates the chain at roots.  The
-`Fraction` functions in `algebra` are the reference.
+which every H is linear or constant, as on planes, or P is a quadratic,
+builds no chain for its count.  An all-linear line's gap samples lie
+between its sorted rational roots; on any other line the gap sampler
+bisects on the chain of the product of all H's, taking its squarefree part,
+since it evaluates the chain at roots.  The `Fraction` functions in
+`algebra` are the reference.
 
 The same forms decide which planes divide a level (`plane_divides_form`),
 with no polynomial division.  A plane is irreducible, so it divides a level
@@ -146,7 +153,8 @@ def _form(g: TriPoly) -> list[tuple[int, int, int, int, int]]:
 
 @dataclass(frozen=True)
 class PartitionPoly:
-    """Levels g_1..g_t; forms holds each level's `_form`, derived once.
+    """Levels g_1..g_t; forms holds each level's `_form`, and `_kernel` the
+    line kernel prepared from them (`_prepare`), both derived once.
 
     A partition from `build_partition` also keeps `_record`: the points it
     was built on, and each point's cell (`_cells`).  Other partitions have
@@ -156,6 +164,7 @@ class PartitionPoly:
     epsilon: Fraction
     seed: int
     forms: tuple = field(init=False, compare=False, repr=False)
+    _kernel: tuple = field(init=False, compare=False, repr=False)
     _record: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -165,6 +174,7 @@ class PartitionPoly:
             raise ValueError("level polynomial must be nonzero")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         object.__setattr__(self, "forms", tuple(_form(g) for g in self.levels))
+        object.__setattr__(self, "_kernel", _prepare(self.forms))
 
     @property
     def t(self) -> int:
@@ -691,8 +701,25 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _restrictions(forms, line: RationalLine) -> list[list[int]]:
-    """Each level's integer restriction H(t) to the line, low to high; [] is zero.
+def _prepare(forms) -> tuple:
+    """The line kernel's per-partition part: (levels, tops).  Each level is a
+    plane's (cx, cy, cz, cw) (`_plane_coeffs`) or (deg, form) for any other
+    degree; tops holds each axis's top exponent over the non-plane levels,
+    or is None when every level is a plane."""
+    levels = []
+    for form in forms:
+        deg = sum(form[0][:4])  # a + b + c + k = deg(g)
+        levels.append(_plane_coeffs(form) if deg == 1 else (deg, form))
+    others = [lv[1] for lv in levels if len(lv) == 2]  # not planes
+    tops = None
+    if others:
+        tops = tuple(max(e[axis] for form in others for e in form) for axis in range(3))
+    return tuple(levels), tops
+
+
+def _restrict(kernel, line: RationalLine) -> list[list[int]]:
+    """Each level's integer restriction H(t) to the line, low to high; [] is
+    zero, from a kernel that `_prepare` made.
 
     With the stored base B/w (w > 0) and direction d, H(t) is the level's
     `_form` at (B + t*w*d, w):
@@ -702,33 +729,43 @@ def _restrictions(forms, line: RationalLine) -> list[list[int]]:
     h0 = C . (B, w) and h1 = w * (C_xyz . d) by two dot products; only
     higher levels need the powers of B_i + w*d_i*t.
     """
+    levels, tops = kernel
     X, Y, Z, w = line.base.ints
     dx, dy, dz = line.dir
-    degrees = [sum(form[0][:4]) for form in forms]  # a + b + c + k = deg(g)
-    others = [form for form, deg in zip(forms, degrees) if deg != 1]  # not planes
     pows = []
-    for axis, (c, d) in enumerate(zip((X, Y, Z), line.dir) if others else ()):
+    for c, d, top in zip((X, Y, Z), line.dir, tops or ()):
         lin = [c, w * d]
-        top = max(e[axis] for form in others for e in form)
         cur = [[1]]
         for _ in range(top):
-            cur.append(_pmul(cur[-1], lin) if d else [cur[-1][0] * lin[0]])
+            cur.append(_pmul(cur[-1], lin) if d else [cur[-1][0] * c])
         pows.append(cur)
     out = []
-    for form, deg in zip(forms, degrees):
-        if deg == 1:
-            cx, cy, cz, c0 = _plane_coeffs(form)
+    for lv in levels:
+        if len(lv) == 4:
+            cx, cy, cz, c0 = lv
             h = [cx * X + cy * Y + cz * Z + c0 * w, w * (cx * dx + cy * dy + cz * dz)]
         else:
+            deg, form = lv
             h = [0] * (deg + 1)
             for a, b, c, k, C in form:
                 Cw = C * w**k
-                for i, v in enumerate(_pmul(_pmul(pows[0][a], pows[1][b]), pows[2][c])):
+                prod = pows[0][a]
+                if b:  # a zero exponent's power is [1]
+                    prod = _pmul(prod, pows[1][b])
+                if c:
+                    prod = _pmul(prod, pows[2][c])
+                for i, v in enumerate(prod):
                     h[i] += Cw * v
         while h and h[-1] == 0:
             h.pop()
         out.append(h)
     return out
+
+
+def _restrictions(forms, line: RationalLine) -> list[list[int]]:
+    """`_restrict` for bare forms, prepared for this one call; a partition
+    prepares its kernel once (`PartitionPoly._kernel`)."""
+    return _restrict(_prepare(forms), line)
 
 
 def line_in_zero_set(form, line: RationalLine) -> bool:
@@ -788,9 +825,14 @@ def _changes(signs) -> int:
 
 
 def _count_roots(p: list[int]) -> int:
-    """Distinct real roots of a nonzero p: V(-inf) - V(+inf) from leading signs."""
+    """Distinct real roots of a nonzero p: V(-inf) - V(+inf) from leading
+    signs, or for a quadratic c + b*t + a*t^2 from the sign of b^2 - 4ac."""
     if len(p) == 1:
         return 0
+    if len(p) == 3:  # a lone quadratic: the sign of its discriminant
+        c, b, a = p
+        disc = b * b - 4 * a * c
+        return 2 if disc > 0 else 1 if disc == 0 else 0
     chain = _sturm_chain(p)
     plus = [1 if q[-1] > 0 else -1 for q in chain]
     minus = [s if len(q) % 2 else -s for s, q in zip(plus, chain)]
@@ -878,10 +920,13 @@ def _linear_roots(hs: list[list[int]]) -> set[tuple[int, int]]:
 def _linear_gap_samples(hs: list[list[int]]) -> list[tuple[int, int]]:
     """One (num, den), den > 0, inside each root gap of linear or constant
     restrictions: r_1 - 1, the midpoints of the sorted distinct roots
-    r_1 < ... < r_k and r_k + 1, or just 0 when there is no root."""
-    roots = sorted(_linear_roots(hs), key=lambda r: Fraction(*r))
+    r_1 < ... < r_k and r_k + 1, or just 0 when there is no root.  The roots
+    sort by the exact integer key num * (L / den), L the lcm of the dens."""
+    roots = _linear_roots(hs)
     if not roots:
         return [(0, 1)]
+    L = math.lcm(*(den for _, den in roots))
+    roots = sorted(roots, key=lambda r: r[0] * (L // r[1]))
     (n, d), (m, e) = roots[0], roots[-1]
     mids = [(a * f + c * b, 2 * b * f) for (a, b), (c, f) in zip(roots, roots[1:])]
     return [(n - d, d), *mids, (m + e, e)]
@@ -892,23 +937,25 @@ def classify_lines(
 ) -> LineClassification:
     """Split lines into those inside Z(f) and those crossing it.
 
-    Each level is restricted to each line once, on ints (`_restrictions`),
-    and f is never expanded: a line lies in Z(f) when some level's
-    restriction is zero.  The roots of f along a crossing line are the union
-    of the levels' roots.  A linear restriction gives its root exactly, and
-    a set of reduced (num, den) pairs drops the repeats (`_linear_roots`).
-    Only the product P of the nonlinear restrictions gets a primitive
-    pseudo-remainder Sturm chain, which counts P's distinct roots even when
-    P is not squarefree.  A rational root counts again only where P does not
-    vanish, so the count is `_count_roots(P)` plus those roots, and a line
-    whose restrictions are all linear or constant builds no chain.  The
-    count is certified to be at most deg f.
+    Each level is restricted to each line once, on ints, through the
+    partition's prepared kernel (`_restrict`), and f is never expanded: a
+    line lies in Z(f) when some level's restriction is zero.  The roots of
+    f along a crossing line are the union of the levels' roots.  A linear
+    restriction gives its root exactly, and a set of reduced (num, den)
+    pairs drops the repeats (`_linear_roots`).  The product P of the
+    nonlinear restrictions is counted by `_count_roots`: a quadratic by its
+    discriminant, a higher degree by a primitive pseudo-remainder Sturm
+    chain, which counts P's distinct roots even when P is not squarefree.
+    A rational root counts again only where P does not vanish, so the count
+    is `_count_roots(P)` plus those roots, and a line whose restrictions are
+    all linear or constant builds no chain.  The count is certified to be at
+    most deg f.
     """
     d = part.degree
     contained = []
     crossing = []
     for i, line in enumerate(lines):
-        hs = _restrictions(part.forms, line)
+        hs = _restrict(part._kernel, line)
         if not all(hs):
             contained.append(i)
             continue
@@ -971,7 +1018,7 @@ def classes_crossed(
     without a Sturm chain; otherwise `_gap_samples` bisects on the
     product's chain.
     """
-    hs = _restrictions(part.forms, line)
+    hs = _restrict(part._kernel, line)
     if not all(hs):
         raise ValueError("line lies inside the zero set")
     if all(len(h) <= 2 for h in hs):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incilab.algebra import (
     TriPoly,
@@ -20,6 +20,7 @@ from incilab.algebra import (
 from incilab.geom import Rational3Point, RationalLine
 from incilab.partition import (
     PartitionPoly,
+    _classes_crossed_reference,
     _classify_lines_reference,
     _count_roots,
     _gap_samples,
@@ -235,10 +236,18 @@ def test_all_linear_lines_build_no_sturm_chain(monkeypatch):
     assert classify_lines(part, [line]).crossing == [(0, 2)]
     # the first two planes change sign at t = -5/2, the third at t = 2
     assert classes_crossed(part, line) == {(-1, -1, -1, -1), (1, 1, -1, -1), (1, 1, 1, -1)}
+    # one quadric level: its roots are counted by the discriminant, and the
+    # planes' roots t = -5/2 (shared with the sphere) and t = 2 add one
     sphere = _sphere(at, (0, 0, 0))
     quadric = PartitionPoly(levels=(*planes, sphere), epsilon=Fraction(1, 10), seed=0)
+    lc = classify_lines(quadric, [line])
+    assert lc == _classify_lines_reference(quadric, [line])
+    assert lc.crossing == [(0, 3)]
+    # two quadric levels: their degree-4 product gets a chain
+    second = _sphere(line.point_at(2), (1, 0, 0))
+    quartic = PartitionPoly(levels=(*planes, sphere, second), epsilon=Fraction(1, 10), seed=0)
     with pytest.raises(AssertionError, match="Sturm chain"):
-        classify_lines(quadric, [line])
+        classify_lines(quartic, [line])
 
 
 @settings(deadline=None, max_examples=300)
@@ -281,3 +290,112 @@ def test_no_real_root_gives_one_sample(q):
     assert roots == _count_roots(p) == 0
     assert len(sign_gap_samples(q)) == roots + 1
     assert len(_gap_samples(p)) == roots + 1
+
+
+@st.composite
+def quadratics(draw):
+    """Integer c + b*t + a*t^2, a != 0, low to high: free coefficients, a
+    square (discriminant 0) or a product of two rational factors, each times
+    a common content and a leading sign."""
+    kind = draw(st.sampled_from(["free", "square", "split"]))
+    if kind == "free":
+        c, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        p = [c, b, draw(st.integers(-9, 9).filter(bool))]
+    else:
+        n1, d1 = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
+        n2, d2 = (n1, d1) if kind == "square" else (draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+        p = [n1 * n2, -(n1 * d2 + n2 * d1), d1 * d2]  # (d1*t - n1)(d2*t - n2)
+    k = draw(st.integers(1, 5)) * draw(st.sampled_from([-1, 1]))
+    return [k * c for c in p]
+
+
+@settings(deadline=None, max_examples=300)
+@given(quadratics())
+@example([2, -3, 1])  # discriminant 1: two roots
+@example([1, 2, 1])  # discriminant 0: one double root
+@example([1, 0, 1])  # discriminant -4: none
+@example([-2, 3, -1])  # a negative leading coefficient
+@example([-20, -20, -5])  # content -5 times (t + 2)^2
+def test_quadratic_root_count_matches_sturm(p):
+    expected = count_real_roots(UniPoly(p))
+    assert _count_roots(p) == expected
+    disc = p[1] ** 2 - 4 * p[2] * p[0]
+    assert expected == (2 if disc > 0 else 1 if disc == 0 else 0)
+
+
+@st.composite
+def planes_and_one_quadric(draw):
+    """Planes and one quadric level, special along `line`: planes through
+    anchor points of the line, parallel to it or containing it, and a
+    quadric through an anchor (sharing a plane's root), tangent to the line
+    at one, or missing it; plus a second line met generically."""
+    line, other = draw(st.lists(lines, min_size=2, max_size=2, unique=True))
+    anchors = [line.point_at(t) for t in draw(st.lists(rational, min_size=1, max_size=3))]
+    crossing = direction.filter(lambda v: _dot(v, line.dir) != 0)
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        normal = _cross(line.dir, draw(direction))
+        kind = draw(st.sampled_from(["anchor", "anchor", "free", "parallel", "contains"]))
+        if kind == "free":
+            level = _linear(draw(direction), draw(rational))
+        elif kind == "parallel" and any(normal):
+            level = _linear(normal, _dot(normal, line.base.coords) + draw(nonzero_rational))
+        elif kind == "contains" and any(normal):
+            level = _plane_through(line.base, normal)
+        else:
+            level = _plane_through(draw(st.sampled_from(anchors)), draw(crossing))
+        levels.append(level)
+    at = draw(st.sampled_from(anchors))
+    normal = _cross(line.dir, draw(direction))
+    kind = draw(st.sampled_from(["through", "tangent", "miss"]))
+    if kind == "tangent" and any(normal):
+        # a sphere whose center lies on a normal to the line at `at`
+        quadric = _sphere(at, tuple(a + n for a, n in zip(at.coords, normal)))
+    elif kind == "miss":
+        # the square of a plane through `at`, lifted off zero
+        quadric = _plane_through(at, draw(crossing)) ** 2 + draw(nonzero_rational) ** 2
+    else:
+        quadric = _sphere(at, draw(st.tuples(rational, rational, rational)))
+    levels.insert(draw(st.integers(0, len(levels))), quadric)
+    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    return part, [line, other]
+
+
+# the x-axis meets the plane x = 2 where the sphere about (2, 1, 0) touches
+# it, and the plane x = -1 once
+X_AXIS = RationalLine(Rational3Point(0, 0, 0), (1, 0, 0))
+TANGENT_AT_A_PLANE_ROOT = (
+    PartitionPoly(
+        levels=(
+            _linear((1, 0, 0), 2),
+            _sphere(Rational3Point(2, 0, 0), (2, 1, 0)),
+            _linear((1, 0, 0), -1),
+        ),
+        epsilon=Fraction(1, 10),
+        seed=0,
+    ),
+    [X_AXIS, RationalLine(Rational3Point(1, 1, 0), (1, 1, 1))],
+)
+
+
+def test_linear_roots_sort_by_value():
+    # roots 2 and 3/4 along the x-axis: by numerator alone 2 would come first
+    planes = (_linear((1, 0, 0), 2), _linear((4, 0, 0), 3))
+    part = PartitionPoly(levels=planes, epsilon=Fraction(1, 10), seed=0)
+    assert classify_lines(part, [X_AXIS]).crossing == [(0, 2)]
+    assert classes_crossed(part, X_AXIS) == {(-1, -1), (-1, 1), (1, 1)}
+
+
+@settings(deadline=None, max_examples=200)
+@given(planes_and_one_quadric())
+@example(TANGENT_AT_A_PLANE_ROOT)
+def test_planes_and_one_quadric_match_references(inputs):
+    part, lns = inputs
+    copy = PartitionPoly.from_json_dict(part.to_json_dict())
+    lc = classify_lines(part, lns)
+    assert lc == _classify_lines_reference(part, lns)
+    assert classify_lines(copy, lns) == lc
+    for i, _ in lc.crossing:
+        crossed = classes_crossed(part, lns[i])
+        assert crossed == _classes_crossed_reference(part, lns[i])
+        assert classes_crossed(copy, lns[i]) == crossed
