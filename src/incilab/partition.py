@@ -20,24 +20,26 @@ vanishing on no more points than the caps force wins, otherwise the first
 with the fewest zeros.  The windows meet in [lo, hi] with lo a key, and
 give one threshold: lo when lo == hi, else the midpoint of lo and the next
 key or hi, which meets no key and so ends the search.  The search runs on
-ints: each class's points are gathered once per level, the planes' sorted
-keys of the fixed directions are kept for the slabs (the random directions
-differ between the two families, and the kept keys are dropped before the
-balanced family), a slab's half-integer first cut c1 is compared with the
-keys as floor(c1), and a balanced basis vector's values are computed when
-a plan entry first uses it.
+ints from its keys to the appended level: each class's points are gathered
+once per level, the planes' sorted keys of the fixed directions are kept
+for the slabs (the random directions differ between the two families, and
+the kept keys are dropped before the balanced family), a slab's
+half-integer first cut c1 is compared with the keys as floor(c1), and a
+balanced basis vector's values are computed when a plan entry first uses
+it.  A threshold c, the midpoint of two ints, is carried as the int 2c, and
+a candidate as the integer terms of a positive multiple of it (`_Search`).
 
-The search's own values split the classes.  Every threshold c is the
-midpoint of two ints, so 2c is an int, and each candidate carries a lazy
+The search's own values split the classes.  Each candidate carries a lazy
 `signs()` that only the winner calls: a plane's sign at a class point is
 sign(2k - 2c) for its key k = u.X, a slab's is the product of two such
 signs, and a balanced candidate's is sign(2v - 2c) for the point's value v
-of the combination.  `build_partition` negates them when
-`primitive_normalize` flips the level, and evaluates no level at a class
-point.  The partition records each input point's cell, its tuple of level
-signs or a marker that it lies on Z(f), and `classify_points` and
-`cell_occupancy` read that record when they are given the same points;
-otherwise `_sign_vectors` evaluates every level at every point.
+of the combination.  `build_partition` divides the winner's terms by their
+gcd, negates them and its signs when the lex-largest term is negative, as
+`primitive_normalize` would, and evaluates no level at a class point.  The
+partition records each input point's cell, its tuple of level signs or a
+marker that it lies on Z(f), and `classify_points` and `cell_occupancy`
+read that record when they are given the same points; otherwise
+`_sign_vectors` evaluates every level at every point.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition carries one homogeneous integer form
@@ -50,8 +52,7 @@ has its sign.  That one form is evaluated at a point's stored ints
 base + t*dir with the same roots and signs; and at the search points
 (X_L, Y_L, Z_L, L), each point times L, the lcm of the denominators.  Search
 keys are in those units (u.X_L = L*u.x), so they sort and split exactly as
-the rational keys would, and each threshold maps back to a rational by one
-exact division.
+the rational keys would, and a key threshold c is the rational c/L.
 
 The line kernel is prepared once per partition (`PartitionPoly._kernel`):
 each plane's four coefficients, each other level's degree and form, and
@@ -72,8 +73,9 @@ which every H is linear or constant, as on planes, or P is a quadratic,
 builds no chain for its count.  An all-linear line's gap samples lie
 between its sorted rational roots; on any other line the gap sampler
 bisects on the chain of the product of all H's, taking its squarefree part,
-since it evaluates the chain at roots.  The `Fraction` functions in
-`algebra` are the reference.
+since it evaluates the chain at roots.  Its bisection points are dyadic
+(num, den) pairs, the format of the all-linear samples.  The `Fraction`
+functions in `algebra` are the reference.
 
 The same forms decide which planes divide a level (`plane_divides_form`),
 with no polynomial division.  A plane is irreducible, so it divides a level
@@ -236,36 +238,27 @@ def _side_caps(classes: Sequence[Sequence[int]], epsilon: Fraction) -> list[int]
     return [int(half * len(c)) for c in classes]
 
 
-def _mid(a, b) -> Fraction:
-    # (a + b) / 2 on two ints would be a float
-    return Fraction(a + b, 2)
-
-
-def _twice(c: Fraction) -> int:
-    """2c for a threshold c = `_mid` of two ints, as an int."""
-    return 2 * c.numerator // c.denominator
-
-
 def _value_signs(values_by_class, t: int) -> list[list[int]]:
     """Sign of 2v - t at each value v of each class, with t twice a
     threshold: v's side of the threshold, on ints."""
     return [[((d := 2 * v - t) > 0) - (d < 0) for v in vs] for vs in values_by_class]
 
 
-def _window_pick(values_by_class, lo: int, hi: int) -> tuple[Fraction, int]:
-    """(threshold, zeros) in [lo, hi], lo a key of the sorted per-class
-    keys: lo and the keys equal to it when lo == hi, else the zero-free
-    midpoint of lo and the next key above it, or hi if that is nearer."""
+def _window_pick(values_by_class, lo: int, hi: int) -> tuple[int, int]:
+    """(2c, zeros) for a threshold c in [lo, hi], lo a key of the sorted
+    per-class keys: lo and the keys equal to it when lo == hi, else the
+    zero-free midpoint of lo and the next key above it, or hi if that is
+    nearer.  c is the midpoint of two ints, so 2c is their sum."""
     if lo == hi:
-        return _mid(lo, hi), sum(
+        return 2 * lo, sum(
             bisect.bisect_right(vs, lo) - bisect.bisect_left(vs, lo) for vs in values_by_class
         )
     above = [vs[i] for vs in values_by_class if (i := bisect.bisect_right(vs, lo)) < len(vs)]
-    return _mid(lo, min([hi, *above])), 0
+    return lo + min([hi, *above]), 0
 
 
 def _threshold_candidate(values_by_class, qs):
-    """(threshold, zeros) splitting every class within its cap, or None.
+    """(2c, zeros) for a threshold c splitting every class within its cap, or None.
     Both open sides of sz sorted keys are at most q exactly in the window
     [keys[sz-1-q], keys[q]], which exists since slack < 1/2 makes q < sz."""
     lo = max(vs[len(vs) - 1 - q] for vs, q in zip(values_by_class, qs))
@@ -275,12 +268,22 @@ def _threshold_candidate(values_by_class, qs):
     return _window_pick(values_by_class, lo, hi)
 
 
-def _functional_poly_plane(u) -> TriPoly:
-    return (
-        TriPoly.variable(0) * u[0]
-        + TriPoly.variable(1) * u[1]
-        + TriPoly.variable(2) * u[2]
-    )
+def _level_terms(coeffs, exps, c2) -> dict[tuple[int, int, int], int]:
+    """Integer terms of sum(coeffs[i] * x^exps[i]) - c2, without zeros."""
+    terms = {e: k for e, k in zip(exps, coeffs) if k}
+    if c2:
+        terms[(0, 0, 0)] = -c2
+    return terms
+
+
+def _times(p: dict, q: dict) -> dict[tuple[int, int, int], int]:
+    """Product of two integer term dicts, without zeros."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (a, b, c), C in p.items():
+        for (i, j, k), D in q.items():
+            e = (a + i, b + j, c + k)
+            out[e] = out.get(e, 0) + C * D
+    return {e: C for e, C in out.items() if C}
 
 
 def _scaled(points) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -372,15 +375,19 @@ def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:
 
 
 class _Search:
-    """One level's candidate enumeration over the current classes; keys and
-    thresholds are in the units of pts, the search points of `_scaled`.
+    """One level's candidate enumeration over the current classes; keys are
+    in the units of pts, the search points of `_scaled`, and a threshold c
+    is carried as the int 2c (`_window_pick`).
 
-    Each family yields at most one (g, zeros, signs) per window: g places
-    its threshold inside every class's order-statistic window, so no open
-    side of g exceeds a class's cap, and zeros is the number of class points
-    where g vanishes (`_window_pick`).  signs() gives each class's signs of
-    g at its points, in class order, from the family's own keys or values;
-    only the winner's is called.  No candidate is evaluated as a polynomial.
+    Each family yields at most one (terms, zeros, signs) per window: terms
+    holds the integer terms of a positive multiple of the candidate g (a
+    plane u.X = c as 2L*u.x - 2c, a slab as the product of two of them, a
+    balanced value v = c as 2v - 2c), whose threshold lies inside every
+    class's order-statistic window, so no open side of g exceeds a class's
+    cap, and zeros is the number of class points where g vanishes.  signs()
+    gives each class's signs of g at its points, in class order, from the
+    family's own keys or values; only the winner's is called.  No candidate
+    is evaluated as a polynomial.
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -389,9 +396,8 @@ class _Search:
         # each class's search points, gathered once for every direction
         self.class_pts = [[pts[i] for i in c] for c in self.classes]
         self.cap = cap
-        self.eps = Fraction(epsilon)
         self.rng = rng
-        self.qs = _side_caps(self.classes, self.eps)
+        self.qs = _side_caps(self.classes, epsilon)
         # zero-free is impossible for a class whose cap leaves fewer than
         # sz slots across both sides
         self.forced_zeros = sum(
@@ -413,16 +419,16 @@ class _Search:
         return dirs
 
     def run(self):
-        """(g, signs) of the first candidate with at most `forced_zeros`
+        """(terms, signs) of the first candidate with at most `forced_zeros`
         zeros, else of the first with the fewest; None if no family yields
         a candidate."""
         best = None
         for fam in (self._planes, self._slabs, self._balanced):
-            for g, zeros, signs in fam():
+            for terms, zeros, signs in fam():
                 if zeros <= self.forced_zeros:
-                    return g, signs
+                    return terms, signs
                 if best is None or zeros < best[0]:
-                    best = (zeros, g, signs)
+                    best = (zeros, terms, signs)
         return None if best is None else best[1:]
 
     def _keys(self, u) -> list[list[int]]:
@@ -435,21 +441,25 @@ class _Search:
                 self.key_memo[u] = keys
         return keys
 
-    def _key_signs(self, u, c: Fraction) -> list[list[int]]:
-        """Each class's signs of u.X - c at its points, in class order."""
+    def _key_signs(self, u, c2: int) -> list[list[int]]:
+        """Each class's signs of u.X - c2/2 at its points, in class order."""
         a, b, cz = u
         return _value_signs(
-            ([a * x + b * y + cz * z for x, y, z, _ in P] for P in self.class_pts), _twice(c)
+            ([a * x + b * y + cz * z for x, y, z, _ in P] for P in self.class_pts), c2
         )
+
+    def _plane(self, u, c2: int) -> dict[tuple[int, int, int], int]:
+        """The terms of 2L*u.x - c2, twice the plane u.X = c2/2 in x = X/L;
+        the first structured directions are the exponents of x, y and z."""
+        return _level_terms([2 * self.L * a for a in u], _STRUCTURED_DIRS[:3], c2)
 
     # family: planes u.x = c (covers the axis median fallback: axes first)
     def _planes(self):
         for u in self.directions():
             got = _threshold_candidate(self._keys(u), self.qs)
             if got is not None:
-                c, zeros = got
-                g = _functional_poly_plane(u) - TriPoly.constant(Fraction(c, self.L))
-                yield g, zeros, partial(self._key_signs, u, c)
+                c2, zeros = got
+                yield self._plane(u, c2), zeros, partial(self._key_signs, u, c2)
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
@@ -462,32 +472,31 @@ class _Search:
             if len(gaps) > 12:
                 gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
             for a, b in gaps:
-                c1 = _mid(a, b)
+                c1 = a + b  # twice the cut, the midpoint of a and b
                 got = self._slab_second_cut(values_by_class, c1)
                 if got is None:
                     continue
                 c2, zeros = got
-                lin = _functional_poly_plane(u)
-                g = (lin - Fraction(c1, self.L)) * (lin - Fraction(c2, self.L))
-                yield g, zeros, partial(self._slab_signs, u, c1, c2)
+                terms = _times(self._plane(u, c1), self._plane(u, c2))
+                yield terms, zeros, partial(self._slab_signs, u, c1, c2)
 
-    def _slab_signs(self, u, c1: Fraction, c2: Fraction) -> list[list[int]]:
-        """Each class's signs of (u.X - c1)(u.X - c2) at its points."""
+    def _slab_signs(self, u, c1: int, c2: int) -> list[list[int]]:
+        """Each class's signs of (2u.X - c1)(2u.X - c2) at its points."""
         return [
             [s * r for s, r in zip(ss, rs)]
             for ss, rs in zip(self._key_signs(u, c1), self._key_signs(u, c2))
         ]
 
-    def _slab_second_cut(self, values_by_class, c1):
-        """(c2, zeros) for the slab c1 < u.x < c2, or None.
+    def _slab_second_cut(self, values_by_class, c1: int):
+        """(2c, zeros) for the slab c1/2 < u.X < c, or None.
 
-        c1 lies strictly between two consecutive keys and q < len(values),
-        so every class bounds c2 from below (lo) and above (hi) by keys
-        greater than c1; c1 meets no key, so the zeros are the keys equal
-        to c2.  The keys are ints and c1 is none of them, so the keys left
-        of c1 are those at most floor(c1).
+        c1/2 lies strictly between two consecutive keys and q < len(values),
+        so every class bounds c from below (lo) and above (hi) by keys
+        greater than c1/2; c1/2 meets no key, so the zeros are the keys
+        equal to c.  The keys are ints and c1/2 is none of them, so the keys
+        left of c1/2 are those at most floor(c1/2).
         """
-        floor_c1 = c1.numerator // c1.denominator
+        floor_c1 = c1 // 2
         lo = None
         hi = None
         for values, q in zip(values_by_class, self.qs):
@@ -546,8 +555,7 @@ class _Search:
         basis = nullspace(rows, limit=8)
         if not basis:
             return
-        den, flat = cleared([v for vec in basis for v in vec])
-        scale = den * Lpow[d]  # values below are scale * (basis . lifted x)
+        _, flat = cleared([v for vec in basis for v in vec])
         ibasis = [flat[k : k + len(exps)] for k in range(0, len(flat), len(exps))]
         vals: list = [None] * len(ibasis)
 
@@ -583,17 +591,11 @@ class _Search:
             got = _threshold_candidate([sorted(vs) for vs in combo], self.qs)
             if got is None:
                 continue
-            cthr, zeros = got
-            # never empty: the basis is independent and some coefficient is not 0
-            terms: dict[tuple[int, int, int], Fraction] = {}
-            for b, c in zip(take, coeffs):
-                for e, coef in zip(exps, basis[b]):
-                    if c and coef:
-                        terms[e] = terms.get(e, Fraction(0)) + c * coef
-            terms = {e: v for e, v in terms.items() if v != 0}
-            # g = (v - cthr) / scale at each point, with scale > 0
-            g = TriPoly(terms) - TriPoly.constant(Fraction(cthr, scale))
-            yield g, zeros, partial(_value_signs, combo, _twice(cthr))
+            c2, zeros = got
+            # combo = L^d * (vec . x's monomials); vec != 0: independent basis, some c != 0
+            vec = [sum(map(mul, coeffs, col)) for col in zip(*(ibasis[b] for b in take))]
+            terms = _level_terms([2 * Lpow[d] * v for v in vec], exps, c2)
+            yield terms, zeros, partial(_value_signs, combo, c2)
 
 
 def build_partition(
@@ -625,15 +627,15 @@ def build_partition(
         if not classes:
             # everything already migrated to the surface; any admissible
             # polynomial works, keep the degree low
-            levels.append(primitive_normalize(TriPoly.variable(0)))
+            levels.append(TriPoly.variable(0))
             continue
         got = _Search(pts, L, [c for _, c in classes], cap, epsilon, rng).run()
         if got is None:
             raise PartitionBudgetError(f"level {j}: no bisector met the slack at this level")
-        g, signs = got
-        terms = g.terms()
-        flip = -1 if terms[max(terms)] < 0 else 1  # as primitive_normalize negates g
-        levels.append(primitive_normalize(g))
+        terms, signs = got
+        flip = -1 if terms[max(terms)] < 0 else 1  # as primitive_normalize
+        g = flip * math.gcd(*terms.values())
+        levels.append(TriPoly({e: C // g for e, C in terms.items()}))
         nxt = []
         for (sv, cls_), ss in zip(classes, signs()):
             for side in (-1, 1):
@@ -861,45 +863,43 @@ def _exact_quo(p: list[int], g: list[int]) -> list[int]:
     return q
 
 
-def _gap_samples(p: list[int]) -> list[Fraction]:
-    """One parameter inside each maximal open interval where p != 0, in order.
+def _gap_samples(p: list[int]) -> list[tuple[int, int]]:
+    """One (num, den), den > 0, inside each maximal open interval where
+    p != 0, in order.
 
-    Sturm counts steer a bisection, so every sample is certified to avoid
-    the roots exactly.  The chain must be evaluated at roots of p, where a
-    non-squarefree chain vanishes entirely, so p is replaced by its
-    squarefree part when the chain ends in a nonconstant gcd.
+    Sturm counts steer a bisection on dyadic num/den, so every sample is
+    certified to avoid the roots exactly.  The chain must be evaluated at
+    roots of p, where a non-squarefree chain vanishes entirely, so p is
+    replaced by its squarefree part when the chain ends in a nonconstant gcd.
     """
     if len(p) == 1:
-        return [Fraction(0)]
+        return [(0, 1)]
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:
         chain = _sturm_chain(_exact_quo(chain[0], chain[-1]))
     sf = chain[0]
 
-    def below(x: Fraction) -> int:  # sign variations at x
-        return _changes(_sign_at(q, x.numerator, x.denominator) for q in chain)
+    def below(num: int, den: int) -> int:  # sign variations at num/den
+        return _changes(_sign_at(q, num, den) for q in chain)
 
     # beyond the Cauchy bound 1 + max|c_i| / |lc|
-    hi = Fraction(2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1]))
-    lo = -hi
-    v_lo = below(lo)
-    k = v_lo - below(hi)
-    samples = [lo]
+    hi = 2 + max(abs(c) for c in sf[:-1]) // abs(sf[-1])
+    v_lo = below(-hi, 1)
+    k = v_lo - below(hi, 1)
+    samples = [(-hi, 1)]
     for i in range(1, k):
-        a, b = lo, hi
+        a, b, den = -hi, hi, 1  # the i-th gap meets (a/den, b/den)
         while True:
-            mid = (a + b) / 2
-            c = v_lo - below(mid)
-            if c < i:
-                a = mid
-            elif c > i:
-                b = mid
-            elif _sign_at(sf, mid.numerator, mid.denominator):
-                samples.append(mid)
+            mid = a + b  # their midpoint is mid/(2*den)
+            den *= 2
+            c = v_lo - below(mid, den)
+            if c == i and _sign_at(sf, mid, den):
+                samples.append((mid, den))
                 break
-            else:
-                a = mid  # mid is exactly the i-th root; plateau lies rightward
-    return samples + [hi] if k else samples
+            # the half that meets the gap; at c == i, mid is exactly the
+            # i-th root and the gap lies to its right
+            a, b = (2 * a, mid) if c > i else (mid, 2 * b)
+    return samples + [(hi, 1)] if k else samples
 
 
 def _product(hs: list[list[int]]) -> list[int]:
@@ -1024,5 +1024,5 @@ def classes_crossed(
     if all(len(h) <= 2 for h in hs):
         samples = _linear_gap_samples(hs)
     else:
-        samples = [(s.numerator, s.denominator) for s in _gap_samples(_product(hs))]
+        samples = _gap_samples(_product(hs))
     return {tuple(_sign_at(h, num, den) for h in hs) for num, den in samples}

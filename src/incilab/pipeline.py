@@ -33,7 +33,6 @@ from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
     Configuration,
-    DegeneracyError,
     IncidenceTally,
     assign_to_components,
     coplanar_buckets,
@@ -249,7 +248,7 @@ def _detect_reguli(
         trio = rng.sample(contained, 3)
         try:
             quad = regulus_through(*(lines[i] for i in trio))
-        except (DegeneracyError, ValueError):
+        except ValueError:  # DegeneracyError among them
             continue
         if quad in seen:
             continue

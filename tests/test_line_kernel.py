@@ -102,6 +102,12 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
+def _fractions(samples):
+    """Integer (num, den) samples as the `Fraction`s num/den, den > 0."""
+    assert all(den > 0 for _, den in samples)
+    return [Fraction(num, den) for num, den in samples]
+
+
 @settings(deadline=None, max_examples=300)
 @given(kernel_inputs())
 def test_integer_line_kernel_matches_fraction_oracles(inputs):
@@ -119,7 +125,7 @@ def test_integer_line_kernel_matches_fraction_oracles(inputs):
             assert ratio > 0 and all(Fraction(a) == ratio * b for a, b in zip(h, r.coeffs))
 
         q = reduce(lambda a, b: a * b, fraction_restrictions)
-        samples = _gap_samples(_product(_restrictions(part.forms, line)))
+        samples = _fractions(_gap_samples(_product(_restrictions(part.forms, line))))
         assert len(samples) == roots + 1
         assert all(q.evaluate(s) != 0 for s in samples)
         chain = sturm_chain(q)
@@ -264,7 +270,7 @@ def test_root_count_and_samples_on_repeated_roots(roots, complex_pairs, lead):
     p = [int(c) for c in q.coeffs]
     distinct = len({Fraction(num, den) for num, den, _ in roots})
     assert _count_roots(p) == count_real_roots(q) == distinct
-    samples = _gap_samples(p)
+    samples = _fractions(_gap_samples(p))
     assert len(samples) == distinct + 1
     assert all(q.evaluate(s) != 0 for s in samples)
     chain = sturm_chain(q)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from incilab.algebra import TriPoly, X, Y, Z
+from incilab.algebra import TriPoly, X, Y, Z, primitive_normalize
 from incilab._linalg import nullspace
 from incilab.geom import Rational3Point, RationalLine
 from incilab.partition import (
@@ -178,10 +178,11 @@ def _assert_cells_are_sign_vectors(part, pts):
 def test_build_records_each_points_cell():
     # planes win levels 1 and 2, a slab level 3, and level 4 is a balanced
     # cubic that vanishes at one point and whose lex-leading coefficient
-    # primitive_normalize makes positive, negating the search's signs
+    # build_partition makes positive, negating the search's signs
     pts = rational_points(40, 8)
     part = build_partition(pts, 4, Fraction(1, 10), seed=8)
     assert [g.degree for g in part.levels] == [1, 1, 2, 3]
+    assert all(g == primitive_normalize(g) for g in part.levels)
     assert part._record[0] == tuple(pts)
     _assert_cells_are_sign_vectors(part, pts)
     assert cell_occupancy(part, pts)[1] == 1
@@ -220,30 +221,32 @@ def test_rational_point_sets_reproduce_recorded_levels(case):
 def test_slab_second_cut_open_side_spans_one_unit_of_x():
     # keys are u.X with X = 6x; one class of 4 with cap 3.  Cut c1 = 5 leaves
     # 3 keys above it, so nothing bounds c2 from above and the window runs
-    # from the key 10 to one unit of x (6 key units) past it
+    # from the key 10 to one unit of x (6 key units) past it.  Cuts are
+    # passed and returned twice: 2 * 5 in, 2 * 13 out
     search = _Search([(0, 0, 0)] * 4, 6, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
     assert search.qs == [3]
-    assert search._slab_second_cut([[0, 10, 20, 30]], Fraction(5)) == (Fraction(13), 0)
+    assert search._slab_second_cut([[0, 10, 20, 30]], 10) == (26, 0)
 
 
 def test_slab_second_cut_counts_keys_left_of_a_half_integer_cut():
-    # consecutive integer keys: c1 = 1/2 has one key (0) on its left, and the
-    # next key 1 = floor(c1) + 1 is inside the slab
+    # consecutive integer keys: c1 = 1/2 (passed as 1) has one key (0) on
+    # its left, and the next key 1 = floor(c1) + 1 is inside the slab
     search = _Search([(0, 0, 0, 1)] * 4, 1, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
-    assert search._slab_second_cut([[0, 1, 2, 3]], Fraction(1, 2)) == (Fraction(3, 2), 0)
-    assert search._slab_second_cut([[0, 1, 2, 3]], Fraction(3, 2)) == (Fraction(5, 2), 0)
+    assert search._slab_second_cut([[0, 1, 2, 3]], 1) == (3, 0)
+    assert search._slab_second_cut([[0, 1, 2, 3]], 3) == (5, 0)
 
 
 def test_window_pick_takes_one_threshold_per_window():
-    # lo < hi: the midpoint of lo and the next key above it, here another
-    # class's key, which meets no key
-    assert _window_pick([[0, 2, 7], [3, 9]], 2, 7) == (Fraction(5, 2), 0)
+    # each threshold c comes back as the int 2c.  lo < hi: the midpoint of
+    # lo and the next key above it, here another class's key, which meets
+    # no key
+    assert _window_pick([[0, 2, 7], [3, 9]], 2, 7) == (5, 0)
     # no key between lo and hi, as in a slab window one unit of x wide:
     # the midpoint of lo and hi
-    assert _window_pick([[0, 2], [1, 2]], 2, 5) == (Fraction(7, 2), 0)
-    assert _window_pick([[0, 2, 9]], 2, 4) == (Fraction(3), 0)
+    assert _window_pick([[0, 2], [1, 2]], 2, 5) == (7, 0)
+    assert _window_pick([[0, 2, 9]], 2, 4) == (6, 0)
     # lo == hi: lo itself, its zeros summed over every class
-    assert _window_pick([[2, 2, 5], [1, 2], [0, 3]], 2, 2) == (Fraction(2), 3)
+    assert _window_pick([[2, 2, 5], [1, 2], [0, 3]], 2, 2) == (4, 3)
 
 
 def test_key_memo_keeps_structured_directions_until_balanced():
@@ -302,11 +305,13 @@ def _threshold_candidates(values_by_class, qs):
 
 
 class _ReferenceSearch(_Search):
-    """`_Search` with keys built point by point, the slab cut's left count
-    taken against the `Fraction` c1, as before the integer search, and the
-    two-pick windows.  The balanced family reads `Fraction` values of the
-    first 8 vectors of the full nullspace of the centroid differences.  Each
-    candidate's signs are its form's signs at the class points."""
+    """`_Search` with keys built point by point, `Fraction` thresholds, the
+    slab cut's left count taken against the `Fraction` c1, as before the
+    integer search, and the two-pick windows.  Each candidate is a
+    `Fraction` `TriPoly` g built by polynomial arithmetic.  The balanced
+    family reads `Fraction` values of the first 8 vectors of the full
+    nullspace of the centroid differences.  Each candidate's signs are its
+    form's signs at the class points."""
 
     def __init__(self, pts, *args):
         super().__init__(pts, *args)
@@ -332,8 +337,23 @@ class _ReferenceSearch(_Search):
                 yield g, zeros, self._evaluated(g)
 
     def _slabs(self):
-        for g, zeros, _ in super()._slabs():
-            yield g, zeros, self._evaluated(g)
+        if self.cap < 2:
+            return
+        for u in self.directions():
+            values_by_class = self._keys(u)
+            distinct = sorted({v for vs in values_by_class for v in vs})
+            gaps = list(zip(distinct, distinct[1:]))
+            if len(gaps) > 12:
+                gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
+            for a, b in gaps:
+                c1 = Fraction(a + b, 2)
+                got = self._slab_second_cut(values_by_class, c1)
+                if got is None:
+                    continue
+                c2, zeros = got
+                lin = X * u[0] + Y * u[1] + Z * u[2]
+                g = (lin - Fraction(c1, self.L)) * (lin - Fraction(c2, self.L))
+                yield g, zeros, self._evaluated(g)
 
     def _slab_second_cut(self, values_by_class, c1):
         lo = None
@@ -397,6 +417,19 @@ def _pairs(stream):
     return [(g, zeros) for g, zeros, _ in stream]
 
 
+def _assert_positive_multiples(fast, ref):
+    """Each integer candidate of a stream is a positive multiple of the
+    reference stream's `Fraction` g, with the same zeros."""
+    assert len(fast) == len(ref)
+    for (terms, zeros), (g, want) in zip(fast, ref):
+        assert zeros == want
+        assert all(type(C) is int for C in terms.values())
+        gt = g.terms()
+        assert terms.keys() == gt.keys()
+        ratio = terms[max(gt)] / gt[max(gt)]
+        assert ratio > 0 and all(terms[e] == ratio * C for e, C in gt.items())
+
+
 def _drop_unread(stream):
     """A two-pick stream's (g, zeros) without each window's midpoint after
     its zero-free pick: `run` returns a candidate with 0 zeros, so it is
@@ -425,15 +458,15 @@ def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, c
     seed = data.draw(st.integers(0, 9))
     fast = _Search(pts, W, classes, cap, eps, random.Random(seed))
     ref = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed))
-    assert _pairs(fast._planes()) == _drop_unread(ref._planes())
-    assert _pairs(fast._slabs()) == _pairs(ref._slabs())
-    assert _pairs(fast._balanced()) == _drop_unread(ref._balanced())
+    _assert_positive_multiples(_pairs(fast._planes()), _drop_unread(ref._planes()))
+    _assert_positive_multiples(_pairs(fast._slabs()), _pairs(ref._slabs()))
+    _assert_positive_multiples(_pairs(fast._balanced()), _drop_unread(ref._balanced()))
     # the same winner, with the signs its form has at the class points
     won = _Search(pts, W, classes, cap, eps, random.Random(seed)).run()
     want = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed)).run()
     assert (won is None) == (want is None)
     if won is not None:
-        assert won[0] == want[0]
+        _assert_positive_multiples([(won[0], 0)], [(want[0], 0)])
         assert won[1]() == want[1]()
 
 
@@ -466,6 +499,8 @@ def test_recorded_cells_match_sign_vectors(coords, t, eps, seed, shuffle, keep):
         part = build_partition(pts, t, eps, seed)
     except PartitionBudgetError:
         return
+    # the integer winners are made primitive by primitive_normalize's rule
+    assert all(g == primitive_normalize(g) for g in part.levels)
     _assert_cells_are_sign_vectors(part, pts)
     _assert_cells_are_sign_vectors(PartitionPoly.from_json_dict(part.to_json_dict()), pts)
     # a reordered subset must not read the record
@@ -592,8 +627,8 @@ def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, label
     # and the signs each candidate carries are g's signs at the class points
     search = _Search(pts, W, classes, cap, eps, random.Random(seed))
     for family in (search._planes, search._slabs, search._balanced):
-        for g, zeros, carried in family():
-            form = _form(g)
+        for terms, zeros, carried in family():
+            form = _form(TriPoly(terms))
             got = carried()
             assert len(got) == len(search.classes)
             vanish = 0
