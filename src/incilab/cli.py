@@ -210,16 +210,16 @@ def _cmd_verify(args) -> int:
             crossed = [classes_crossed(st1.partition, line) for line in crossing]
             check(
                 "crossed classes agree",
-                crossed
-                == [_classes_crossed_reference(st1.partition, line) for line in crossing],
+                crossed == _classes_crossed_reference(st1.partition, crossing),
                 f"classes={sum(map(len, crossed))}",
             )
             buckets = coplanar_buckets([cfg.lines[i] for i in lc.contained])
             planes = _detect_planes(st1.partition, buckets)
+            levels = st1.partition.levels
             reference = [
                 pl
                 for pl in (RationalPlane(*key) for key in buckets)
-                if any(divides_by_plane(g, pl) for g in st1.partition.levels)
+                if any(divides_by_plane(g, pl) for g in levels)
             ]
             check("plane components agree", planes == reference, f"planes={len(planes)}")
             check(

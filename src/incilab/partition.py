@@ -35,18 +35,19 @@ sign(2k - 2c) for its key k = u.X, a slab's is the product of two such
 signs, and a balanced candidate's is sign(2v - 2c) for the point's value v
 of the combination.  `build_partition` divides the winner's terms by their
 gcd, negates them and its signs when the lex-largest term is negative, as
-`primitive_normalize` would, and evaluates no level at a class point.  The
-partition records each input point's cell, its tuple of level signs or a
-marker that it lies on Z(f), and `classify_points` and `cell_occupancy`
-read that record when they are given the same points; otherwise
-`_sign_vectors` evaluates every level at every point.
+`primitive_normalize` would, keeps them as the level, and evaluates no
+level at a class point.  The partition records each input point's cell, its
+tuple of level signs or a marker that it lies on Z(f), and `classify_points`
+and `cell_occupancy` read that record when they are given the same points;
+otherwise `_sign_vectors` evaluates every level at every point.
 
 Every sign is decided on Python ints.  Points and lines carry their
-integer form (`geom`), and a partition carries one homogeneous integer form
-per level (`PartitionPoly.forms`), cleared once when the partition is built:
-terms C * X^a * Y^b * Z^c * W^k with k = deg(g) - a - b - c, whose sum at
-(X, Y, Z, W) with W > 0 is a positive multiple of g(X/W, Y/W, Z/W) and so
-has its sign.  That one form is evaluated at a point's stored ints
+integer form (`geom`), and a partition is its levels' homogeneous integer
+forms (`PartitionPoly.forms`): terms C * X^a * Y^b * Z^c * W^k with
+k = deg(g) - a - b - c, whose sum at (X, Y, Z, W) with W > 0 is a positive
+multiple of g(X/W, Y/W, Z/W).  Only a `TriPoly` that comes in is cleared to
+a form (`_form`), and `PartitionPoly.levels` rebuilds the `TriPoly`s for the
+references.  That one form is evaluated at a point's stored ints
 (X, Y, Z, q); along a line with stored base B/w and direction d at
 (B + t*w*d, w), which gives H(t), a positive multiple of the level at
 base + t*dir with the same roots and signs; and at the search points
@@ -88,7 +89,11 @@ test.  For a zero test the sign of W does not matter: the form at
 (X, Y, Z, W) is W^d * g(X/W, Y/W, Z/W), zero exactly when g is zero there
 for any W != 0.  A line lies in one level's zero set when its restriction
 is zero (`line_in_zero_set`), which decides the pipeline's cone and regulus
-components; `algebra.line_in_zero_set` is the reference.
+components; `algebra.line_in_zero_set` is the reference.  A level is a cone
+with apex p, g(p + v) homogeneous in v, exactly when F(Xi + s*P) = F(Xi) for
+all s, with F its form and P the apex's ints: when the derivative
+sum P_i * dF/dXi_i is zero (`is_cone_form`), which at Xi = P is d * F(P) by
+Euler's identity, so the apex lies on the level.
 """
 
 from __future__ import annotations
@@ -140,57 +145,61 @@ def degree_budget(t: int) -> int:
     return sum(level_degree_cap(j) for j in range(1, t + 1))
 
 
-def _form(g: TriPoly) -> list[tuple[int, int, int, int, int]]:
-    """Terms (a, b, c, k, C) of g's homogeneous integer form: C is g's
-    coefficient of x^a y^b z^c cleared to an int, and k = deg(g) - a - b - c.
+def _homogenized(terms: dict) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The form of a nonzero level's integer terms {(a, b, c): C}: each
+    (a, b, c, k, C) with k = deg(g) - a - b - c, sorted by exponent."""
+    d = max(map(sum, terms))
+    return tuple(sorted((a, b, c, d - a - b - c, C) for (a, b, c), C in terms.items()))
 
-    The sum of C * X^a * Y^b * Z^c * W^k at W > 0 has the sign of
-    g(X/W, Y/W, Z/W).
-    """
+
+def _form(g: TriPoly) -> tuple[tuple[int, int, int, int, int], ...]:
+    """g's form (`_homogenized`), its coefficients cleared to ints.  The sum of
+    C * X^a * Y^b * Z^c * W^k at W > 0 has the sign of g(X/W, Y/W, Z/W)."""
+    if g.is_zero():
+        raise ValueError("level polynomial must be nonzero")
     terms = g.terms()
-    d = g.degree
     _, ints = cleared(list(terms.values()))
-    return [(a, b, c, d - a - b - c, C) for (a, b, c), C in zip(terms, ints)]
+    return _homogenized(dict(zip(terms, ints)))
 
 
 @dataclass(frozen=True)
 class PartitionPoly:
-    """Levels g_1..g_t; forms holds each level's `_form`, and `_kernel` the
-    line kernel prepared from them (`_prepare`), both derived once.
+    """Levels g_1..g_t held as their forms (`_homogenized`), `_kernel`, the
+    line kernel prepared from them once (`_prepare`), and for a partition
+    from `build_partition` `_record`: the points it was built on and each
+    point's cell (`_cells`)."""
 
-    A partition from `build_partition` also keeps `_record`: the points it
-    was built on, and each point's cell (`_cells`).  Other partitions have
-    none."""
-
-    levels: tuple[TriPoly, ...]
+    forms: tuple[tuple[tuple[int, int, int, int, int], ...], ...]
     epsilon: Fraction
     seed: int
-    forms: tuple = field(init=False, compare=False, repr=False)
     _kernel: tuple = field(init=False, compare=False, repr=False)
     _record: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.levels:
+        if not self.forms:
             raise ValueError("a partition needs at least one level")
-        if any(g.is_zero() for g in self.levels):
+        if not all(self.forms):
             raise ValueError("level polynomial must be nonzero")
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "forms", tuple(_form(g) for g in self.levels))
         object.__setattr__(self, "_kernel", _prepare(self.forms))
 
     @property
     def t(self) -> int:
-        return len(self.levels)
+        return len(self.forms)
 
     @property
     def degree(self) -> int:
-        return sum(g.degree for g in self.levels)
+        return sum(sum(form[0][:4]) for form in self.forms)  # a + b + c + k = deg(g)
+
+    @property
+    def levels(self) -> tuple[TriPoly, ...]:
+        """The levels as `TriPoly`s, rebuilt on each call, for the references."""
+        return tuple(TriPoly({(a, b, c): C for a, b, c, _, C in form}) for form in self.forms)
 
     @classmethod
     def from_levels(cls, levels: Iterable[TriPoly], epsilon=Fraction(1, 10), seed=0):
-        """Wrap explicit level polynomials (testing seam; caps not enforced)."""
-        lv = tuple(primitive_normalize(g) for g in levels)
-        return cls(levels=lv, epsilon=epsilon, seed=seed)
+        """Explicit level polynomials made primitive (testing seam; caps not enforced)."""
+        return cls(tuple(_form(primitive_normalize(g)) for g in levels), epsilon, seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,13 +207,14 @@ class PartitionPoly:
             "eps": qstr(self.epsilon),
             "seed": self.seed,
             "D": self.degree,
-            "levels": [g.to_records() for g in self.levels],
+            "levels": [[{"e": [a, b, c], "c": str(C)} for a, b, c, _, C in f] for f in self.forms],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PartitionPoly":
-        levels = tuple(TriPoly.from_records(r) for r in data["levels"])
-        part = cls(levels=levels, epsilon=qparse(data["eps"]), seed=int(data["seed"]))
+        """A saved partition; a level with p/q coefficients is held cleared."""
+        forms = tuple(_form(TriPoly.from_records(r)) for r in data["levels"])
+        part = cls(forms, qparse(data["eps"]), int(data["seed"]))
         if (data["t"], data["D"]) != (part.t, part.degree):
             raise ValueError(f"t, D = {data['t']}, {data['D']}; levels give {part.t}, {part.degree}")
         if not 0 <= part.epsilon < Fraction(1, 2):  # as build_partition requires
@@ -297,34 +307,23 @@ def _scaled(points) -> tuple[int, list[tuple[int, int, int, int]]]:
 
 
 def _plane_coeffs(form) -> tuple[int, int, int, int]:
-    """(cx, cy, cz, cw) of a degree-1 `_form`: its value at (X, Y, Z, W) is
-    cx*X + cy*Y + cz*Z + cw*W."""
+    """(cx, cy, cz, cw) of a degree-1 `_form`, valued cx*X + cy*Y + cz*Z + cw*W."""
     coef = [0, 0, 0, 0]
     for *e, C in form:
         coef[e.index(1)] = C
     return tuple(coef)
 
 
-def _signs(form, pts) -> list[int]:
-    """Sign of a `_form` at each homogeneous point (X, Y, Z, W): -1, 0 or 1.
+def form_value(form, pt) -> int:
+    """A `_form` at one homogeneous point (X, Y, Z, W), W != 0; zero exactly
+    when the level vanishes at (X/W, Y/W, Z/W), whatever the sign of W."""
+    x, y, z, w = pt
+    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)
 
-    A plane, most levels the search builds, is signed by one dot product
-    per point; other degrees sum the form term by term."""
-    if sum(form[0][:4]) == 1:  # a + b + c + k = deg(g)
-        cx, cy, cz, cw = _plane_coeffs(form)
-        vals = [cx * x + cy * y + cz * z + cw * w for x, y, z, w in pts]
-        return [(v > 0) - (v < 0) for v in vals]
-    out = []
-    for x, y, z, w in pts:
-        # form_value's sum as a plain loop: sum(<genexpr>) is 1.25-1.8x
-        # slower than the loop on forms of degree 1-3.  Partitions that
-        # `build_partition` made evaluate no form here at their own points
-        # (`_cells` reads their record); loaded ones and other points do
-        v = 0
-        for a, b, c, k, C in form:
-            v += C * x**a * y**b * z**c * w**k
-        out.append((v > 0) - (v < 0))
-    return out
+
+def _signs(form, pts) -> list[int]:
+    """Sign of a `_form` at each homogeneous point (X, Y, Z, W), W > 0."""
+    return [((v := form_value(form, pt)) > 0) - (v < 0) for pt in pts]
 
 
 def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
@@ -335,21 +334,26 @@ def _sign_vectors(part: PartitionPoly, points: Sequence[Rational3Point]):
 
 
 def _cells(part: PartitionPoly, points: Sequence[Rational3Point]) -> list:
-    """Each point's cell: its tuple of level signs, or None on Z(f).
-
-    Read from the partition's record when the points are the ones it was
-    built on, in the same order; else from `_sign_vectors`."""
+    """Each point's cell: its tuple of level signs, or None on Z(f), read from
+    the partition's record on the points it was built on, in the same order;
+    else from `_sign_vectors`."""
     record = part._record
     if record is not None and record[0] == tuple(points):
         return record[1]
     return [None if 0 in sv else sv for sv in _sign_vectors(part, points)]
 
 
-def form_value(form, pt) -> int:
-    """A `_form` at one homogeneous point (X, Y, Z, W), W != 0; zero exactly
-    when the level vanishes at (X/W, Y/W, Z/W), whatever the sign of W."""
-    x, y, z, w = pt
-    return sum(C * x**a * y**b * z**c * w**k for a, b, c, k, C in form)  # _signs loops it
+def is_cone_form(form, pt) -> bool:
+    """Whether the level of `_form` F is a cone with apex at (X, Y, Z, W) = pt,
+    W != 0: whether the derivative sum pt_i * dF/dXi_i is zero, term by term.
+    The `Fraction` reference is `algebra.is_cone_with_apex`."""
+    deriv: dict[tuple[int, ...], int] = {}
+    for *e, C in form:
+        for i in range(4):
+            if e[i]:
+                key = (*e[:i], e[i] - 1, *e[i + 1 :])
+                deriv[key] = deriv.get(key, 0) + C * e[i] * pt[i]
+    return not any(deriv.values())
 
 
 def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:
@@ -620,14 +624,14 @@ def build_partition(
     L, pts = _scaled(points)
     # the nonempty classes, each with its points' signs on the levels so far
     classes: list[tuple[tuple[int, ...], list[int]]] = [((), list(range(len(points))))]
-    levels: list[TriPoly] = []
+    forms: list[tuple] = []
     for j in range(1, t + 1):
         cap = level_degree_cap(j)
         rng = random.Random(seed * 1000003 + j)
         if not classes:
             # everything already migrated to the surface; any admissible
             # polynomial works, keep the degree low
-            levels.append(TriPoly.variable(0))
+            forms.append(((1, 0, 0, 0, 1),))  # the form of x
             continue
         got = _Search(pts, L, [c for _, c in classes], cap, epsilon, rng).run()
         if got is None:
@@ -635,7 +639,7 @@ def build_partition(
         terms, signs = got
         flip = -1 if terms[max(terms)] < 0 else 1  # as primitive_normalize
         g = flip * math.gcd(*terms.values())
-        levels.append(TriPoly({e: C // g for e, C in terms.items()}))
+        forms.append(_homogenized({e: C // g for e, C in terms.items()}))
         nxt = []
         for (sv, cls_), ss in zip(classes, signs()):
             for side in (-1, 1):
@@ -643,7 +647,7 @@ def build_partition(
                 if kept:
                     nxt.append(((*sv, side), kept))
         classes = nxt
-    part = PartitionPoly(levels=tuple(levels), epsilon=epsilon, seed=seed)
+    part = PartitionPoly(tuple(forms), epsilon, seed)
     cells: list = [None] * len(points)  # None: on Z(f)
     for sv, cls_ in classes:
         for i in cls_:
@@ -764,17 +768,11 @@ def _restrict(kernel, line: RationalLine) -> list[list[int]]:
     return out
 
 
-def _restrictions(forms, line: RationalLine) -> list[list[int]]:
-    """`_restrict` for bare forms, prepared for this one call; a partition
-    prepares its kernel once (`PartitionPoly._kernel`)."""
-    return _restrict(_prepare(forms), line)
-
-
 def line_in_zero_set(form, line: RationalLine) -> bool:
     """Whether the level whose `_form` is given vanishes on the whole line:
-    its integer restriction (`_restrictions`) is zero.  The `Fraction`
+    its integer restriction (`_restrict`) is zero.  The `Fraction`
     reference is `algebra.line_in_zero_set`."""
-    return not _restrictions([form], line)[0]
+    return not _restrict(_prepare([form]), line)[0]
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -981,10 +979,11 @@ def _classify_lines_reference(
     chains: the reference that `incilab verify` checks the kernel against."""
     contained = []
     crossing = []
+    levels = part.levels
     for i, line in enumerate(lines):
         on_line = reduce(
             lambda a, b: a * b,
-            (restrict_to_line(g, line) for g in part.levels),
+            (restrict_to_line(g, line) for g in levels),
             UniPoly([1]),
         )
         if on_line.is_zero():
@@ -995,14 +994,18 @@ def _classify_lines_reference(
 
 
 def _classes_crossed_reference(
-    part: PartitionPoly, line: RationalLine
-) -> set[tuple[int, ...]]:
-    """`classes_crossed` from `Fraction` restrictions, sampled by
-    `sign_gap_samples` of their product: the reference that `incilab verify`
-    checks the kernel against."""
-    hs = [restrict_to_line(g, line) for g in part.levels]
-    samples = sign_gap_samples(reduce(lambda a, b: a * b, hs))
-    return {tuple((v > 0) - (v < 0) for v in (h.evaluate(s) for h in hs)) for s in samples}
+    part: PartitionPoly, lines: Sequence[RationalLine]
+) -> list[set[tuple[int, ...]]]:
+    """`classes_crossed` of each line from `Fraction` restrictions, sampled
+    by `sign_gap_samples` of their product: the reference that `incilab
+    verify` checks the kernel against."""
+    levels = part.levels
+    out = []
+    for line in lines:
+        hs = [restrict_to_line(g, line) for g in levels]
+        values = ([h.evaluate(s) for h in hs] for s in sign_gap_samples(reduce(mul, hs)))
+        out.append({tuple((v > 0) - (v < 0) for v in vs) for vs in values})
+    return out
 
 
 def classes_crossed(

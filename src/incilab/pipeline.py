@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from .algebra import is_cone_with_apex, tp_divides
+from .algebra import tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
@@ -50,8 +50,9 @@ from .partition import (
     classify_points,
     degree_budget,
     form_value,
+    # bound as is_cone_with_apex and divides_by_plane, the names perfbench/tracing.py wraps
+    is_cone_form as is_cone_with_apex,
     line_in_zero_set,
-    # bound as divides_by_plane, the name perfbench/tracing.py wraps
     plane_divides_form as divides_by_plane,
 )
 from .powers import cmp_power_products
@@ -175,12 +176,13 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 # holding the three lines would hold two of them together, making those two
 # coplanar.  So f is never expanded to test a component.  A plane divides a
 # level of degree d exactly when the level's integer form vanishes on a
-# (d+1) x (d+1) grid of plane points (`partition.plane_divides_form`), so the
-# plane test does no `Fraction` division.  Each component then decides its
-# points and lines on integer forms: a `RationalPlane` on its coefficients, a
-# cone on its level's form and a `Quadric` on its own, by `form_value` and
-# the integer kernel `partition.line_in_zero_set`.  `algebra` holds the
-# `Fraction` references (`divides_by_plane`, `line_in_zero_set`).
+# (d+1) x (d+1) grid of plane points (`partition.plane_divides_form`), and a
+# level is a cone at an apex exactly when its form's derivative along the
+# apex's ints is zero (`partition.is_cone_form`); only the regulus test
+# (`tp_divides`) still divides `Fraction` polynomials.  Each component decides
+# its points and lines on integer forms, by `form_value` and the integer
+# kernel `partition.line_in_zero_set`.  `algebra` holds the `Fraction`
+# references (`divides_by_plane`, `is_cone_with_apex`, `line_in_zero_set`).
 
 
 def _detect_planes(part: PartitionPoly, buckets: dict):
@@ -196,7 +198,7 @@ def _detect_planes(part: PartitionPoly, buckets: dict):
 class _Cone:
     """A cone-shaped level of f, as its `_form`, and the cone's apex."""
 
-    form: list
+    form: tuple
     apex: Rational3Point
 
     def contains_point(self, p: Rational3Point) -> bool:
@@ -212,26 +214,20 @@ def _detect_cones(
     surface_idx: list[int],
     richness: dict[int, int],
 ) -> list[_Cone]:
-    """Cone-shaped level factors apexed at rich surface points; a candidate
-    apex must zero the level's integer form."""
+    """Cone-shaped levels of degree 2 or more apexed at rich surface points."""
     candidates = sorted(
         (i for i in surface_idx if richness.get(i, 0) >= 2),
         key=lambda i: (-richness.get(i, 0), i),
     )[:8]
     out = []
     seen = set()
-    for g, form in zip(part.levels, part.forms):
-        if g.degree < 2:
+    for form in part.forms:
+        if sum(form[0][:4]) < 2:  # a + b + c + k = deg(g)
             continue
-        for i in candidates:
-            p = points[i]
-            if form_value(form, p.ints) != 0:
-                continue
-            if is_cone_with_apex(g, p):
-                key = (g, p)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(_Cone(form, p))
+        for p in (points[i] for i in candidates):
+            if is_cone_with_apex(form, p.ints) and (form, p) not in seen:
+                seen.add((form, p))
+                out.append(_Cone(form, p))
     return out
 
 
@@ -242,6 +238,7 @@ def _detect_reguli(
     if len(contained) < 3:
         return []
     rng = random.Random(seed * 7919 + 1)
+    levels = part.levels
     out = []
     seen = set()
     for _ in range(20):
@@ -253,7 +250,7 @@ def _detect_reguli(
         if quad in seen:
             continue
         seen.add(quad)
-        if any(tp_divides(quad.poly, g) for g in part.levels):
+        if any(tp_divides(quad.poly, g) for g in levels):
             out.append(quad)
     return out
 

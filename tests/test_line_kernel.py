@@ -25,7 +25,8 @@ from incilab.partition import (
     _count_roots,
     _gap_samples,
     _product,
-    _restrictions,
+    _form,
+    _restrict,
     classes_crossed,
     classify_lines,
 )
@@ -47,6 +48,12 @@ level_kind = st.sampled_from(["free", "contains", "square", "constant", "root"])
 zero_or_one = st.sampled_from([0, 1])
 level_count = st.integers(1, 3)
 kernel_lines = st.lists(lines, min_size=1, max_size=3, unique=True)
+
+
+def partition_of(levels) -> PartitionPoly:
+    """The levels as given, cleared to ints without primitive scaling, so
+    their signs are kept."""
+    return PartitionPoly(tuple(_form(g) for g in levels), Fraction(1, 10), 0)
 
 
 def _linear(u, c) -> TriPoly:
@@ -93,8 +100,7 @@ def kernel_inputs(draw):
     lns = draw(kernel_lines)
     levels = [draw(level_for(draw(st.sampled_from(lns)))) for _ in range(draw(level_count))]
     levels = [g for g in levels if not g.is_zero()] or [TriPoly.variable(0)]
-    # from_json_dict keeps the coefficients as given, without primitive scaling
-    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of(tuple(levels))
     return part, lns
 
 
@@ -115,17 +121,18 @@ def test_integer_line_kernel_matches_fraction_oracles(inputs):
     lc = classify_lines(part, lns)
     assert lc == _classify_lines_reference(part, lns)
 
+    levels = part.levels
     for i, roots in lc.crossing:
         line = lns[i]
         # each integer restriction is a positive multiple of the Fraction one
-        fraction_restrictions = [restrict_to_line(g, line) for g in part.levels]
-        for h, r in zip(_restrictions(part.forms, line), fraction_restrictions):
+        fraction_restrictions = [restrict_to_line(g, line) for g in levels]
+        for h, r in zip(_restrict(part._kernel, line), fraction_restrictions):
             assert len(h) == len(r.coeffs)
             ratio = Fraction(h[-1]) / r.lead
             assert ratio > 0 and all(Fraction(a) == ratio * b for a, b in zip(h, r.coeffs))
 
         q = reduce(lambda a, b: a * b, fraction_restrictions)
-        samples = _fractions(_gap_samples(_product(_restrictions(part.forms, line))))
+        samples = _fractions(_gap_samples(_product(_restrict(part._kernel, line))))
         assert len(samples) == roots + 1
         assert all(q.evaluate(s) != 0 for s in samples)
         chain = sturm_chain(q)
@@ -135,7 +142,7 @@ def test_integer_line_kernel_matches_fraction_oracles(inputs):
             assert _variations_at(chain, a) - _variations_at(chain, b) == 1
 
         expected = {
-            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in levels)
             for t in sign_gap_samples(q)
         }
         assert classes_crossed(part, line) == expected
@@ -192,7 +199,7 @@ def shared_root_inputs(draw):
             factor = draw(st.sampled_from([plane_at_anchor, quadric_at_anchor]))()
             level = factor * factor
         levels.append(level)
-    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of(tuple(levels))
     return part, [line, other]
 
 
@@ -202,11 +209,12 @@ def test_roots_shared_across_levels_are_counted_once(inputs):
     part, lns = inputs
     lc = classify_lines(part, lns)
     assert lc == _classify_lines_reference(part, lns)
+    levels = part.levels
     for i, _ in lc.crossing:
         line = lns[i]
-        q = reduce(lambda a, b: a * b, (restrict_to_line(g, line) for g in part.levels))
+        q = reduce(lambda a, b: a * b, (restrict_to_line(g, line) for g in levels))
         expected = {
-            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            tuple(_sign(g.evaluate_point(line.point_at(t))) for g in levels)
             for t in sign_gap_samples(q)
         }
         assert classes_crossed(part, line) == expected
@@ -217,11 +225,11 @@ def test_planes_through_one_point_share_one_root():
     at = line.point_at(Fraction(3, 7))
     planes = [_plane_through(at, u) for u in [(1, 0, 0), (0, 1, 1), (2, -1, 3)]]
     parallel = _linear((2, -1, 0), 5)  # constant along the line
-    part = PartitionPoly(levels=(*planes, parallel), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of((*planes, parallel))
     assert classify_lines(part, [line]).crossing == [(0, 1)]
     # the sphere through the common point adds only its second root
     sphere = _sphere(at, (0, 0, 0))
-    part = PartitionPoly(levels=(*planes, sphere), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of((*planes, sphere))
     assert classify_lines(part, [line]).crossing == [(0, 2)]
 
 
@@ -238,20 +246,20 @@ def test_all_linear_lines_build_no_sturm_chain(monkeypatch):
         _plane_through(line.point_at(2), (1, 0, 0)),
         _linear((1, 1, 0), 7),  # constant along the line
     )
-    part = PartitionPoly(levels=planes, epsilon=Fraction(1, 10), seed=0)
+    part = partition_of(planes)
     assert classify_lines(part, [line]).crossing == [(0, 2)]
     # the first two planes change sign at t = -5/2, the third at t = 2
     assert classes_crossed(part, line) == {(-1, -1, -1, -1), (1, 1, -1, -1), (1, 1, 1, -1)}
     # one quadric level: its roots are counted by the discriminant, and the
     # planes' roots t = -5/2 (shared with the sphere) and t = 2 add one
     sphere = _sphere(at, (0, 0, 0))
-    quadric = PartitionPoly(levels=(*planes, sphere), epsilon=Fraction(1, 10), seed=0)
+    quadric = partition_of((*planes, sphere))
     lc = classify_lines(quadric, [line])
     assert lc == _classify_lines_reference(quadric, [line])
     assert lc.crossing == [(0, 3)]
     # two quadric levels: their degree-4 product gets a chain
     second = _sphere(line.point_at(2), (1, 0, 0))
-    quartic = PartitionPoly(levels=(*planes, sphere, second), epsilon=Fraction(1, 10), seed=0)
+    quartic = partition_of((*planes, sphere, second))
     with pytest.raises(AssertionError, match="Sturm chain"):
         classify_lines(quartic, [line])
 
@@ -283,7 +291,7 @@ def test_root_count_and_samples_on_repeated_roots(roots, complex_pairs, lead):
 def test_line_inside_a_level_is_contained_and_has_no_classes():
     line = RationalLine(Rational3Point(Fraction(1, 3), 0, Fraction(2, 7)), (1, 1, 0))
     plane = TriPoly({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): Fraction(-1, 3)})
-    part = PartitionPoly(levels=(plane,), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of((plane,))
     assert classify_lines(part, [line]).contained == [0]
     with pytest.raises(ValueError):
         classes_crossed(part, line)
@@ -363,7 +371,7 @@ def planes_and_one_quadric(draw):
     else:
         quadric = _sphere(at, draw(st.tuples(rational, rational, rational)))
     levels.insert(draw(st.integers(0, len(levels))), quadric)
-    part = PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0)
+    part = partition_of(tuple(levels))
     return part, [line, other]
 
 
@@ -371,14 +379,12 @@ def planes_and_one_quadric(draw):
 # it, and the plane x = -1 once
 X_AXIS = RationalLine(Rational3Point(0, 0, 0), (1, 0, 0))
 TANGENT_AT_A_PLANE_ROOT = (
-    PartitionPoly(
-        levels=(
+    partition_of(
+        (
             _linear((1, 0, 0), 2),
             _sphere(Rational3Point(2, 0, 0), (2, 1, 0)),
             _linear((1, 0, 0), -1),
-        ),
-        epsilon=Fraction(1, 10),
-        seed=0,
+        )
     ),
     [X_AXIS, RationalLine(Rational3Point(1, 1, 0), (1, 1, 1))],
 )
@@ -387,7 +393,7 @@ TANGENT_AT_A_PLANE_ROOT = (
 def test_linear_roots_sort_by_value():
     # roots 2 and 3/4 along the x-axis: by numerator alone 2 would come first
     planes = (_linear((1, 0, 0), 2), _linear((4, 0, 0), 3))
-    part = PartitionPoly(levels=planes, epsilon=Fraction(1, 10), seed=0)
+    part = partition_of(planes)
     assert classify_lines(part, [X_AXIS]).crossing == [(0, 2)]
     assert classes_crossed(part, X_AXIS) == {(-1, -1), (-1, 1), (1, 1)}
 
@@ -403,5 +409,5 @@ def test_planes_and_one_quadric_match_references(inputs):
     assert classify_lines(copy, lns) == lc
     for i, _ in lc.crossing:
         crossed = classes_crossed(part, lns[i])
-        assert crossed == _classes_crossed_reference(part, lns[i])
+        assert [crossed] == _classes_crossed_reference(part, [lns[i]])
         assert classes_crossed(copy, lns[i]) == crossed

@@ -662,12 +662,12 @@ def test_integer_sign_kernel_matches_evaluate(levels, coords, data):
     levels = [g - TriPoly.constant(g.evaluate_point(pts[k])) for g, k in zip(levels, on)]
     assume(not any(g.is_zero() for g in levels))
     # normalized levels, and the levels as drawn: Fraction coefficients that
-    # only the partition's forms clear
-    for part in (
-        PartitionPoly.from_levels(levels),
-        PartitionPoly(levels=tuple(levels), epsilon=Fraction(1, 10), seed=0),
+    # only the partition's forms clear, with their signs kept
+    for part, gs in (
+        (PartitionPoly.from_levels(levels), [primitive_normalize(g) for g in levels]),
+        (PartitionPoly(tuple(_form(g) for g in levels), Fraction(1, 10), 0), levels),
     ):
-        want = [tuple(_sign(g.evaluate_point(p)) for g in part.levels) for p in pts]
+        want = [tuple(_sign(g.evaluate_point(p)) for g in gs) for p in pts]
         assert _sign_vectors(part, pts) == want
         for j, k in enumerate(on):
             assert want[k][j] == 0
@@ -691,7 +691,7 @@ def test_from_levels_normalizes_and_validates():
         PartitionPoly.from_levels([X, TriPoly.zero()])
     # the constructor itself rejects a zero level, so JSON cannot carry one in
     with pytest.raises(ValueError, match="nonzero"):
-        PartitionPoly(levels=(X, TriPoly.zero()), epsilon=Fraction(1, 10), seed=0)
+        PartitionPoly((_form(X), ()), Fraction(1, 10), 0)
     with pytest.raises(ValueError, match="nonzero"):
         PartitionPoly.from_json_dict({"t": 1, "eps": "1/10", "seed": 0, "levels": [[]]})
 
@@ -724,8 +724,46 @@ def test_partition_json_round_trip():
     data = part.to_json_dict()
     assert data["t"] == 2 and data["D"] == part.degree
     back = PartitionPoly.from_json_dict(data)
-    assert back.levels == part.levels
-    assert back.epsilon == part.epsilon
+    assert back == part and back.levels == part.levels
+    assert json.dumps(back.to_json_dict()) == json.dumps(data)
+    # the forms write the records that the TriPoly levels would
+    assert data["levels"] == [g.to_records() for g in part.levels]
+
+
+def test_built_partition_holds_its_levels_as_forms():
+    # one point: the first level is a plane through it, which takes the
+    # point to Z(f), so the second level is x
+    part = build_partition([P(Fraction(1, 2), 3, -1)], 2, Fraction(1, 10), seed=0)
+    assert all(isinstance(C, int) for form in part.forms for *_, C in form)
+    assert part.forms[1] == ((1, 0, 0, 0, 1),)
+    assert part.levels[1] == X
+    assert part.degree == 2
+    assert part.forms == tuple(_form(g) for g in part.levels)
+
+
+def test_hand_written_levels_load_as_their_cleared_forms():
+    # x/2 - 1/3 and y^2 - 3/4, written unsorted: held as 3x - 2 and 4y^2 - 3
+    data = {
+        "t": 2,
+        "eps": "1/10",
+        "seed": 0,
+        "D": 3,
+        "levels": [
+            [{"e": [1, 0, 0], "c": "1/2"}, {"e": [0, 0, 0], "c": "-1/3"}],
+            [{"e": [0, 2, 0], "c": "1"}, {"e": [0, 0, 0], "c": "-3/4"}],
+        ],
+    }
+    part = PartitionPoly.from_json_dict(data)
+    assert part.forms == (((0, 0, 0, 1, -2), (1, 0, 0, 0, 3)), ((0, 0, 0, 2, -3), (0, 2, 0, 0, 4)))
+    written = [TriPoly.from_records(r) for r in data["levels"]]
+    pts = [P(Fraction(i, 3), Fraction(j, 2), 0) for i in range(-1, 4) for j in range(-3, 4)]
+    want = [tuple(_sign(g.evaluate_point(p)) for g in written) for p in pts]
+    assert _sign_vectors(part, pts) == want
+    assert {0, 1, -1} <= {s for sv in want for s in sv}
+    assert part.to_json_dict()["levels"] == [
+        [{"e": [0, 0, 0], "c": "-2"}, {"e": [1, 0, 0], "c": "3"}],
+        [{"e": [0, 0, 0], "c": "-3"}, {"e": [0, 2, 0], "c": "4"}],
+    ]
 
 
 def test_partition_json_checks_t_d_and_eps():

@@ -288,7 +288,8 @@ def test_level_wise_zero_set_matches_expanded_product(inputs):
     # oracle: multiply the levels out and work on the product f
     cfg, levels = inputs
     part = PartitionPoly.from_levels(levels)
-    f = reduce(lambda a, b: a * b, part.levels)
+    levels = part.levels
+    f = reduce(lambda a, b: a * b, levels)
     contained = [i for i, line in enumerate(cfg.lines) if line_in_zero_set(f, line)]
     crossing = [
         (i, count_real_roots(restrict_to_line(f, line)))
@@ -302,7 +303,7 @@ def test_level_wise_zero_set_matches_expanded_product(inputs):
         line = cfg.lines[i]
         expected = set()
         for t in sign_gap_samples(restrict_to_line(f, line)):
-            sv = tuple(_sign(g.evaluate_point(line.point_at(t))) for g in part.levels)
+            sv = tuple(_sign(g.evaluate_point(line.point_at(t))) for g in levels)
             assert 0 not in sv
             expected.add(sv)
         assert classes_crossed(part, line) == expected

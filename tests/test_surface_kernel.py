@@ -3,20 +3,21 @@ their `Fraction` references: the plane predicate
 `partition.plane_divides_form` against the long division
 `algebra.divides_by_plane`, and the zero-set kernel
 `partition.line_in_zero_set` and `Quadric`'s point and line tests against
-`algebra.line_in_zero_set` and `TriPoly.evaluate_point`."""
+`algebra.line_in_zero_set` and `TriPoly.evaluate_point`, and the cone
+kernel `partition.is_cone_form` against `algebra.is_cone_with_apex`."""
 
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from incilab import algebra, partition
+from incilab import algebra, partition, pipeline
 from incilab.algebra import TriPoly, X, Y, Z, divides_by_plane, plane_poly
 from incilab.geom import Rational3Point, RationalLine, RationalPlane
 from incilab.incidence import Quadric, regulus_through
-from incilab.partition import PartitionPoly, _form, plane_divides_form
+from incilab.partition import _form, plane_divides_form
 
 rational = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 nonzero_rational = rational.filter(bool)
@@ -38,12 +39,6 @@ PIVOT_KEYS = {
 
 def scaled_plane(coeffs, scale) -> TriPoly:
     return plane_poly(RationalPlane(*coeffs)) * scale
-
-
-def form_of(g: TriPoly):
-    """The form of g kept as given: no primitive scaling, as `PartitionPoly`
-    stores levels built by the search."""
-    return PartitionPoly(levels=(g,), epsilon=Fraction(0), seed=0).forms[0]
 
 
 @st.composite
@@ -81,7 +76,7 @@ def level_and_key(draw, pivot):
 @given(data=st.data())
 def test_plane_predicate_matches_fraction_division(pivot, data):
     g, key = data.draw(level_and_key(pivot))
-    assert plane_divides_form(form_of(g), key) == divides_by_plane(g, RationalPlane(*key))
+    assert plane_divides_form(_form(g), key) == divides_by_plane(g, RationalPlane(*key))
 
 
 def near_miss(var: TriPoly, d: int) -> TriPoly:
@@ -108,9 +103,9 @@ def near_miss(var: TriPoly, d: int) -> TriPoly:
 def test_plane_predicate_needs_the_full_grid(key, var, d):
     g = near_miss(var, d)
     assert not divides_by_plane(g, RationalPlane(*key))
-    assert not plane_divides_form(form_of(g), key)
+    assert not plane_divides_form(_form(g), key)
     product = g * scaled_plane(key, Fraction(2, 5))
-    assert plane_divides_form(form_of(product), key)
+    assert plane_divides_form(_form(product), key)
 
 
 # Planes off the origin with a pivot other than 1 and the other entries
@@ -122,11 +117,11 @@ def test_plane_predicate_needs_the_full_grid(key, var, d):
 def test_plane_predicate_evaluates_points_of_the_plane(key):
     positive = X * X + Y * Y + Z * Z + TriPoly.constant(Fraction(1, 2))
     plane = scaled_plane(key, Fraction(3, 7))
-    assert plane_divides_form(form_of(plane * positive), key)
-    assert plane_divides_form(form_of(plane * plane * positive), key)
-    assert not plane_divides_form(form_of(positive), key)
+    assert plane_divides_form(_form(plane * positive), key)
+    assert plane_divides_form(_form(plane * plane * positive), key)
+    assert not plane_divides_form(_form(positive), key)
     parallel = scaled_plane((*key[:3], key[3] + 1), Fraction(3, 7))
-    assert not plane_divides_form(form_of(parallel * positive), key)
+    assert not plane_divides_form(_form(parallel * positive), key)
 
 
 # -- the zero-set kernel and Quadric against their Fraction references -------------
@@ -268,3 +263,83 @@ def test_quadric_decides_points_and_lines_off_the_integer_lattice():
     # the ruling x = 1/2, z = y/2, and the line through its foot along z
     assert saddle.contains_line(RationalLine(Rational3Point(Fraction(1, 2), 0, 0), (0, 2, 1)))
     assert not saddle.contains_line(RationalLine(Rational3Point(Fraction(1, 2), 0, 0), (0, 0, 1)))
+
+
+# -- the cone kernel against its Fraction reference ---------------------------------
+
+HOMOGENEOUS = {
+    d: [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)] for d in (1, 2, 3)
+}
+
+
+def _shifted(G: TriPoly, apex: Rational3Point) -> TriPoly:
+    """G(x - apex): a G homogeneous of degree d gives a cone with that apex."""
+    px, py, pz = apex.coords
+    out = TriPoly.zero()
+    for (a, b, c), C in G.terms().items():
+        out = out + (X - px) ** a * (Y - py) ** b * (Z - pz) ** c * C
+    return out
+
+
+@st.composite
+def cone_cases(draw):
+    """A level and an apex: a shifted homogeneous G(v - p) at its apex p, a
+    near miss (G(v - p) plus a constant or a lower-degree shifted term), the
+    cone at a point off its apex, or a plane (G of degree 1)."""
+    apex = Rational3Point(*draw(rational_triple))
+    d = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.sampled_from(HOMOGENEOUS[d]), min_size=1, max_size=4, unique=True))
+    G = TriPoly({e: draw(nonzero_rational) for e in exps})
+    g = _shifted(G, apex)
+    kind = draw(st.sampled_from(["cone", "constant", "lower", "off"]))
+    if kind == "constant":
+        g = g + TriPoly.constant(draw(nonzero_rational))
+    elif kind == "lower" and d > 1:
+        lower = draw(st.integers(1, d - 1))
+        g = g + _shifted(TriPoly({draw(st.sampled_from(HOMOGENEOUS[lower])): 1}), apex)
+    elif kind == "off":
+        apex = Rational3Point(*draw(rational_triple))
+    return g, apex
+
+
+# (x - 1/2)^2 + (y - 1/3)^2 - (z - 2/5)^2, apexed at ints (15, 10, 12, 30)
+@example(
+    (
+        _shifted(X * X + Y * Y - Z * Z, Rational3Point(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))),
+        Rational3Point(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+@given(cone_cases())
+def test_cone_kernel_matches_the_fraction_reference(case):
+    g, apex = case
+    want = algebra.is_cone_with_apex(g, apex)
+    form = _form(g)
+    assert partition.is_cone_form(form, apex.ints) == want
+    # any W != 0 names the same apex
+    assert partition.is_cone_form(form, tuple(-c for c in apex.ints)) == want
+    if want:  # a cone holds its apex
+        assert partition.form_value(form, apex.ints) == 0
+
+
+def test_cone_kernel_reads_every_coordinate_and_exponent():
+    apex = Rational3Point(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+    assert apex.ints == (15, 10, 12, 30)
+    cone = _shifted(X * X + Y * Y - Z * Z, apex)
+    assert partition.is_cone_form(_form(cone), apex.ints)
+    assert not partition.is_cone_form(_form(cone), (0, 0, 0, 1))
+    # (x - 1)^2 + y^2 - z^2 at (1, 0, 0): the X and W derivatives cancel
+    unit = _shifted(X * X + Y * Y - Z * Z, Rational3Point(1, 0, 0))
+    assert partition.is_cone_form(_form(unit), (1, 0, 0, 1))
+    assert partition.is_cone_form(_form(unit), (2, 0, 0, 2))
+    # x^2 + y^2 - z^2 + 1 at the origin: only its W derivative is nonzero
+    lifted = X * X + Y * Y - Z * Z + TriPoly.constant(1)
+    assert not partition.is_cone_form(_form(lifted), (0, 0, 0, 1))
+    # a plane is a cone at each of its points, and only there
+    plane = X + Y - TriPoly.constant(1)
+    assert partition.is_cone_form(_form(plane), (1, 1, 0, 2))
+    assert not partition.is_cone_form(_form(plane), (0, 0, 0, 1))
+
+
+def test_pipeline_decides_cones_with_the_integer_kernel():
+    assert pipeline.is_cone_with_apex is partition.is_cone_form

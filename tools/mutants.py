@@ -9,7 +9,9 @@ tier-1 reads (src/, tests/, perfbench/, README.md, pyproject.toml) into a
 temporary directory, checks that the unmutated copy passes every named
 node, and then applies each mutant alone and runs its nodes.  A mutant that
 stops pytest from collecting its nodes (an import or syntax error) counts
-as killed.  It exits 1 when a snippet is missing or ambiguous, when the
+as killed, and so does one whose run outlasts twice the unmutated run of
+every node plus 30 s (a loop that never ends): its pytest process group is
+killed.  It exits 1 when a snippet is missing or ambiguous, when the
 unmutated copy fails, or when a mutant survives (some named node still
 passes).
 
@@ -22,9 +24,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,28 +36,37 @@ LEDGER = ROOT / "tools" / "mutants.json"
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
 
 
-def failed_nodes(workdir: Path, nodes: list[str]) -> set[str]:
+def failed_nodes(workdir: Path, nodes: list[str], timeout: float | None = None) -> set[str]:
     """The named nodes with a failure or error when pytest runs them in
     workdir; a parametrized node fails when any of its cases does, and every
-    node fails when pytest cannot collect them."""
+    node fails when pytest cannot collect them or runs past `timeout`
+    seconds, when its whole process group is killed."""
     # no bytecode: a restored file can match a mutant's cached size and mtime
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *nodes],
         cwd=workdir,
         env=env,
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,  # its own process group, with any children
     )
+    try:
+        stdout, stderr = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return set(nodes)
     # 2: a collection error; 4: a named node's file could not be collected
     if proc.returncode in (2, 4):
         return set(nodes)
     if proc.returncode not in (0, 1):  # 1 is "some tests failed"
-        sys.stdout.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        sys.stdout.write(stdout[-2000:] + stderr[-2000:])
         raise SystemExit(f"pytest exited {proc.returncode}")
     reported = [
         line.split(" ", 1)[1].split(" - ", 1)[0]
-        for line in proc.stdout.splitlines()
+        for line in stdout.splitlines()
         if line.startswith(("FAILED ", "ERROR "))
     ]
     return {node for node in nodes if any(r == node or r.startswith(node + "[") for r in reported)}
@@ -80,18 +93,21 @@ def main() -> int:
             elif src.exists():
                 shutil.copy2(src, work / name)
         every = sorted({node for m in ledger for node in m["kills"]})
+        start = time.monotonic()
         broken = failed_nodes(work, every)
         if broken:
             sys.stdout.write(f"the unmutated copy fails {sorted(broken)}\n")
             return 1
-        sys.stdout.write(f"unmutated copy passes {len(every)} nodes\n")
+        # each mutant runs a subset of these nodes
+        timeout = 2 * (time.monotonic() - start) + 30
+        sys.stdout.write(f"unmutated copy passes {len(every)} nodes; time limit {timeout:.0f} s\n")
 
         for m in ledger:
             path = work / m["file"]
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(m["snippet"], m["replacement"]), encoding="utf-8")
             try:
-                survivors = set(m["kills"]) - failed_nodes(work, m["kills"])
+                survivors = set(m["kills"]) - failed_nodes(work, m["kills"], timeout)
             finally:
                 path.write_text(original, encoding="utf-8")
             if survivors:
