@@ -191,10 +191,6 @@ class RationalPlane:
     def coeffs(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def eval_at(self, point: Rational3Point) -> Fraction:
-        *X, q = point.ints
-        return Fraction(_dot(self.normal, X) + self.d * q, q)
-
     def contains_point(self, point: Rational3Point) -> bool:
         return _dot(self.normal, point.ints) + self.d * point.ints[3] == 0
 

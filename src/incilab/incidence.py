@@ -111,14 +111,6 @@ class IncidenceTally:
         per_line = [len(pl) for pl in points_by_line]
         return cls(sum(per_line), per_point, per_line, points_by_line)
 
-    def to_json_dict(self) -> dict:
-        hist = richness_histogram(self)
-        return {
-            "I": self.total,
-            "per_line": list(self.per_line),
-            "richness": {str(k): v for k, v in sorted(hist.items())},
-        }
-
 
 # -- lattice-walk counter ---------------------------------------------------
 

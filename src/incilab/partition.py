@@ -93,7 +93,12 @@ components; `algebra.line_in_zero_set` is the reference.  A level is a cone
 with apex p, g(p + v) homogeneous in v, exactly when F(Xi + s*P) = F(Xi) for
 all s, with F its form and P the apex's ints: when the derivative
 sum P_i * dF/dXi_i is zero (`is_cone_form`), which at Xi = P is d * F(P) by
-Euler's identity, so the apex lies on the level.
+Euler's identity, so the apex lies on the level.  The quadric Q through
+pairwise skew lines l1, l2, l3 is smooth and doubly ruled, and the lines
+meeting all three form one ruling.  If Q does not divide a level g of
+degree d, Z(g) meets Q ~ P^1 x P^1 in a curve of bidegree (d, d), which holds
+at most d lines of a ruling, so Q divides g exactly when g vanishes on d + 1
+such transversals (`regulus_divides_form`).
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ from .algebra import (
     restrict_to_line,
     sign_gap_samples,
 )
-from .geom import Rational3Point, RationalLine, cleared
+from .geom import Rational3Point, RationalLine, _cross, cleared
 from .qformat import qparse, qstr
 
 
@@ -376,6 +381,23 @@ def plane_divides_form(form, key: tuple[int, int, int, int]) -> bool:
     else:
         pts = ((c * u, c * v, -d, c) for u in grid for v in grid)
     return all(form_value(form, pt) == 0 for pt in pts)
+
+
+def regulus_divides_form(form, l1: RationalLine, l2: RationalLine, l3: RationalLine) -> bool:
+    """Whether the quadric through the pairwise skew lines l1, l2, l3 divides
+    the level of `_form`: whether it holds the d + 1 transversals through l1's
+    points X/q at t = 0..d, meets of planes with normals (q*B - w*X) x dir for
+    l2's and l3's bases B/w.  The reference is `algebra.tp_divides`."""
+    *F, q = l1.base.ints
+    def normal(X, line):  # of the plane that X/q spans with the line
+        *B, w = line.base.ints
+        return _cross([q * b - w * x for b, x in zip(B, X)], line.dir)
+    for t in range(sum(form[0][:4]) + 1):  # a + b + c + k = deg(g)
+        X = [f + t * q * d for f, d in zip(F, l1.dir)]
+        direction = _cross(normal(X, l2), normal(X, l3))
+        if not line_in_zero_set(form, RationalLine(Rational3Point.from_ints(*X, q), direction)):
+            return False
+    return True
 
 
 class _Search:

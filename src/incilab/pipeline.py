@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from .algebra import tp_divides
 from .bounds import DegreePlan, OutOfRangeError, degree_plan
 from .geom import RationalLine, RationalPlane, Rational3Point
 from .incidence import (
@@ -50,10 +49,11 @@ from .partition import (
     classify_points,
     degree_budget,
     form_value,
-    # bound as is_cone_with_apex and divides_by_plane, the names perfbench/tracing.py wraps
+    # bound as the names perfbench/tracing.py wraps
     is_cone_form as is_cone_with_apex,
     line_in_zero_set,
     plane_divides_form as divides_by_plane,
+    regulus_divides_form as tp_divides,
 )
 from .powers import cmp_power_products
 from .qformat import qstr
@@ -174,15 +174,10 @@ def _occupancy_bound(m: int, t: int, epsilon: Fraction) -> int:
 # level: a linear form is prime in Q[x,y,z], and a quadric through three
 # pairwise skew lines is irreducible over Q, since two rational planes
 # holding the three lines would hold two of them together, making those two
-# coplanar.  So f is never expanded to test a component.  A plane divides a
-# level of degree d exactly when the level's integer form vanishes on a
-# (d+1) x (d+1) grid of plane points (`partition.plane_divides_form`), and a
-# level is a cone at an apex exactly when its form's derivative along the
-# apex's ints is zero (`partition.is_cone_form`); only the regulus test
-# (`tp_divides`) still divides `Fraction` polynomials.  Each component decides
-# its points and lines on integer forms, by `form_value` and the integer
-# kernel `partition.line_in_zero_set`.  `algebra` holds the `Fraction`
-# references (`divides_by_plane`, `is_cone_with_apex`, `line_in_zero_set`).
+# coplanar.  So f is never expanded, and every component is decided on the
+# levels' integer forms by `partition`'s kernels (`plane_divides_form`,
+# `is_cone_form`, `regulus_divides_form`, `form_value`, `line_in_zero_set`);
+# `algebra` holds their `Fraction` references.
 
 
 def _detect_planes(part: PartitionPoly, buckets: dict):
@@ -234,23 +229,23 @@ def _detect_cones(
 def _detect_reguli(
     part: PartitionPoly, lines: Sequence[RationalLine], contained: list[int], seed: int
 ):
-    """Quadrics through seeded skew triples of contained lines dividing f."""
+    """Quadrics through seeded skew triples of contained lines dividing f,
+    each decided on the levels' forms by the triple's transversals."""
     if len(contained) < 3:
         return []
     rng = random.Random(seed * 7919 + 1)
-    levels = part.levels
     out = []
     seen = set()
     for _ in range(20):
-        trio = rng.sample(contained, 3)
+        trio = [lines[i] for i in rng.sample(contained, 3)]
         try:
-            quad = regulus_through(*(lines[i] for i in trio))
+            quad = regulus_through(*trio)
         except ValueError:  # DegeneracyError among them
             continue
         if quad in seen:
             continue
         seen.add(quad)
-        if any(tp_divides(quad.poly, g) for g in levels):
+        if any(tp_divides(form, *trio) for form in part.forms):
             out.append(quad)
     return out
 
@@ -593,13 +588,12 @@ def ratio_denominator(m: int, n: int, s: int) -> Fraction:
 
 def full_report(
     cfg: Configuration,
-    run_pipeline: bool = True,
     D_override: int | None = None,
     E_override: int | None = None,
     seed: int = 0,
     epsilon: Fraction = Fraction(1, 10),
 ) -> IncidenceReport:
-    """Counting, coplanarity, bounds, and optionally the two-stage pipeline.
+    """Counting, coplanarity, bounds, and the two-stage pipeline when m, n >= 1.
     `incilab verify` checks the count and the coplanarity against their
     pairwise `Fraction` references."""
     m, n = cfg.m, cfg.n
@@ -621,7 +615,7 @@ def full_report(
         ratio = Fraction(I) / ratio_denominator(m, n, s_eff)
 
     stages: list[StageReport] = []
-    if run_pipeline and m >= 1 and n >= 1:
+    if m >= 1 and n >= 1:
         try:
             st1 = run_stage1(
                 cfg,

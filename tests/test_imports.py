@@ -77,3 +77,24 @@ def test_scan_finds_an_unreferenced_private():
     )
     module_b = "from .a import _imported\nfrom . import a\n\nx = _Used()\ny = a._other\n"
     assert unreferenced_privates([module_a, module_b]) == ["_dead", "_Orphan"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of every module an import names, with the names
+    a `from` import binds: `from .algebra import x`, `from . import algebra`
+    and `import incilab.algebra` all give "algebra"."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names} | {(node.module or "").split(".")[-1]}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[-1] for a in node.names}
+    return out
+
+
+def test_pipeline_imports_nothing_from_algebra():
+    # pipeline decides every surface on integer forms; the `Fraction`
+    # references in algebra serve `incilab verify` and the tests
+    assert "algebra" not in imported_modules((SRC / "pipeline.py").read_text())
+    for source in ("from .algebra import x", "from . import algebra", "import incilab.algebra"):
+        assert "algebra" in imported_modules(source)

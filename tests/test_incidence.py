@@ -68,13 +68,6 @@ def test_grid3d_counts_by_hand():
     assert all(c == 2 for c in tally.per_line)
 
 
-def test_tally_json_shape(cross_pair):
-    d = count_incidences(cross_pair).to_json_dict()
-    assert d["I"] == 6
-    assert d["richness"] == {"1": 2, "2": 2}
-    assert d["per_line"] == [2, 2, 2]
-
-
 def test_strategies_agree_on_generated_families():
     for spec in (
         GeneratorSpec("elekes2d", {"N": 2}),

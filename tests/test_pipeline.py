@@ -153,6 +153,33 @@ def test_forced_saddle_surface_prunes_both_rulings_as_regulus(levels):
     assert st.components == [("regulus", "regulus (0, 0, 0, 1, 0, 0, 0, 0, -1, 0)")]
 
 
+def _saddle_grid(side: int) -> Configuration:
+    """The 4 + 4 rulings x = a and y = b (1 <= a, b <= 4) of z = x y, and the
+    side x side points (a, b, a b) of the saddle, 1 <= a, b <= side."""
+    rulings = [RationalLine(Rational3Point(a, 0, 0), (0, 1, a)) for a in range(1, 5)]
+    rulings += [RationalLine(Rational3Point(0, b, 0), (1, 0, b)) for b in range(1, 5)]
+    points = [Rational3Point(a, b, a * b) for a in range(1, side + 1) for b in range(1, side + 1)]
+    return Configuration(tuple(points), tuple(rulings), {})
+
+
+@pytest.mark.parametrize(
+    # m^2 > n^3 (36 points, 8 lines) turns the regulus search on; m^2 <= n^3 leaves it off
+    "side, regime, reguli",
+    [(6, "large-m", True), (4, "small-m", False)],
+    ids=["large-m", "small-m"],
+)
+def test_the_degree_plan_gates_the_regulus_search(side, regime, reguli):
+    cfg = _saddle_grid(side)
+    total = count_incidences(cfg).total
+    st = run_stage1(cfg, partition_override=PartitionPoly.from_levels([X * Y - Z]))
+    assert st.plan.regime == regime
+    pruned = total if reguli else 0
+    assert st.pruned_by_cause == {"planar": 0, "conic": 0, "regulus": pruned}
+    assert st.residual_incidences == total - pruned
+    saddle = ("regulus", "regulus (0, 0, 0, 1, 0, 0, 0, 0, -1, 0)")
+    assert st.components == ([saddle] if reguli else [])
+
+
 def test_stage1_accounting_on_random_config():
     cfg = gen("random", m=200, n=50, seed=3)
     st = run_stage1(cfg, seed=3)
@@ -477,12 +504,6 @@ def test_full_report_assembles_bounds_and_stages():
     assert rep.bound_trivial == 80  # min(m^2 + n, n^2 + m)
     assert rep.bound_midrange is None  # 16^2 != 8^3
     assert [st.stage for st in rep.stages] == ["1", "2"]
-
-
-def test_full_report_without_pipeline():
-    rep = full_report(gen("grid3d", N=2), run_pipeline=False)
-    assert rep.stages == []
-    assert rep.I == 24
 
 
 def test_full_report_on_the_boundary_regime():

@@ -4,7 +4,8 @@ their `Fraction` references: the plane predicate
 `algebra.divides_by_plane`, and the zero-set kernel
 `partition.line_in_zero_set` and `Quadric`'s point and line tests against
 `algebra.line_in_zero_set` and `TriPoly.evaluate_point`, and the cone
-kernel `partition.is_cone_form` against `algebra.is_cone_with_apex`."""
+kernel `partition.is_cone_form` against `algebra.is_cone_with_apex`, and the
+regulus kernel `partition.regulus_divides_form` against `algebra.tp_divides`."""
 
 from fractions import Fraction
 from functools import reduce
@@ -343,3 +344,68 @@ def test_cone_kernel_reads_every_coordinate_and_exponent():
 
 def test_pipeline_decides_cones_with_the_integer_kernel():
     assert pipeline.is_cone_with_apex is partition.is_cone_form
+
+
+# -- the regulus kernel against its Fraction reference ------------------------------
+
+# pairwise skew lines with feet over 6, 15 and 4
+PINNED_TRIO = (
+    RationalLine(Rational3Point(Fraction(1, 2), Fraction(1, 3), 0), (0, 1, 2)),
+    RationalLine(Rational3Point(Fraction(2, 3), 0, Fraction(-1, 5)), (1, 0, 1)),
+    RationalLine(Rational3Point(0, Fraction(3, 4), Fraction(1, 2)), (1, -1, 1)),
+)
+
+
+def _near_miss(trio, spans) -> TriPoly:
+    """The product of d = len(spans) planes, the t-th holding the transversal
+    of the trio through trio[0]'s point at t and spanned with spans[t]: zero
+    on the d transversals a degree-d test takes first, but not on the last,
+    since a plane holds no two lines of one ruling."""
+    g = TriPoly.constant(Fraction(2, 3))
+    for t, span in enumerate(spans):
+        line = _transversal(trio[0].point_at(t), *trio[1:])
+        g = g * _plane(_cross(line.dir, span), line.base.coords)
+    return g
+
+
+@st.composite
+def regulus_cases(draw):
+    """Three pairwise skew lines with non-integral feet and a level with
+    non-integer coefficients, with its kind: the quadric Q through the lines
+    times a level h of degree at most 2 ("product"), Q*h plus a random level
+    ("perturbed"), a random level ("free"), or `_near_miss` of degree 1-4
+    ("near")."""
+    trio = tuple(draw(st.lists(fractional_lines, min_size=3, max_size=3, unique=True)))
+    try:
+        quad = regulus_through(*trio)
+    except ValueError:  # not pairwise skew, or no unique quadric
+        assume(False)
+    kind = draw(st.sampled_from(["product", "perturbed", "free", "near"]))
+    if kind == "near":
+        g = _near_miss(trio, draw(st.lists(direction, min_size=1, max_size=4)))
+    elif kind == "free":
+        g = draw(LEVELS_UP_TO[4])
+    else:
+        g = quad.poly * draw(LEVELS_UP_TO[2])
+        if kind == "perturbed":
+            g = g + draw(LEVELS_UP_TO[3])
+    assume(not g.is_zero())
+    return trio, g * draw(non_integer), kind
+
+
+@example((PINNED_TRIO, _near_miss(PINNED_TRIO, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), "near"))
+@example((PINNED_TRIO, regulus_through(*PINNED_TRIO).poly * (X - TriPoly.constant(Fraction(1, 7))), "product"))
+@settings(max_examples=200, deadline=None)
+@given(regulus_cases())
+def test_regulus_kernel_matches_the_fraction_reference(case):
+    trio, g, kind = case
+    want = algebra.tp_divides(regulus_through(*trio).poly, g)
+    assert partition.regulus_divides_form(_form(g), *trio) == want
+    if kind == "product":
+        assert want
+    elif kind == "near":
+        assert not want
+
+
+def test_pipeline_decides_reguli_with_the_integer_kernel():
+    assert pipeline.tp_divides is partition.regulus_divides_form
