@@ -10,36 +10,36 @@ per line by a real root count.
 f is never expanded: Z(f) is the union of the levels' zero sets, and the
 restriction of f to a line is the product of the levels' restrictions.
 
-The bisector search is deterministic given the seed: candidate polynomials
-are enumerated family by family (median planes and plane sweeps, slab
-products, then balanced lifted directions on which every class has the same
-mean).  Each candidate's threshold is placed inside every class's
-order-statistic window, which certifies that no open side exceeds the
-class's cap, so candidates are compared only by their zeros: the first one
-vanishing on no more points than the caps force wins, otherwise the first
-with the fewest zeros.  The windows meet in [lo, hi] with lo a key, and
-give one threshold: lo when lo == hi, else the midpoint of lo and the next
-key or hi, which meets no key and so ends the search.  The search runs on
-ints from its keys to the appended level: each class's points are gathered
-once per level, the planes' sorted keys of the fixed directions are kept
-for the slabs (the random directions differ between the two families, and
-the kept keys are dropped before the balanced family), a slab's
-half-integer first cut c1 is compared with the keys as floor(c1), and a
-balanced basis vector's values are computed when a plan entry first uses
-it.  A threshold c, the midpoint of two ints, is carried as the int 2c, and
-a candidate as the integer terms of a positive multiple of it (`_Search`).
-
-The search's own values split the classes.  Each candidate carries a lazy
-`signs()` that only the winner calls: a plane's sign at a class point is
-sign(2k - 2c) for its key k = u.X, a slab's is the product of two such
-signs, and a balanced candidate's is sign(2v - 2c) for the point's value v
-of the combination.  `build_partition` divides the winner's terms by their
-gcd, negates them and its signs when the lex-largest term is negative, as
-`primitive_normalize` would, keeps them as the level, and evaluates no
-level at a class point.  The partition records each input point's cell, its
-tuple of level signs or a marker that it lies on Z(f), and `classify_points`
-and `cell_occupancy` read that record when they are given the same points;
-otherwise `_sign_vectors` evaluates every level at every point.
+The bisector search is deterministic given the seed.  Every candidate has
+one shape: a coefficient vector vec on monomials m(x) of degree at most d,
+each class's values v = L^d * vec.m(x) at its search points (below), and a
+threshold c, carried as the int 2c.  One routine (`_Search._level`) turns
+them into the integer terms 2*L^d*vec.m(x) - 2c of a positive multiple of
+the candidate and a lazy `signs()`, sign(2v - 2c) at each class point, that
+only the winner calls.  The families enumerate vectors: median planes and
+plane sweeps (u on x, y and z at d = 1, whose values are the keys u.X),
+slabs (the product of two planes of one direction, at cuts c1 and c2), and
+balanced lifted directions on which every class has the same mean.  Each
+threshold is placed inside every class's order-statistic window, which
+certifies that no open side exceeds the class's cap, so candidates are
+compared only by their zeros: the first one vanishing on no more points
+than the caps force wins, otherwise the first with the fewest zeros.  The
+windows meet in [lo, hi] with lo a key, and give one threshold: lo when
+lo == hi, else the midpoint of lo and the next key or hi, which meets no key
+and so ends the search.  No value is computed twice in a level: each
+class's points are gathered once, each fixed direction's keys are kept in
+class order next to their sorted copies for the planes and the slabs (the
+random directions differ between the two families, and the kept keys are
+dropped before the balanced family), a slab's half-integer first cut c1 is
+compared with the keys as floor(c1), and a balanced basis vector's values
+are computed when a plan entry first uses it.  `build_partition` divides
+the winner's terms by their gcd, negates them and its signs when the
+lex-largest term is negative, as `primitive_normalize` would, keeps them as
+the level, and evaluates no level at a class point.  The partition records
+each input point's cell, its tuple of level signs or a marker that it lies
+on Z(f), and `classify_points` and `cell_occupancy` read that record when
+they are given the same points; otherwise `_sign_vectors` evaluates every
+level at every point.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition is its levels' homogeneous integer
@@ -283,12 +283,10 @@ def _threshold_candidate(values_by_class, qs):
     return _window_pick(values_by_class, lo, hi)
 
 
-def _level_terms(coeffs, exps, c2) -> dict[tuple[int, int, int], int]:
-    """Integer terms of sum(coeffs[i] * x^exps[i]) - c2, without zeros."""
-    terms = {e: k for e, k in zip(exps, coeffs) if k}
-    if c2:
-        terms[(0, 0, 0)] = -c2
-    return terms
+def _product_signs(s, r) -> list[list[int]]:
+    """Each class's signs of the product of two candidates, from their
+    lazy signs."""
+    return [[a * b for a, b in zip(ss, rs)] for ss, rs in zip(s(), r())]
 
 
 def _times(p: dict, q: dict) -> dict[tuple[int, int, int], int]:
@@ -401,19 +399,17 @@ def regulus_divides_form(form, l1: RationalLine, l2: RationalLine, l3: RationalL
 
 
 class _Search:
-    """One level's candidate enumeration over the current classes; keys are
-    in the units of pts, the search points of `_scaled`, and a threshold c
-    is carried as the int 2c (`_window_pick`).
+    """One level's candidate enumeration over the current classes; values
+    are in the units of pts, the search points of `_scaled`, and a threshold
+    c is carried as the int 2c (`_window_pick`).
 
-    Each family yields at most one (terms, zeros, signs) per window: terms
-    holds the integer terms of a positive multiple of the candidate g (a
-    plane u.X = c as 2L*u.x - 2c, a slab as the product of two of them, a
-    balanced value v = c as 2v - 2c), whose threshold lies inside every
-    class's order-statistic window, so no open side of g exceeds a class's
-    cap, and zeros is the number of class points where g vanishes.  signs()
-    gives each class's signs of g at its points, in class order, from the
-    family's own keys or values; only the winner's is called.  No candidate
-    is evaluated as a polynomial.
+    Each family yields at most one (terms, zeros, signs) per window, built
+    by `_level` from a coefficient vector and its values: a plane's or a
+    balanced combination's, or the product of a slab's two planes.  The
+    threshold lies inside every class's order-statistic window, so no open
+    side of the candidate exceeds a class's cap, and zeros is the number of
+    class points where it vanishes.  Only the winner's signs() is called.
+    No candidate is evaluated as a polynomial.
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -429,9 +425,10 @@ class _Search:
         self.forced_zeros = sum(
             max(0, len(c) - 2 * q) for c, q in zip(self.classes, self.qs)
         )
-        # the structured directions' keys, built by `_planes` and read again
-        # by `_slabs`; the random directions differ between the two
-        self.key_memo: dict[tuple[int, int, int], list[list[int]]] = {}
+        # the structured directions' (values, keys) from `_keys`, built by
+        # `_planes` and read again by `_slabs`; the random directions differ
+        # between the two
+        self.key_memo: dict[tuple[int, int, int], tuple[list[list[int]], list[list[int]]]] = {}
 
     def directions(self):
         dirs = list(_STRUCTURED_DIRS)
@@ -457,61 +454,60 @@ class _Search:
                     best = (zeros, terms, signs)
         return None if best is None else best[1:]
 
-    def _keys(self, u) -> list[list[int]]:
-        """Sorted keys u.X of each class."""
-        keys = self.key_memo.get(u)
-        if keys is None:
+    def _keys(self, u):
+        """(values, keys): each class's keys u.X in class order, and their
+        sorted copies."""
+        got = self.key_memo.get(u)
+        if got is None:
             a, b, c = u
-            keys = [sorted([a * x + b * y + c * z for x, y, z, _ in P]) for P in self.class_pts]
+            values = [[a * x + b * y + c * z for x, y, z, _ in P] for P in self.class_pts]
+            got = values, [sorted(vs) for vs in values]
             if u in _STRUCTURED_DIRS:
-                self.key_memo[u] = keys
-        return keys
+                self.key_memo[u] = got
+        return got
 
-    def _key_signs(self, u, c2: int) -> list[list[int]]:
-        """Each class's signs of u.X - c2/2 at its points, in class order."""
-        a, b, cz = u
-        return _value_signs(
-            ([a * x + b * y + cz * z for x, y, z, _ in P] for P in self.class_pts), c2
-        )
+    def _level(self, exps, vec, d: int, values, c2: int):
+        """(terms, signs) of the candidate v = c, where each class's values v,
+        in class order, are L^d * (vec . the monomials exps of x) at the
+        search points X = L*x, and c2 = 2c: terms holds 2*L^d*(vec . m(x)) - c2,
+        and signs() the signs of 2v - c2."""
+        scale = 2 * self.L**d
+        terms = {e: scale * k for e, k in zip(exps, vec) if k}
+        if c2:
+            terms[(0, 0, 0)] = -c2
+        return terms, partial(_value_signs, values, c2)
 
-    def _plane(self, u, c2: int) -> dict[tuple[int, int, int], int]:
-        """The terms of 2L*u.x - c2, twice the plane u.X = c2/2 in x = X/L;
-        the first structured directions are the exponents of x, y and z."""
-        return _level_terms([2 * self.L * a for a in u], _STRUCTURED_DIRS[:3], c2)
-
-    # family: planes u.x = c (covers the axis median fallback: axes first)
+    # family: planes u.x = c (covers the axis median fallback: axes first);
+    # the first structured directions are the exponents of x, y and z
     def _planes(self):
         for u in self.directions():
-            got = _threshold_candidate(self._keys(u), self.qs)
+            values, keys = self._keys(u)
+            got = _threshold_candidate(keys, self.qs)
             if got is not None:
                 c2, zeros = got
-                yield self._plane(u, c2), zeros, partial(self._key_signs, u, c2)
+                terms, signs = self._level(_STRUCTURED_DIRS[:3], u, 1, values, c2)
+                yield terms, zeros, signs
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
         if self.cap < 2:
             return
         for u in self.directions():
-            values_by_class = self._keys(u)
-            distinct = sorted({v for vs in values_by_class for v in vs})
+            values, keys = self._keys(u)
+            distinct = sorted({v for vs in keys for v in vs})
             gaps = list(zip(distinct, distinct[1:]))
             if len(gaps) > 12:
                 gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
             for a, b in gaps:
                 c1 = a + b  # twice the cut, the midpoint of a and b
-                got = self._slab_second_cut(values_by_class, c1)
+                got = self._slab_second_cut(keys, c1)
                 if got is None:
                     continue
                 c2, zeros = got
-                terms = _times(self._plane(u, c1), self._plane(u, c2))
-                yield terms, zeros, partial(self._slab_signs, u, c1, c2)
-
-    def _slab_signs(self, u, c1: int, c2: int) -> list[list[int]]:
-        """Each class's signs of (2u.X - c1)(2u.X - c2) at its points."""
-        return [
-            [s * r for s, r in zip(ss, rs)]
-            for ss, rs in zip(self._key_signs(u, c1), self._key_signs(u, c2))
-        ]
+                (t1, s1), (t2, s2) = (
+                    self._level(_STRUCTURED_DIRS[:3], u, 1, values, c) for c in (c1, c2)
+                )
+                yield _times(t1, t2), zeros, partial(_product_signs, s1, s2)
 
     def _slab_second_cut(self, values_by_class, c1: int):
         """(2c, zeros) for the slab c1/2 < u.X < c, or None.
@@ -620,8 +616,8 @@ class _Search:
             c2, zeros = got
             # combo = L^d * (vec . x's monomials); vec != 0: independent basis, some c != 0
             vec = [sum(map(mul, coeffs, col)) for col in zip(*(ibasis[b] for b in take))]
-            terms = _level_terms([2 * Lpow[d] * v for v in vec], exps, c2)
-            yield terms, zeros, partial(_value_signs, combo, c2)
+            terms, signs = self._level(exps, vec, d, combo, c2)
+            yield terms, zeros, signs
 
 
 def build_partition(

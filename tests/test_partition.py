@@ -21,9 +21,11 @@ from incilab.partition import (
     PartitionPoly,
     _Search,
     _form,
+    _homogenized,
     _scaled,
     _sign_vectors,
     _signs,
+    _threshold_candidate,
     _window_pick,
     build_partition,
     cell_occupancy,
@@ -638,6 +640,61 @@ def test_every_search_candidate_is_within_its_caps(coords, W, k, eps, cap, label
                 assert signs.count(1) <= q and signs.count(-1) <= q
                 vanish += signs.count(0)
             assert zeros == vanish
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=12, unique=True),
+    st.integers(1, 4),
+    search_eps,
+    st.data(),
+)
+def test_level_builds_terms_with_the_signs_of_any_vectors_values(d, coords, L, eps, data):
+    # `_level` outside the three families: an arbitrary integer vector on
+    # monomials of degree at most d, or a pencil qU + pV of two of them with
+    # its values qU(x) + pV(x), checked against `form_value` of the terms
+    monomial = st.tuples(*[st.integers(0, d)] * 3).filter(lambda e: 0 < sum(e) <= d)
+    exps = sorted(data.draw(st.sets(monomial, min_size=1)))
+    vector = st.lists(st.integers(-5, 5), min_size=len(exps), max_size=len(exps))
+    parts = [(1, data.draw(vector))]
+    if data.draw(st.booleans()):
+        q, p = data.draw(st.integers(1, 4)), data.draw(st.integers(-4, 4))
+        parts = [(q, parts[0][1]), (p, data.draw(vector))]
+    vec = [sum(k * w[i] for k, w in parts) for i in range(len(exps))]
+    assume(any(vec))
+    pts = [(*c, L) for c in coords]
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    classes = [[i for i, c in enumerate(labels) if c == j] for j in range(3)]
+    search = _Search(pts, L, classes, d, eps, random.Random(0))
+
+    def values(w):
+        """L^d * w.m(x) at each class's search points X = L*x, in class order."""
+        return [
+            [
+                sum(k * X**a * Y**b * Z**c * L ** (d - a - b - c) for k, (a, b, c) in zip(w, exps))
+                for X, Y, Z, _ in P
+            ]
+            for P in search.class_pts
+        ]
+
+    vals = [
+        [sum(k * v for (k, _), v in zip(parts, point)) for point in zip(*by_part)]
+        for by_part in zip(*(values(w) for _, w in parts))
+    ]
+    # a threshold inside every window when there is one, else any threshold
+    got = _threshold_candidate([sorted(vs) for vs in vals], search.qs)
+    c2, zeros = got if got is not None else (data.draw(st.integers(-99, 99)), None)
+    terms, signs = search._level(exps, vec, d, vals, c2)
+    form = _homogenized(terms)
+    carried = signs()
+    assert len(carried) == len(search.classes)
+    for P, q, ss in zip(search.class_pts, search.qs, carried):
+        assert ss == [_sign(form_value(form, pt)) for pt in P]
+        if got is not None:
+            assert ss.count(1) <= q and ss.count(-1) <= q
+    if got is not None:
+        assert zeros == sum(ss.count(0) for ss in carried)
 
 
 rat = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))

@@ -8,15 +8,17 @@ slack eps and seed) and the outcome recorded for it: the sha256 of the
 partition's `to_json_dict()`, serialized with sorted keys, or the type and
 message of the error the call raised.  The script runs every entry and
 prints the number of calls, the number of budget errors, the budget errors
-per level and the entries whose outcome changed.  It exits 1 when any
-outcome changed.  `--record` runs the calls that `corpus()` lists and
-rewrites the file with their outcomes.
+per level, the levels each search family won, the levels the fewest-zeros
+fallback decided and the entries whose outcome changed.  It exits 1 when
+any outcome changed.  `--record` runs the calls that `corpus()` lists and
+rewrites the file with their outcomes.  The wins are counted by swapping
+`partition._Search` for a recording subclass while the calls run.
 
-It is not part of the test suite; the corpus takes about 15 s.  Run it
-after changing the bisector search; a change meant to keep every partition
-must report 0 changed outcomes.  The package is imported from PYTHONPATH
-when it is set there, else from the src/ next to this directory, so the
-record can be made with another checkout's src/.
+It is not part of the test suite; the corpus takes about 8 s on a 2-vCPU
+host.  Run it after changing the bisector search; a change meant to keep
+every partition must report 0 changed outcomes.  The package is imported
+from PYTHONPATH when it is set there, else from the src/ next to this
+directory, so the record can be made with another checkout's src/.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tools" / "stress.json"
 sys.path.append(str(ROOT / "src"))
 
+from incilab import partition  # noqa: E402
 from incilab.configs import grid3d, random_config  # noqa: E402
 from incilab.geom import Rational3Point  # noqa: E402
 from incilab.partition import build_partition  # noqa: E402
@@ -87,6 +90,45 @@ def corpus() -> list[dict]:
     return calls
 
 
+class _Tagged:
+    """A candidate's signs, called as before, with its family and zeros."""
+
+    def __init__(self, family: str, zeros: int, signs):
+        self.family, self.zeros, self.signs = family, zeros, signs
+
+    def __call__(self):
+        return self.signs()
+
+
+def recording(wins: Counter) -> type:
+    """A `partition._Search` that counts in `wins` each level's winning
+    family, and under "fallback" the levels that the fewest-zeros fallback
+    decided.  It draws and yields the same candidates as the search."""
+
+    class Recording(partition._Search):
+        def _tagged(self, family, stream):
+            for terms, zeros, signs in stream:
+                yield terms, zeros, _Tagged(family, zeros, signs)
+
+        def _planes(self):
+            return self._tagged("planes", super()._planes())
+
+        def _slabs(self):
+            return self._tagged("slabs", super()._slabs())
+
+        def _balanced(self):
+            return self._tagged("balanced", super()._balanced())
+
+        def run(self):
+            got = super().run()
+            if got is not None:
+                wins[got[1].family] += 1
+                wins["fallback"] += got[1].zeros > self.forced_zeros
+            return got
+
+    return Recording
+
+
 def outcome(call: dict, points: list[Rational3Point]) -> dict:
     try:
         part = build_partition(points, call["t"], qparse(call["eps"]), call["seed"])
@@ -117,12 +159,17 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true", help="rewrite tools/stress.json")
     args = parser.parse_args(argv)
 
-    if args.record:
-        recorded = None
-        entries = run(corpus())
-    else:
-        recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
-        entries = run([{k: v for k, v in e.items() if k != "outcome"} for e in recorded])
+    wins: Counter = Counter()
+    search, partition._Search = partition._Search, recording(wins)
+    try:
+        if args.record:
+            recorded = None
+            entries = run(corpus())
+        else:
+            recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
+            entries = run([{k: v for k, v in e.items() if k != "outcome"} for e in recorded])
+    finally:
+        partition._Search = search
 
     errors = [e["outcome"] for e in entries if "error" in e["outcome"]]
     budget = [o["message"] for o in errors if o["error"] == "PartitionBudgetError"]
@@ -132,6 +179,10 @@ def main(argv=None) -> int:
         sys.stdout.write(f"  level {level}: {count}\n")
     if len(errors) > len(budget):
         sys.stdout.write(f"{len(errors) - len(budget)} other errors\n")
+    sys.stdout.write(
+        f"level wins: {wins['planes']} planes, {wins['slabs']} slabs, {wins['balanced']} balanced; "
+        f"{wins['fallback']} decided by the fewest-zeros fallback\n"
+    )
 
     if recorded is None:
         write(entries)
