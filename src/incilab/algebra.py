@@ -195,7 +195,17 @@ class TriPoly:
 
     @classmethod
     def from_records(cls, records) -> "TriPoly":
-        return cls({tuple(r["e"]): qparse(r["c"]) for r in records})
+        """The polynomial of `to_records`: each "e" a list of three ints,
+        no exponent twice."""
+        terms = {}
+        for r in records:
+            e = r["e"]
+            if type(e) is not list or len(e) != 3 or any(type(v) is not int for v in e):
+                raise ValueError(f"exponent must be a list of three ints, got {e!r}")
+            if tuple(e) in terms:
+                raise ValueError(f"exponent {e} repeats")
+            terms[tuple(e)] = qparse(r["c"])
+        return cls(terms)
 
     def __repr__(self):
         if not self._terms:

@@ -20,15 +20,6 @@ from .geom import Rational3Point, RationalLine, primitive_int_vector
 from .incidence import Configuration
 from .qformat import qparts, ratio_str
 
-FAMILIES = (
-    "elekes2d",
-    "coplanar_pack",
-    "grid3d",
-    "ruled_surface",
-    "concurrent",
-    "random",
-)
-
 RULED_KINDS = ("plane", "cone", "hp")
 
 
@@ -53,26 +44,8 @@ def _meta(family: str, params: dict, seed: int = 0) -> dict:
     return {"family": family, "params": dict(params), "seed": seed}
 
 
-def elekes2d(N: int) -> Configuration:
-    """2N^3 grid points and N^3 low-slope lines in z=0; every line holds
-    exactly N of the points, so I = N^4."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    points = tuple(
-        Rational3Point(i, j, 0) for i in range(1, N + 1) for j in range(1, 2 * N * N + 1)
-    )
-    lines = tuple(
-        RationalLine(Rational3Point(0, b, 0), (1, a, 0))
-        for a in range(1, N + 1)
-        for b in range(1, N * N + 1)
-    )
-    return Configuration(points, lines, _meta("elekes2d", {"N": N}))
-
-
-def coplanar_pack(k: int, N: int) -> Configuration:
-    """k parallel planar copies of elekes2d(N), in planes z = 0..k-1."""
-    if k < 1 or N < 1:
-        raise ValueError("k and N must be >= 1")
+def _planar_copies(k: int, N: int) -> tuple[tuple, tuple]:
+    """The points and lines of k copies of elekes2d(N), in planes z = 0..k-1."""
     points = tuple(
         Rational3Point(i, j, c)
         for c in range(k)
@@ -85,7 +58,22 @@ def coplanar_pack(k: int, N: int) -> Configuration:
         for a in range(1, N + 1)
         for b in range(1, N * N + 1)
     )
-    return Configuration(points, lines, _meta("coplanar_pack", {"k": k, "N": N}))
+    return points, lines
+
+
+def elekes2d(N: int) -> Configuration:
+    """2N^3 grid points and N^3 low-slope lines in z=0; every line holds
+    exactly N of the points, so I = N^4."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return Configuration(*_planar_copies(1, N), _meta("elekes2d", {"N": N}))
+
+
+def coplanar_pack(k: int, N: int) -> Configuration:
+    """k parallel planar copies of elekes2d(N), in planes z = 0..k-1."""
+    if k < 1 or N < 1:
+        raise ValueError("k and N must be >= 1")
+    return Configuration(*_planar_copies(k, N), _meta("coplanar_pack", {"k": k, "N": N}))
 
 
 def grid3d(N: int) -> Configuration:
@@ -223,36 +211,31 @@ def random_config(m: int, n: int, seed: int = 0) -> Configuration:
     )
 
 
-_REQUIRED_PARAMS = {
-    "elekes2d": ("N",),
-    "coplanar_pack": ("k", "N"),
-    "grid3d": ("N",),
-    "ruled_surface": ("kind", "k"),
-    "concurrent": ("k",),
-    "random": ("m", "n"),
+# each family's builder and its parameters, each with the type it is read
+# as; the random family's builder also takes the spec's seed
+_GENERATORS = {
+    "elekes2d": (elekes2d, {"N": int}),
+    "coplanar_pack": (coplanar_pack, {"k": int, "N": int}),
+    "grid3d": (grid3d, {"N": int}),
+    "ruled_surface": (ruled_surface, {"kind": str, "k": int}),
+    "concurrent": (concurrent, {"k": int}),
+    "random": (random_config, {"m": int, "n": int}),
 }
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: GeneratorSpec) -> Configuration:
-    wanted = _REQUIRED_PARAMS[spec.family]
-    missing = [p for p in wanted if p not in spec.params]
+    builder, kinds = _GENERATORS[spec.family]
+    missing = [p for p in kinds if p not in spec.params]
     if missing:
         raise ValueError(f"{spec.family} needs parameters {missing}")
-    extra = [p for p in spec.params if p not in wanted]
+    extra = [p for p in spec.params if p not in kinds]
     if extra:
         raise ValueError(f"{spec.family} does not take parameters {extra}")
-    p = spec.params
-    if spec.family == "elekes2d":
-        return elekes2d(int(p["N"]))
-    if spec.family == "coplanar_pack":
-        return coplanar_pack(int(p["k"]), int(p["N"]))
-    if spec.family == "grid3d":
-        return grid3d(int(p["N"]))
-    if spec.family == "ruled_surface":
-        return ruled_surface(str(p["kind"]), int(p["k"]))
-    if spec.family == "concurrent":
-        return concurrent(int(p["k"]))
-    return random_config(int(p["m"]), int(p["n"]), spec.seed)
+    args = [kind(spec.params[p]) for p, kind in kinds.items()]
+    if spec.family == "random":
+        args.append(spec.seed)
+    return builder(*args)
 
 
 # -- file round trip ----------------------------------------------------------

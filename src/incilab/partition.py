@@ -19,27 +19,40 @@ the candidate and a lazy `signs()`, sign(2v - 2c) at each class point, that
 only the winner calls.  The families enumerate vectors: median planes and
 plane sweeps (u on x, y and z at d = 1, whose values are the keys u.X),
 slabs (the product of two planes of one direction, at cuts c1 and c2), and
-balanced lifted directions on which every class has the same mean.  Each
-threshold is placed inside every class's order-statistic window, which
-certifies that no open side exceeds the class's cap, so candidates are
-compared only by their zeros: the first one vanishing on no more points
-than the caps force wins, otherwise the first with the fewest zeros.  The
-windows meet in [lo, hi] with lo a key, and give one threshold: lo when
-lo == hi, else the midpoint of lo and the next key or hi, which meets no key
-and so ends the search.  No value is computed twice in a level: each
-class's points are gathered once, each fixed direction's keys are kept in
-class order next to their sorted copies for the planes and the slabs (the
-random directions differ between the two families, and the kept keys are
-dropped before the balanced family), a slab's half-integer first cut c1 is
-compared with the keys as floor(c1), and a balanced basis vector's values
-are computed when a plan entry first uses it.  `build_partition` divides
-the winner's terms by their gcd, negates them and its signs when the
-lex-largest term is negative, as `primitive_normalize` would, keeps them as
-the level, and evaluates no level at a class point.  The partition records
-each input point's cell, its tuple of level signs or a marker that it lies
-on Z(f), and `classify_points` and `cell_occupancy` read that record when
-they are given the same points; otherwise `_sign_vectors` evaluates every
-level at every point.
+balanced lifted directions on which every class has the same mean.
+
+One routine (`_threshold_candidate`) places every threshold, in one window
+with a cap on each side: at most `below` of a class's sz sorted values
+under c and at most `above` over it, which holds exactly for c in
+[values[sz-1-above], values[below]].  The classes' windows meet in [lo, hi]
+with lo a value; a class with below >= sz bounds hi not at all, and when no
+class does, the window ends `span` past lo.  A plane or a balanced
+combination caps both sides of a class at q, the open sides' cap.  A
+slab's first cut c1 lies between two adjacent keys, with n of a class's
+keys under it.  Those and the keys over c2 lie outside the slab, so c2 may
+have q + n keys under it and q - n over it; no c2 fits when n > q.  When
+no class caps the keys under c2, the window ends one unit of x (L key
+units) past lo.  The windows certify that no open side exceeds a class's
+cap, so candidates are compared only by their zeros: the first one
+vanishing on no more points than the caps force wins, otherwise the first
+with the fewest zeros.  Each window gives one threshold: lo when lo == hi,
+else the midpoint of lo and the next value or hi, which meets no value and
+so ends the search.
+
+No value is computed twice in a level: each class's points are gathered
+once, each fixed direction's keys are kept in class order next to their
+sorted copies for the planes and the slabs (the random directions differ
+between the two families, and the kept keys are dropped before the
+balanced family), a slab's half-integer first cut c1 is compared with the
+keys as floor(c1), and a balanced basis vector's values are computed when a
+plan entry first uses it.  `build_partition` divides the winner's terms by
+their gcd, negates them and its signs when the lex-largest term is
+negative, as `primitive_normalize` would, keeps them as the level, and
+evaluates no level at a class point.  The partition records each input
+point's cell, its tuple of level signs or a marker that it lies on Z(f),
+and `classify_points` and `cell_occupancy` read that record when they are
+given the same points; otherwise `_sign_vectors` evaluates every level at
+every point.
 
 Every sign is decided on Python ints.  Points and lines carry their
 integer form (`geom`), and a partition is its levels' homogeneous integer
@@ -272,12 +285,14 @@ def _window_pick(values_by_class, lo: int, hi: int) -> tuple[int, int]:
     return lo + min([hi, *above]), 0
 
 
-def _threshold_candidate(values_by_class, qs):
-    """(2c, zeros) for a threshold c splitting every class within its cap, or None.
-    Both open sides of sz sorted keys are at most q exactly in the window
-    [keys[sz-1-q], keys[q]], which exists since slack < 1/2 makes q < sz."""
-    lo = max(vs[len(vs) - 1 - q] for vs, q in zip(values_by_class, qs))
-    hi = min(vs[q] for vs, q in zip(values_by_class, qs))
+def _threshold_candidate(values_by_class, below, above, span=0):
+    """(2c, zeros) for a threshold c with at most below[k] of class k's sz
+    sorted keys under it and at most above[k] < sz over it, or None: c in
+    the window [keys[sz-1-above], keys[below]].  A class with below >= sz
+    leaves the window's top open, and with every top open it ends at
+    lo + span."""
+    lo = max(vs[len(vs) - 1 - a] for vs, a in zip(values_by_class, above))
+    hi = min((vs[b] for vs, b in zip(values_by_class, below) if b < len(vs)), default=lo + span)
     if lo > hi:
         return None
     return _window_pick(values_by_class, lo, hi)
@@ -405,11 +420,14 @@ class _Search:
 
     Each family yields at most one (terms, zeros, signs) per window, built
     by `_level` from a coefficient vector and its values: a plane's or a
-    balanced combination's, or the product of a slab's two planes.  The
-    threshold lies inside every class's order-statistic window, so no open
-    side of the candidate exceeds a class's cap, and zeros is the number of
-    class points where it vanishes.  Only the winner's signs() is called.
-    No candidate is evaluated as a polynomial.
+    balanced combination's, or the product of a slab's two planes.  Every
+    threshold comes from `_threshold_candidate`, inside each class's window
+    for caps on each side: (q, q) for a plane or a balanced combination,
+    and for a slab's second cut (q + n, q - n), with n the class's keys
+    under the first.  So no open side of the candidate exceeds a class's
+    cap, and zeros is the number of class points where it vanishes.  Only
+    the winner's signs() is called.  No candidate is evaluated as a
+    polynomial.
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -482,7 +500,7 @@ class _Search:
     def _planes(self):
         for u in self.directions():
             values, keys = self._keys(u)
-            got = _threshold_candidate(keys, self.qs)
+            got = _threshold_candidate(keys, self.qs, self.qs)
             if got is not None:
                 c2, zeros = got
                 terms, signs = self._level(_STRUCTURED_DIRS[:3], u, 1, values, c2)
@@ -500,44 +518,25 @@ class _Search:
                 gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
             for a, b in gaps:
                 c1 = a + b  # twice the cut, the midpoint of a and b
-                got = self._slab_second_cut(keys, c1)
-                if got is None:
-                    continue
-                c2, zeros = got
-                (t1, s1), (t2, s2) = (
-                    self._level(_STRUCTURED_DIRS[:3], u, 1, values, c) for c in (c1, c2)
-                )
-                yield _times(t1, t2), zeros, partial(_product_signs, s1, s2)
-
-    def _slab_second_cut(self, values_by_class, c1: int):
-        """(2c, zeros) for the slab c1/2 < u.X < c, or None.
-
-        c1/2 lies strictly between two consecutive keys and q < len(values),
-        so every class bounds c from below (lo) and above (hi) by keys
-        greater than c1/2; c1/2 meets no key, so the zeros are the keys
-        equal to c.  The keys are ints and c1/2 is none of them, so the keys
-        left of c1/2 are those at most floor(c1/2).
-        """
-        floor_c1 = c1 // 2
-        lo = None
-        hi = None
-        for values, q in zip(values_by_class, self.qs):
-            sz = len(values)
-            a = bisect.bisect_right(values, floor_c1)  # strictly left of c1
-            if a > q:
-                return None
-            # outside count a + #(v > c2) <= q
-            idx = sz - 1 - (q - a)
-            lo = values[idx] if lo is None else max(lo, values[idx])
-            # inside count #(c1 < v < c2) <= q
-            idx = q + a
-            if idx < sz:
-                hi = values[idx] if hi is None else min(hi, values[idx])
-        if hi is None:
-            hi = lo + self.L  # one unit of x
-        if lo > hi:
-            return None
-        return _window_pick(values_by_class, lo, hi)
+                # a class's n keys under c1/2, which meets no key, are those
+                # at most floor(c1/2).  They and the keys over c2/2 lie
+                # outside the slab c1/2 < u.X < c2/2, so at most q + n keys
+                # may lie under c2/2 and q - n over it
+                below, above = [], []
+                for vs, q in zip(keys, self.qs):
+                    n = bisect.bisect_right(vs, c1 // 2)
+                    if n > q:  # no c2 fits
+                        break
+                    below.append(q + n)
+                    above.append(q - n)
+                else:  # one unit of x past lo when no class caps the inside
+                    got = _threshold_candidate(keys, below, above, self.L)
+                    if got is not None:
+                        c2, zeros = got
+                        (t1, s1), (t2, s2) = (
+                            self._level(_STRUCTURED_DIRS[:3], u, 1, values, c) for c in (c1, c2)
+                        )
+                        yield _times(t1, t2), zeros, partial(_product_signs, s1, s2)
 
     # family: lifted directions whose class means are equal by construction
     # (nullspace of centroid differences), so one constant term can sit in
@@ -610,7 +609,7 @@ class _Search:
                     [c0 * v + c1 * w for v, w in zip(vs, ws)]
                     for vs, ws in zip(values(take[0]), values(take[1]))
                 ]
-            got = _threshold_candidate([sorted(vs) for vs in combo], self.qs)
+            got = _threshold_candidate([sorted(vs) for vs in combo], self.qs, self.qs)
             if got is None:
                 continue
             c2, zeros = got

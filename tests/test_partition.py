@@ -220,22 +220,36 @@ def test_rational_point_sets_reproduce_recorded_levels(case):
     assert part.to_json_dict() == case["partition"]
 
 
-def test_slab_second_cut_open_side_spans_one_unit_of_x():
-    # keys are u.X with X = 6x; one class of 4 with cap 3.  Cut c1 = 5 leaves
-    # 3 keys above it, so nothing bounds c2 from above and the window runs
-    # from the key 10 to one unit of x (6 key units) past it.  Cuts are
-    # passed and returned twice: 2 * 5 in, 2 * 13 out
-    search = _Search([(0, 0, 0)] * 4, 6, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
+def _first_slab_terms(keys, L):
+    """The terms and zeros of the first slab of one class of 4 points whose
+    x keys, in units of 1/L, are given: a slab of the x direction, which
+    comes first, at its first gap.  The class's cap is 3."""
+    pts = [(k, 0, 0, L) for k in keys]
+    search = _Search(pts, L, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
     assert search.qs == [3]
-    assert search._slab_second_cut([[0, 10, 20, 30]], 10) == (26, 0)
+    terms, zeros, _ = next(search._slabs())
+    return TriPoly(terms), zeros
 
 
-def test_slab_second_cut_counts_keys_left_of_a_half_integer_cut():
-    # consecutive integer keys: c1 = 1/2 (passed as 1) has one key (0) on
+def test_slab_window_open_side_spans_one_unit_of_x():
+    # keys are u.X with X = 6x; one class of 4 with cap 3.  Cut c1 = 5 has
+    # n = 1 key under it, so at most 3 + 1 keys may lie under c2 and 3 - 1
+    # over it: nothing bounds c2 from above, and the window runs from the
+    # key 10 to one unit of x (6 key units) past it.  Cuts are passed and
+    # returned twice: 2 * 5 in, 2 * 13 out
+    assert _threshold_candidate([[0, 10, 20, 30]], [3 + 1], [3 - 1], 6) == (26, 0)
+    # the search's slab is 10/12 < x < 26/12
+    assert _first_slab_terms([0, 10, 20, 30], 6) == ((12 * X - 10) * (12 * X - 26), 0)
+
+
+def test_slab_window_counts_keys_left_of_a_half_integer_cut():
+    # consecutive integer keys: c1 = 1/2 (passed as 1) has n = 1 key (0) on
     # its left, and the next key 1 = floor(c1) + 1 is inside the slab
-    search = _Search([(0, 0, 0, 1)] * 4, 1, [[0, 1, 2, 3]], 2, Fraction(1, 4), random.Random(0))
-    assert search._slab_second_cut([[0, 1, 2, 3]], 1) == (3, 0)
-    assert search._slab_second_cut([[0, 1, 2, 3]], 3) == (5, 0)
+    assert _threshold_candidate([[0, 1, 2, 3]], [3 + 1], [3 - 1], 1) == (3, 0)
+    # c1 = 3/2 has n = 2 keys on its left
+    assert _threshold_candidate([[0, 1, 2, 3]], [3 + 2], [3 - 2], 1) == (5, 0)
+    # the search counts n itself: its slab is 1/2 < x < 3/2
+    assert _first_slab_terms([0, 1, 2, 3], 1) == ((2 * X - 1) * (2 * X - 3), 0)
 
 
 def test_window_pick_takes_one_threshold_per_window():
@@ -249,6 +263,51 @@ def test_window_pick_takes_one_threshold_per_window():
     assert _window_pick([[0, 2, 9]], 2, 4) == (6, 0)
     # lo == hi: lo itself, its zeros summed over every class
     assert _window_pick([[2, 2, 5], [1, 2], [0, 3]], 2, 2) == (4, 3)
+
+
+@st.composite
+def capped_classes(draw):
+    """1-4 classes of sorted int keys with repeats, each with a cap below in
+    [0, sz + 1] and a cap above in [0, sz - 1], and a span >= 0."""
+    keys = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(sorted)
+    classes = draw(st.lists(keys, min_size=1, max_size=4))
+    below = [draw(st.integers(0, len(vs) + 1)) for vs in classes]
+    above = [draw(st.integers(0, len(vs) - 1)) for vs in classes]
+    return classes, below, above, draw(st.integers(0, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(capped_classes())
+# no class caps the keys under c, so the window is open: span 0 keeps lo
+@example(([[0, 1, 2, 3]], [4], [2], 0))
+def test_threshold_candidate_matches_brute_force(case):
+    classes, below, above, span = case
+
+    def meets(c2):  # the caps at the threshold c2/2
+        return all(
+            sum(2 * v < c2 for v in vs) <= b and sum(2 * v > c2 for v in vs) <= a
+            for vs, b, a in zip(classes, below, above)
+        )
+
+    def zeros(c2):
+        return sum(2 * v == c2 for vs in classes for v in vs)
+
+    # the keys are ints, so every threshold meets the keys as one of these
+    # halves does: every key, every midpoint of two adjacent distinct keys,
+    # and points past both ends (and up to span past the greatest key)
+    least, most = min(map(min, classes)), max(map(max, classes))
+    valid = [c2 for c2 in range(2 * least - 1, 2 * (most + span) + 2) if meets(c2)]
+    got = _threshold_candidate(classes, below, above, span)
+    assert (got is None) == (not valid)
+    if got is None:
+        return
+    c2, z = got
+    assert meets(c2) and z == zeros(c2)
+    if all(b >= len(vs) for vs, b in zip(classes, below)):
+        # open: the window ends span past its least threshold, a key
+        valid = [v for v in valid if v <= valid[0] + 2 * span]
+        assert c2 in valid
+    assert z == min(map(zeros, valid))
 
 
 def test_key_memo_keeps_structured_directions_until_balanced():
@@ -683,7 +742,7 @@ def test_level_builds_terms_with_the_signs_of_any_vectors_values(d, coords, L, e
         for by_part in zip(*(values(w) for _, w in parts))
     ]
     # a threshold inside every window when there is one, else any threshold
-    got = _threshold_candidate([sorted(vs) for vs in vals], search.qs)
+    got = _threshold_candidate([sorted(vs) for vs in vals], search.qs, search.qs)
     c2, zeros = got if got is not None else (data.draw(st.integers(-99, 99)), None)
     terms, signs = search._level(exps, vec, d, vals, c2)
     form = _homogenized(terms)
@@ -839,3 +898,29 @@ def test_partition_json_checks_t_d_and_eps():
             PartitionPoly.from_json_dict({**data, key: value})
     with pytest.raises(ValueError):
         PartitionPoly.from_json_dict({**data, "t": 5, "D": 99, "eps": "3/4"})
+
+
+@pytest.mark.parametrize(
+    ("level", "match"),
+    [
+        ([{"e": [1.5, 0, 0], "c": "1"}], "three ints"),
+        ([{"e": [True, 0, 0], "c": "1"}], "three ints"),
+        ([{"e": ["1", 0, 0], "c": "1"}], "three ints"),
+        ([{"e": [1, 0, 0, 7], "c": "1"}], "three ints"),
+        # x + 2x - 1, which loaded as its last x term, 2x - 1
+        (
+            [{"e": [1, 0, 0], "c": "1"}, {"e": [1, 0, 0], "c": "2"}, {"e": [0, 0, 0], "c": "-1"}],
+            "repeats",
+        ),
+    ],
+    ids=["float", "bool", "string", "four-entries", "repeated"],
+)
+def test_saved_level_exponents_are_three_distinct_ints(level, match):
+    data = {"t": 1, "eps": "1/10", "seed": 0, "D": 1, "levels": [level]}
+    with pytest.raises(ValueError, match=match):
+        PartitionPoly.from_json_dict(data)
+    with pytest.raises(ValueError, match=match):
+        TriPoly.from_records(level)
+    # the same level written with three distinct ints loads
+    data["levels"] = [[{"e": [1, 0, 0], "c": "3"}, {"e": [0, 0, 0], "c": "-1"}]]
+    assert PartitionPoly.from_json_dict(data).levels == (3 * X - 1,)
