@@ -3,7 +3,9 @@
 Families with exactly derivable counts (products of grids and packs of
 planar grids), ruled-surface families kept rational by construction, and a
 seeded random family.  Serialization keeps every coordinate as a canonical
-rational string so round trips are identities, byte for byte.
+rational string so round trips are identities, byte for byte.  Loading reads
+each block (the points, the line bases, the line directions) in one pass on
+`qformat`'s grammar, and walks its entries only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from dataclasses import dataclass, field
 from itertools import starmap
 from pathlib import Path
 
 from .geom import Rational3Point, RationalLine, primitive_int_vector
 from .incidence import Configuration
-from .qformat import qparts, ratio_str
+from .qformat import qliterals, qparse, qparts, ratio_str
 
 RULED_KINDS = ("plane", "cone", "hp")
 
@@ -211,8 +212,8 @@ def random_config(m: int, n: int, seed: int = 0) -> Configuration:
     )
 
 
-# each family's builder and its parameters, each with the type it is read
-# as; the random family's builder also takes the spec's seed
+# each family's builder and its parameters, each with the one type it takes
+# (no bool or float for an int); the random family's builder also takes the seed
 _GENERATORS = {
     "elekes2d": (elekes2d, {"N": int}),
     "coplanar_pack": (coplanar_pack, {"k": int, "N": int}),
@@ -232,7 +233,10 @@ def generate(spec: GeneratorSpec) -> Configuration:
     extra = [p for p in spec.params if p not in kinds]
     if extra:
         raise ValueError(f"{spec.family} does not take parameters {extra}")
-    args = [kind(spec.params[p]) for p, kind in kinds.items()]
+    for p, kind in kinds.items():
+        if type(value := spec.params[p]) is not kind:
+            raise ValueError(f"{spec.family} parameter {p} must be {kind.__name__}, got {value!r}")
+    args = [spec.params[p] for p in kinds]
     if spec.family == "random":
         args.append(spec.seed)
     return builder(*args)
@@ -262,74 +266,70 @@ def save_config(cfg: Configuration, path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _parse_triple(raw, where: str) -> Rational3Point:
-    """The point of three literals, built from their ints over L = lcm(q_i)."""
-    if not isinstance(raw, list) or len(raw) != 3:
+def _check_triple(raw, where: str) -> None:
+    """Raise the error naming what is wrong with an entry, if anything."""
+    if type(raw) is not list or len(raw) != 3:
         raise ConfigParseError(f"{where}: expected a 3-element list, got {raw!r}")
-    parts = []
     for axis, item in zip("xyz", raw):
         try:
-            parts.append(qparts(item))
+            qparts(item)
         except ValueError as err:
             raise ConfigParseError(f"{where}.{axis}: {err}") from None
-    L = math.lcm(*(q for _, q in parts))
-    return Rational3Point.from_ints(*(p * (L // q) for p, q in parts), L)
 
 
-# an integer literal as `qparts` reads it; [0-9], not \d, since int() also
-# reads other Unicode digits ("١", "１")
-_INT_LITERAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
-
-
-def _integer_triples(raws) -> list[tuple[int, int, int]] | None:
-    """Each entry's ints when every entry of the block is a 3-element list
-    of integer literals, else None."""
+def _read_block(raws) -> tuple[list, list | None] | None:
+    """A block of 3-element lists of literals read in one pass: the int
+    triples (X, Y, Z) of its entries over L = lcm(q_i), and the L's (None
+    when every literal is an integer); None if an entry is malformed."""
     if not all(type(raw) is list and len(raw) == 3 for raw in raws):
         return None
     flat = [c for raw in raws for c in raw]
+    if not qliterals(flat):
+        return None
     try:
-        if all(map(_INT_LITERAL.fullmatch, flat)):
-            ints = map(int, flat)
-            return list(zip(ints, ints, ints))
-    except (TypeError, ValueError):  # not a string; over int()'s digit limit
+        ints = map(int, flat)
+        return list(zip(ints, ints, ints)), None
+    except ValueError:  # a "p/q" literal, or one over int()'s digit limit
         pass
-    return None
+    try:
+        split = (c.partition("/") for c in flat)
+        parts = iter([(int(p), int(q) if q else 1) for p, _, q in split])
+    except ValueError:  # a literal over int()'s digit limit
+        return None
+    triples, dens = [], []
+    for (p1, q1), (p2, q2), (p3, q3) in zip(parts, parts, parts):
+        L = math.lcm(q1, q2, q3)
+        triples.append((p1 * (L // q1), p2 * (L // q2), p3 * (L // q3)))
+        dens.append(L)
+    return triples, dens
 
 
-def _parse_points(raws, where: str = "points[{}]") -> list[Rational3Point]:
-    triples = _integer_triples(raws)
-    if triples is not None:
+def _points(triples, dens) -> list[Rational3Point]:
+    """The points of a block `_read_block` read."""
+    if dens is None:
         return list(starmap(Rational3Point._integral, triples))
-    return [_parse_triple(raw, where.format(i)) for i, raw in enumerate(raws)]
+    return [Rational3Point.from_ints(X, Y, Z, L) for (X, Y, Z), L in zip(triples, dens)]
 
 
-def _parse_lines(raws) -> list[RationalLine]:
-    if all(type(raw) is dict and "base" in raw and "dir" in raw for raw in raws):
-        dirs = _integer_triples([raw["dir"] for raw in raws])
-        if dirs is not None and (0, 0, 0) not in dirs:
-            # every direction is fine, so the first bad base is the first error
-            bases = _parse_points([raw["base"] for raw in raws], "lines[{}].base")
-            return list(map(RationalLine, bases, dirs))
-    # some entry is not integral or is malformed: the checking parse names it
-    lines = []
-    for i, raw in enumerate(raws):
-        if not isinstance(raw, dict) or "base" not in raw or "dir" not in raw:
-            raise ConfigParseError(
-                f"lines[{i}]: expected an object with 'base' and 'dir'"
-            )
-        base = _parse_triple(raw["base"], f"lines[{i}].base")
-        direction = _parse_triple(raw["dir"], f"lines[{i}].dir").ints[:3]
-        if not any(direction):
+def _raise_first_error(points, lines):
+    """Name the first bad entry of blocks that did not read: every point,
+    then each line's shape, base, direction and a zero direction."""
+    for i, raw in enumerate(points):
+        _check_triple(raw, f"points[{i}]")
+    for i, raw in enumerate(lines):
+        if type(raw) is not dict or "base" not in raw or "dir" not in raw:
+            raise ConfigParseError(f"lines[{i}]: expected an object with 'base' and 'dir'")
+        _check_triple(raw["base"], f"lines[{i}].base")
+        _check_triple(raw["dir"], f"lines[{i}].dir")
+        if not any(map(qparse, raw["dir"])):
             raise ConfigParseError(f"lines[{i}].dir: zero direction")
-        lines.append(RationalLine(base, direction))
-    return lines
+    raise AssertionError("a block did not read, yet every entry is well formed")
 
 
 def load_config(path) -> Configuration:
-    """Read a configuration file.  A block (the points, or the lines) whose
-    literals are all integers is read in one pass: one regex over every
-    literal, then int(); any other block goes through `_parse_triple`,
-    which names the first bad entry."""
+    """Read a configuration file.  Each block (the points, the line bases,
+    the line directions) is read in one pass on `qformat`'s grammar; only
+    when one fails does the per-entry walk run, to name the first bad entry."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -346,5 +346,13 @@ def load_config(path) -> Configuration:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ConfigParseError(f"{path}: 'meta' must be an object")
-    points = _parse_points(data["points"])
-    return Configuration(tuple(points), tuple(_parse_lines(data["lines"])), meta)
+    points, raws = _read_block(data["points"]), data["lines"]
+    lines = None
+    if all(type(raw) is dict and "base" in raw and "dir" in raw for raw in raws):
+        bases = _read_block([raw["base"] for raw in raws])
+        dirs = _read_block([raw["dir"] for raw in raws])
+        if bases and dirs and (0, 0, 0) not in dirs[0]:
+            lines = list(map(RationalLine, _points(*bases), dirs[0]))
+    if points is None or lines is None:
+        _raise_first_error(data["points"], data["lines"])
+    return Configuration(tuple(_points(*points)), tuple(lines), meta)

@@ -232,7 +232,10 @@ class PartitionPoly:
     def from_json_dict(cls, data: dict) -> "PartitionPoly":
         """A saved partition; a level with p/q coefficients is held cleared."""
         forms = tuple(_form(TriPoly.from_records(r)) for r in data["levels"])
-        part = cls(forms, qparse(data["eps"]), int(data["seed"]))
+        part = cls(forms, qparse(data["eps"]), data["seed"])
+        for key in ("seed", "t", "D"):
+            if type(data[key]) is not int:
+                raise ValueError(f"{key} must be an int, got {data[key]!r}")
         if (data["t"], data["D"]) != (part.t, part.degree):
             raise ValueError(f"t, D = {data['t']}, {data['D']}; levels give {part.t}, {part.degree}")
         if not 0 <= part.epsilon < Fraction(1, 2):  # as build_partition requires

@@ -65,6 +65,10 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+class LedgerError(AssertionError):
+    """A stage's incidences do not balance across its point and line buckets."""
+
+
 class WindowError(ValueError):
     """No usable window for the second-stage degree E."""
 
@@ -327,12 +331,12 @@ def _split_and_ledger(
         "cells_contained": c1,
     }
     if c1 != 0:
-        raise AssertionError(
+        raise LedgerError(
             f"stage {report.stage}: a cell point claims to lie on a fully "
             "contained line"
         )
     if tally.total != ss + sc + cc:
-        raise AssertionError(f"stage-{report.stage} accounting identity failed")
+        raise LedgerError(f"stage-{report.stage} accounting identity failed")
     return tally, surface_idx, cell_idx, contained, crossing_idx
 
 

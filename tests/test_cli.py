@@ -8,7 +8,13 @@ import pytest
 from incilab.cli import main
 from incilab.configs import load_config
 from incilab.incidence import count_incidences
-from incilab.partition import PartitionPoly, classes_crossed, classify_lines, degree_budget
+from incilab.partition import (
+    PartitionPoly,
+    classes_crossed,
+    classify_lines,
+    classify_points,
+    degree_budget,
+)
 from incilab.pipeline import _detect_planes
 
 
@@ -42,6 +48,18 @@ def test_generate_accepts_string_params(tmp_path, capsys):
     )
     assert code == 0
     assert load_config(path).meta["params"] == {"kind": "hp", "k": 6}
+
+
+@pytest.mark.parametrize("value", ["١", "+3", "007"])
+def test_generate_params_read_ints_by_the_literal_grammar(tmp_path, capsys, value):
+    # int() would read each of these as N = 1, 3 or 7
+    path = tmp_path / "grid.json"
+    code, out, err = run(
+        capsys, "generate", "--family", "grid3d", "--params", f"N={value}", "-o", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: grid3d parameter N must be int, got {value!r}\n"
+    assert not path.exists()
 
 
 def test_count_reports_tally(grid_cfg, capsys):
@@ -175,6 +193,18 @@ def test_verify_fails_when_planes_disagree(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", str(path), "--D", "8")
     assert code == 1
     assert "[FAIL] plane components agree: planes=2" in out
+
+
+def test_verify_reports_a_failed_stage1_ledger(grid_cfg, capsys, monkeypatch):
+    def drop_one_cell_point(part, points):
+        surface_idx, cell_idx = classify_points(part, points)
+        return surface_idx, cell_idx[:-1]
+
+    monkeypatch.setattr("incilab.pipeline.classify_points", drop_one_cell_point)
+    code, out, _ = run(capsys, "verify", str(grid_cfg))
+    assert code == 1
+    assert "[FAIL] stage-1 ledger: stage-1 accounting identity failed" in out.splitlines()
+    assert "occupancy within surrogate" not in out
 
 
 def test_verify_skips_stage1_outside_plan_range(tmp_path, capsys):

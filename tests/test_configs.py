@@ -1,12 +1,13 @@
 """Generator families, JSON round trips, and input validation."""
 
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incilab.configs import (
     FAMILIES,
@@ -131,6 +132,22 @@ def test_generator_spec_validation():
         gen("concurrent", k=0)
 
 
+@pytest.mark.parametrize(
+    ("family", "params", "want"),
+    [
+        ("grid3d", {"N": 2.5}, "grid3d parameter N must be int, got 2.5"),
+        ("grid3d", {"N": True}, "grid3d parameter N must be int, got True"),
+        ("grid3d", {"N": "+3"}, "grid3d parameter N must be int, got '+3'"),
+        ("ruled_surface", {"kind": 5, "k": 3}, "ruled_surface parameter kind must be str, got 5"),
+    ],
+    ids=["float", "bool", "string", "int-for-str"],
+)
+def test_generate_takes_a_parameter_only_of_its_declared_type(family, params, want):
+    # int() would build the first three as grid3d N=2, N=1 and N=3
+    with pytest.raises(ValueError, match=re.escape(want)):
+        generate(GeneratorSpec(family, params))
+
+
 # -- file round trip -------------------------------------------------------------------
 
 
@@ -227,6 +244,21 @@ def test_save_is_byte_deterministic(tmp_path):
     save_config(gen("random", m=12, n=8, seed=7), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().endswith(b"\n")
+
+
+def test_loading_saved_rational_bases_never_walks_the_entries(tmp_path, monkeypatch):
+    cfg = gen("random", m=30, n=14, seed=5)
+    path = tmp_path / "random.json"
+    save_config(cfg, path)
+    bases = [c for line in config_to_json_dict(cfg)["lines"] for c in line["base"]]
+    assert any("/" in c for c in bases)
+
+    def walk(*args):
+        raise AssertionError("the per-entry walk ran on a well-formed file")
+
+    monkeypatch.setattr("incilab.configs._check_triple", walk)
+    monkeypatch.setattr("incilab.configs._raise_first_error", walk)
+    assert load_config(path) == cfg
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -457,8 +489,15 @@ def loader_inputs(draw):
     return {"points": points, "lines": lines}
 
 
+def _int_points_pq_base(base):
+    """An integer points block next to a line base block with p/q literals."""
+    return {"points": [["1", "-2", "0"]], "lines": [{"base": base, "dir": ["0", "1", "2"]}]}
+
+
 @settings(deadline=None, max_examples=400)
 @given(loader_inputs())
+@example(_int_points_pq_base(["1/2", "0", "-3/4"]))
+@example(_int_points_pq_base(["1/2", "0", "1١"]))
 def test_load_config_matches_the_qparse_reference(data):
     with tempfile.TemporaryDirectory() as tmp:
         load_both(tmp, data)
@@ -493,6 +532,10 @@ def _line(base, direction):
         (
             {"points": [["1", "2", "3"], ["0", "0", "0"], ["1", "2", "3"]], "lines": []},
             "duplicate point at indexes 0 and 2",
+        ),
+        (
+            _int_points_pq_base(["1/2", "0", "1١"]),
+            "lines[0].base.z: not a canonical rational literal: '1١'",
         ),
     ],
 )

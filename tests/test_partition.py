@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -924,3 +925,16 @@ def test_saved_level_exponents_are_three_distinct_ints(level, match):
     # the same level written with three distinct ints loads
     data["levels"] = [[{"e": [1, 0, 0], "c": "3"}, {"e": [0, 0, 0], "c": "-1"}]]
     assert PartitionPoly.from_json_dict(data).levels == (3 * X - 1,)
+
+
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [("seed", 2.5), ("seed", True), ("seed", "7"), ("t", 1.0), ("D", True)],
+)
+def test_saved_seed_t_and_D_are_json_ints(key, value):
+    # int() would load these seeds as 2, 1 and 7, and 1.0 == 1 passes the t check
+    data = {"t": 1, "eps": "1/10", "seed": 0, "D": 1, "levels": [[{"e": [1, 0, 0], "c": "1"}]]}
+    assert PartitionPoly.from_json_dict(data).seed == 0
+    data[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an int, got {value!r}")):
+        PartitionPoly.from_json_dict(data)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from incilab.qformat import qparse, qparts, qstr, ratio_str
+from incilab.qformat import qint, qliterals, qparse, qparts, qstr, ratio_str
 
 
 def test_qstr_forms():
@@ -28,7 +28,7 @@ def test_qparse_accepts_well_formed():
     "bad",
     [
         "", "3.5", "1.5", "+3", "+1", " 3", " 1", "3 ", "1 ", "12\n", "1/0", "1/-2",
-        "03", "01", "3/", "/4", "1e3", "nan", None, 7,
+        "03", "01", "3/", "/4", "1e3", "nan", None, 7, "١", "１", "1١", "2１", "1_0",
     ],
 )
 def test_qparse_rejects_malformed(bad):
@@ -80,3 +80,21 @@ def test_ratio_str_is_the_lowest_terms_string(num, den):
     f = Fraction(num, den)
     ref = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
     assert ratio_str(num, den) == ref == qstr(f)
+
+
+def test_qint_reads_integer_literals_only():
+    assert [qint(t) for t in ("7", "-0", "-12", "0")] == [7, 0, -12, 0]
+    for text in ("+3", "007", "١", "１", "1_0", "3/1", "4/2", " 3", "3\n", "", "x"):
+        assert qint(text) is None
+
+
+def test_qliterals_checks_each_item():
+    assert qliterals(["1", "-2/3", "-0"]) and qliterals([])
+    for bad in (["1", 2], ["1", None], ["01", "1"], ["1", "1/0"], ["1", "١"], ["1 ", "2"], ["1,2"]):
+        assert not qliterals(bad)
+
+
+@given(st.lists(st.one_of(st.text(alphabet="-/0123456789,", max_size=5), no_space), max_size=4))
+def test_qliterals_accepts_exactly_lists_of_literals(literals):
+    ok = all(_outcome(qparse, t) != "rejected" for t in literals)
+    assert qliterals(literals) == ok
