@@ -42,7 +42,9 @@ class TriPoly:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for expo, coeff in items:
-                e = (int(expo[0]), int(expo[1]), int(expo[2]))
+                e = tuple(expo)
+                if len(e) != 3 or any(type(k) is not int for k in e):
+                    raise ValueError(f"exponents must be three ints, got {expo!r}")
                 if min(e) < 0:
                     raise ValueError("exponents must be nonnegative")
                 c = clean.get(e, Fraction(0)) + _q(coeff)

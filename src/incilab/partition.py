@@ -556,30 +556,29 @@ class _Search:
             for k in range(d + 1 - i - j)
             if (i, j, k) != (0, 0, 0)
         )
-        # only the first 8 basis vectors are used, and the elimination stops
-        # at the 8th free column.  The rank is at most len(classes) - 1, so
-        # that column is at most rank + 7 and lies in this column prefix,
-        # whose reduced row echelon form is the prefix of the full one: the
-        # same 8 vectors, cut to the prefix (the rest of each is zero)
-        exps = exps[: len(self.classes) - 1 + 8]
-        # monomials of X = L*x lifted to degree d: L^d * x^a, all ints
+        # only the first 8 basis vectors are used.  The elimination stops at
+        # the 8th free column (at most len(classes) + 6, as the rank is at
+        # most len(classes) - 1), asks for the columns up to it one at a
+        # time, and the basis vectors are zero past the last one read.
+        # Monomials of X = L*x lifted to degree d: L^d * x^a, all ints
         Lpow = [self.L**k for k in range(d + 1)]
-        lifted = [
-            [[x**a * y**b * z**c * Lpow[d - a - b - c] for a, b, c in exps] for x, y, z, _ in P]
-            for P in self.class_pts
-        ]
-        sums = [[sum(col) for col in zip(*ms)] for ms in lifted]
-        # centroid difference c_j - c_0 times n_0 * n_j * L^d > 0: the same
-        # nullspace
-        n0 = len(self.classes[0])
-        rows = [
-            [n0 * sj - len(cls_) * s0 for sj, s0 in zip(s, sums[0])]
-            for cls_, s in zip(self.classes[1:], sums[1:])
-        ]
-        basis = nullspace(rows, limit=8)
+        lifted_cols = []  # per column read, each class's lifted monomials
+
+        def column(c):
+            """Centroid differences c_j - c_0 at monomial c, times n_0 * n_j * L^d > 0."""
+            a, b, e = exps[c]
+            Lk = Lpow[d - a - b - e]
+            ms = [[x**a * y**b * z**e * Lk for x, y, z, _ in P] for P in self.class_pts]
+            lifted_cols.append(ms)
+            n0, s0 = len(ms[0]), sum(ms[0])
+            return [n0 * sum(m) - len(m) * s0 for m in ms[1:]]
+
+        basis = nullspace(ncols=len(exps), limit=8, column=column)
         if not basis:
             return
-        _, flat = cleared([v for vec in basis for v in vec])
+        exps = exps[: len(lifted_cols)]
+        lifted = [list(zip(*cols)) for cols in zip(*lifted_cols)]  # per class, per point
+        _, flat = cleared([v for vec in basis for v in vec[: len(exps)]])
         ibasis = [flat[k : k + len(exps)] for k in range(0, len(flat), len(exps))]
         vals: list = [None] * len(ibasis)
 

@@ -73,6 +73,13 @@ class WindowError(ValueError):
     """No usable window for the second-stage degree E."""
 
 
+def _check_override(name: str, value) -> None:
+    """A degree override is None or an int; a bool or a float is refused,
+    not truncated or written into the report as it came."""
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _levels_for_degree(d: int) -> int:
     """Number of bisection levels for degree target d: the largest t >= 1
     whose per-level degree budget stays within d."""
@@ -350,6 +357,7 @@ def run_stage1(
     tally: IncidenceTally | None = None,
 ) -> StageReport:
     """First-stage partition, surface pruning, and exact incidence ledger."""
+    _check_override("D_override", D_override)
     m, n = cfg.m, cfg.n
     plan = None
     if m >= 1 and n >= 1:
@@ -449,8 +457,9 @@ def run_stage2(
 ) -> StageReport:
     """Second-stage partition of the residual at the window degree E."""
     flags: list[str] = []
+    _check_override("E_override", E_override)
     if E_override is not None:
-        E = int(E_override)
+        E = E_override
         if E < 1:
             raise ValueError("E must be >= 1")
         if plan is not None and plan.e_lo is not None:
@@ -600,6 +609,8 @@ def full_report(
     """Counting, coplanarity, bounds, and the two-stage pipeline when m, n >= 1.
     `incilab verify` checks the count and the coplanarity against their
     pairwise `Fraction` references."""
+    _check_override("D_override", D_override)
+    _check_override("E_override", E_override)
     m, n = cfg.m, cfg.n
     flags: list[str] = []
     tally = count_incidences(cfg)

@@ -55,6 +55,14 @@ def test_tripoly_rejects_negative_exponents():
         TriPoly({(-1, 0, 0): 1})
 
 
+@pytest.mark.parametrize("expo", [(1.5, 0, 0), (True, 0, 0), (0, 0, 1.0), (1, 0), (1, 0, 0, 0)])
+def test_tripoly_rejects_exponents_that_are_not_three_ints(expo):
+    # no exponent is truncated or read as an int: x^1.5 and x^True are not x
+    with pytest.raises(ValueError, match="exponents must be three ints"):
+        TriPoly({expo: 1})
+    assert TriPoly({(1, 0, 0): 1}) == TriPoly([([1, 0, 0], 1)]) == X
+
+
 def test_tripoly_evaluate_point():
     f = X**2 + Y**2 - Z**2
     assert f.evaluate_point(Rational3Point(3, 4, 5)) == 0

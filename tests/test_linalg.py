@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incilab._linalg import nullspace
+from incilab.geom import cleared
 
 
 def rref_oracle(rows):
@@ -83,6 +84,9 @@ def limited_matrices(draw):
 @example(([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]], 4, 1))
 # full row rank: both free columns come after the last pivot row
 @example(([[1, 0, 2, 3], [0, 1, 4, 5]], 4, None))
+# pivots 3 and then 2 * 3 - 0: the first pivot row comes from below, and
+# the later columns see the swap and the division by the previous pivot
+@example(([[0, 2, 1, 5], [3, 0, 1, 4], [3, 2, 2, 9]], 4, None))
 def test_nullspace_matches_fraction_rref(case):
     rows, ncols, limit = case
     got = nullspace(rows, ncols, limit=limit)
@@ -102,9 +106,39 @@ def test_nullspace_empty_and_integer_inputs():
     ]
     assert nullspace([[]]) == []
     assert nullspace([[0, 0]]) == [(1, 0), (0, 1)]
+    # full row rank: the free column after the last pivot row
+    assert nullspace([[1, 2]]) == [(-2, 1)]
     # ints and Fractions give the same basis
     assert nullspace([[2, 4, 6], [1, 1, 1]]) == nullspace(
         [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(1, 5)] * 3]
     )
     with pytest.raises(ValueError):
         nullspace([])
+
+
+@settings(deadline=None, max_examples=200)
+@given(limited_matrices())
+# the first pivot row comes from below, so column 1 is a pivot column only
+# after that swap, and the first free column is 2
+@example(([[0, 1, 1], [1, 0, 1]], 3, 1))
+def test_column_source_is_read_up_to_the_last_free_column_only(case):
+    # the same matrix handed over a column at a time, cleared row by row:
+    # the same basis, and the scan reads columns 0, 1, ... once each, up to
+    # the limit-th free column when there is one, else every column
+    rows, ncols, limit = case
+    ints = [cleared(row)[1] for row in rows]
+    read = []
+
+    def column(c):
+        read.append(c)
+        return [row[c] for row in ints]
+
+    got = nullspace(ncols=ncols, limit=limit, column=column)
+    assert got == nullspace(rows, ncols, limit=limit)
+    _, pivots = rref_oracle(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    if limit is None or limit > len(free):
+        stop = ncols
+    else:
+        stop = free[limit - 1] + 1 if limit else 0
+    assert read == list(range(stop))

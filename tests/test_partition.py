@@ -512,12 +512,22 @@ search_eps = st.fractions(0, Fraction(1, 2), max_denominator=12).filter(lambda e
 
 
 @settings(deadline=None, max_examples=120)
-@given(search_coords, st.integers(1, 4), st.integers(1, 4), search_eps, st.integers(1, 3), st.data())
-def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, cap, data):
+@given(
+    search_coords,
+    st.integers(1, 4),
+    st.integers(1, 4),
+    search_eps,
+    st.integers(1, 3),
+    st.lists(st.integers(0, 3), min_size=14, max_size=14),
+    st.integers(0, 9),
+)
+# 16 single-point classes on a 4 x 4 grid in z = 0, cap 3: every monomial
+# with z is a zero column, so the 8th free column is column 11 of 19, and
+# the balanced family's basis, cut there, meets the reference's full one
+@example([(x, y, 0) for x in range(4) for y in range(4)], 1, 16, Fraction(0), 3, list(range(16)), 0)
+def test_integer_search_matches_reference_candidate_streams(coords, W, k, eps, cap, labels, seed):
     pts = [(*c, W) for c in coords]
-    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=len(pts), max_size=len(pts)))
-    classes = [[i for i, c in enumerate(labels) if c == j] for j in range(k)]
-    seed = data.draw(st.integers(0, 9))
+    classes = [[i for i in range(len(pts)) if labels[i] % k == j] for j in range(k)]
     fast = _Search(pts, W, classes, cap, eps, random.Random(seed))
     ref = _ReferenceSearch(pts, W, classes, cap, eps, random.Random(seed))
     _assert_positive_multiples(_pairs(fast._planes()), _drop_unread(ref._planes()))

@@ -219,6 +219,21 @@ def test_stage1_requires_a_degree_source():
     assert st.identity["I"] == 5
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 2.0])
+def test_degree_overrides_must_be_ints(bad):
+    # refused by name, not truncated (E 2.5 ran as 2) nor written into the
+    # report as it came (D 2.5 was the degree target 2.5, True was true)
+    cfg = gen("grid3d", N=3)
+    with pytest.raises(ValueError, match="D_override must be an int"):
+        run_stage1(cfg, D_override=bad)
+    st1 = run_stage1(cfg, seed=0)
+    with pytest.raises(ValueError, match="E_override must be an int"):
+        run_stage2(st1.residual, plan=st1.plan, E_override=bad)
+    for name in ("D_override", "E_override"):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            full_report(cfg, **{name: bad})
+
+
 def test_stage1_empty_input_yields_zero_report():
     st = run_stage1(Configuration((), (), {}), D_override=1)
     assert st.identity["I"] == 0

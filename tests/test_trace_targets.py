@@ -40,3 +40,14 @@ def test_stages_call_traced_names_through_module_globals():
     assert names.count("incidence.coplanar") == 1
     for layer in ("partition.classify_points", "partition.classify_lines", "partition.occupancy"):
         assert names.count(layer) == 2
+
+
+def test_forced_degree_report_solves_one_nullspace():
+    # grid3d N=4 at D 32 reaches the balanced family once, at its last
+    # level; the columns it builds on demand are read inside that one span
+    tracing = load_tracing()
+    cfg = generate(GeneratorSpec("grid3d", {"N": 4}))
+    with tracing.Tracer() as tracer:
+        pipeline.full_report(cfg, D_override=32, seed=0)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("linalg.nullspace") == 1
