@@ -8,30 +8,32 @@ steps of the pivots before it and never again.  A replayed column holds the
 same minors of the input as the right-looking loop that updates every
 column at each step.  The basis vector of a free column needs only the
 columns up to it, so `nullspace(..., limit=k)` stops at the k-th free
-column, returns the first k vectors of the full basis, and neither reads
-nor updates a later column.  A caller can hand it the columns of an
-integer matrix one at a time (`column=`) and build each only when asked."""
+column, returns the first k vectors of the basis, and neither reads nor
+updates a later column.  A caller can hand it the columns of an integer
+matrix one at a time (`column=`) and build each only when asked.  The
+vectors come back as ints over one least denominator, not one scale per
+vector, since a caller that combines two vectors reads their relative scale."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Callable
 
 from .geom import cleared
 
 
 def nullspace(
-    rows: list[list[Fraction]] | None = None,
+    rows: list[list] | None = None,
     ncols: int | None = None,
     limit: int | None = None,
     *,
     column: Callable[[int], list[int]] | None = None,
-) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the right nullspace of the matrix: for each
-    non-pivot column c of the (unique) reduced row echelon form, 1 at c and
-    minus column c of the reduced rows at their pivot columns.  With a
-    limit, only the first `limit` vectors: exactly `nullspace(rows)[:limit]`,
-    found without reading past the column of the last one.
+) -> list[tuple[int, ...]]:
+    """Deterministic basis of the right nullspace of a matrix of ints or
+    `Fraction`s: for each non-pivot column c of the (unique) reduced row
+    echelon form, 1 at c and minus column c of the reduced rows at their
+    pivot columns, all times the lcm of the returned vectors' denominators.
+    With a limit, only the first `limit`, read up to the last one's column.
 
     In place of rows, `column(c)` may give column c of an integer matrix
     with ncols columns as a new list; it is called once per column, for
@@ -54,10 +56,10 @@ def nullspace(
     # pivot column, and division by the previous pivot is exact
     steps: list[tuple[int, int, int, list[int]]] = []
     pivots: list[int] = []
-    basis = []
+    free: list[tuple[list[int], int]] = []  # (vector, its denominator)
     prev = 1
     for c in range(ncols):
-        if len(basis) == limit:
+        if len(free) == limit:
             break
         col = column(c)
         for r, (s, p, q, f) in enumerate(steps):
@@ -70,15 +72,19 @@ def nullspace(
         if pivot_row is None:
             # c is free, as is every column once each row is a pivot row.
             # Later pivot rows are 0 at c, so later steps scale column c and
-            # prev alike: its vector is already final
-            vec = [Fraction(0)] * ncols
-            vec[c] = Fraction(1)
+            # prev alike: prev at c and -a at the pivots is prev times c's
+            # reduced vector, and final.  Over their gcd, they are p times
+            # it, and |p| = |prev| / gcd is that vector's least denominator
+            g = math.gcd(prev, *col)
+            vec = [0] * ncols
+            vec[c] = prev // g
             for a, pc in zip(col, pivots):
-                vec[pc] = Fraction(-a, prev)
-            basis.append(tuple(vec))
+                vec[pc] = -a // g
+            free.append((vec, prev // g))
             continue
         col[r], col[pivot_row] = col[pivot_row], col[r]
         steps.append((pivot_row, col[r], prev, col))
         prev = col[r]
         pivots.append(c)
-    return basis
+    den = math.lcm(*(p for _, p in free))  # positive, the lcm of every |p|
+    return [tuple(v * (den // p) for v in vec) for vec, p in free]

@@ -40,6 +40,7 @@ from .pipeline import (
     ratio_denominator,
     run_stage1,
     write_csv,
+    write_report_json,
 )
 from .qformat import qint
 
@@ -50,19 +51,14 @@ def _parse_params(items):
     params = {}
     for item in items or ():
         if "=" not in item:
-            raise SystemExit(f"parameter {item!r} is not of the form key=value")
+            raise ValueError(f"parameter {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
         params[key] = value if (num := qint(value)) is None else num
     return params
 
 
-def _emit(data, out=None):
-    text = json.dumps(_jsonable(data), indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(data):
+    sys.stdout.write(json.dumps(_jsonable(data), indent=2) + "\n")
 
 
 def _cmd_generate(args) -> int:
@@ -149,9 +145,11 @@ def _cmd_pipeline(args) -> int:
         seed=args.seed,
         epsilon=args.eps,
     )
-    _emit(report.to_json_dict(), args.out)
     if args.out:
+        write_report_json(report, args.out)
         sys.stdout.write(f"wrote {args.out}\n")
+    else:
+        _emit(report.to_json_dict())
     if args.csv:
         write_csv([report], args.csv)
         sys.stdout.write(f"wrote {args.csv}\n")

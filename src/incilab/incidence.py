@@ -519,23 +519,22 @@ def regulus_through(l1: RationalLine, l2: RationalLine, l3: RationalLine) -> Qua
     DegeneracyError if the solution space dimension differs from 1.
     """
     trio = (l1, l2, l3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if plane_through_lines(trio[i], trio[j]) != "skew":
-                raise ValueError(
-                    f"lines {i} and {j} are not skew; a regulus needs pairwise skew lines"
-                )
-    rows = []
-    for line in trio:
-        for t in (0, 1, 2):
-            p = line.point_at(t)
-            rows.append(
-                [p.x ** e[0] * p.y ** e[1] * p.z ** e[2] for e in MONOMIALS_DEG2]
+    reps = plucker_reps(trio)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if trio[i] == trio[j] or plane_key(reps[i], reps[j]) is not None:
+            raise ValueError(
+                f"lines {i} and {j} are not skew; a regulus needs pairwise skew lines"
             )
+    # rows at each line's points (B + t*w*d)/w, t = 0, 1, 2, times w^2 > 0
+    rows = []
+    for w, B, d, _ in reps:
+        for t in (0, 1, 2):
+            X, Y, Z = (p + t * w * e for p, e in zip(B, d))
+            rows.append([X**a * Y**b * Z**c * w ** (2 - a - b - c) for a, b, c in MONOMIALS_DEG2])
     basis = nullspace(rows)
     if len(basis) != 1:
         raise DegeneracyError(
             f"quadric solution space has dimension {len(basis)}, expected 1",
             dimension=len(basis),
         )
-    return Quadric(coeffs=tuple(basis[0]))
+    return Quadric(coeffs=basis[0])

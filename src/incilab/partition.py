@@ -135,6 +135,7 @@ from .algebra import (
     sign_gap_samples,
 )
 from .geom import Rational3Point, RationalLine, _cross, cleared
+from .powers import iroot
 from .qformat import qparse, qstr
 
 
@@ -148,13 +149,14 @@ def level_degree_cap(j: int) -> int:
 
     Level j faces up to 2^j prospective classes; degree d gives
     C(d+3,3) - 1 lifted coordinates to bisect them with, so the cap is the
-    smallest d whose lifted dimension reaches 2^j.
+    smallest d whose lifted dimension reaches 2^j.  With r = floor(cbrt(6 *
+    2^j)), d = r - 2 falls short (6 * C(r+1, 3) = r^3 - r) and d = r reaches
+    it (6 * C(r+3, 3) >= (r+1)^3 + 5), so the scan takes at most one step.
     """
     if j < 1:
         raise ValueError("level index starts at 1")
-    target = 1 << j
-    d = 1
-    while math.comb(d + 3, 3) - 1 < target:
+    d = max(1, iroot(6 << j, 3)[0] - 1)
+    while math.comb(d + 3, 3) - 1 < 1 << j:
         d += 1
     return d
 
@@ -576,17 +578,13 @@ class _Search:
         basis = nullspace(ncols=len(exps), limit=8, column=column)
         if not basis:
             return
-        exps = exps[: len(lifted_cols)]
         lifted = [list(zip(*cols)) for cols in zip(*lifted_cols)]  # per class, per point
-        _, flat = cleared([v for vec in basis for v in vec[: len(exps)]])
-        ibasis = [flat[k : k + len(exps)] for k in range(0, len(flat), len(exps))]
-        vals: list = [None] * len(ibasis)
+        vals: list = [None] * len(basis)
 
         def values(b):
             """Each class's values of basis vector b, computed on first use."""
             if vals[b] is None:
-                vec = ibasis[b]
-                vals[b] = [[sum(map(mul, vec, m)) for m in ms] for ms in lifted]
+                vals[b] = [[sum(map(mul, basis[b], m)) for m in ms] for ms in lifted]
             return vals[b]
 
         plan = [((k,), (1,)) for k in range(len(basis))]
@@ -616,7 +614,7 @@ class _Search:
                 continue
             c2, zeros = got
             # combo = L^d * (vec . x's monomials); vec != 0: independent basis, some c != 0
-            vec = [sum(map(mul, coeffs, col)) for col in zip(*(ibasis[b] for b in take))]
+            vec = [sum(map(mul, coeffs, col)) for col in zip(*(basis[b] for b in take))]
             terms, signs = self._level(exps, vec, d, combo, c2)
             yield terms, zeros, signs
 

@@ -47,16 +47,16 @@ from .partition import (
     classes_crossed,
     classify_lines,
     classify_points,
-    degree_budget,
     form_value,
     # bound as the names perfbench/tracing.py wraps
     is_cone_form as is_cone_with_apex,
+    level_degree_cap,
     line_in_zero_set,
     plane_divides_form as divides_by_plane,
     regulus_divides_form as tp_divides,
 )
 from .powers import cmp_power_products
-from .qformat import qstr
+from .qformat import qstr, ratio_str
 
 
 class PipelineError(RuntimeError):
@@ -85,8 +85,8 @@ def _levels_for_degree(d: int) -> int:
     whose per-level degree budget stays within d."""
     if d < 1:
         raise ValueError("degree target must be >= 1")
-    t = 1
-    while degree_budget(t + 1) <= d:
+    t, budget = 1, level_degree_cap(1)
+    while (budget := budget + level_degree_cap(t + 1)) <= d:
         t += 1
     return t
 
@@ -394,10 +394,9 @@ def run_stage1(
             richness_l1[pi] = richness_l1.get(pi, 0) + 1
     buckets = coplanar_buckets([cfg.lines[i] for i in contained])
     comps = [("planar", f"plane {pl.coeffs}", pl) for pl in _detect_planes(part, buckets)]
-    comps += [
-        ("conic", f"cone apex ({','.join(map(qstr, c.apex.coords))})", c)
-        for c in _detect_cones(part, cfg.points, surface_idx, richness_l1)
-    ]
+    for c in _detect_cones(part, cfg.points, surface_idx, richness_l1):
+        *X, q = c.apex.ints
+        comps.append(("conic", f"cone apex ({','.join(ratio_str(v, q) for v in X)})", c))
     if include_reguli is None:
         include_reguli = plan is not None and plan.regime == "large-m"
     if include_reguli:

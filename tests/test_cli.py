@@ -15,7 +15,7 @@ from incilab.partition import (
     classify_points,
     degree_budget,
 )
-from incilab.pipeline import _detect_planes
+from incilab.pipeline import _detect_planes, full_report, write_report_json
 
 
 def run(capsys, *argv):
@@ -59,6 +59,16 @@ def test_generate_params_read_ints_by_the_literal_grammar(tmp_path, capsys, valu
     )
     assert code == 2 and out == ""
     assert err == f"error: grid3d parameter N must be int, got {value!r}\n"
+    assert not path.exists()
+
+
+def test_params_without_equals_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    code, out, err = run(
+        capsys, "generate", "--family", "grid3d", "--params", "N", "-o", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: parameter 'N' is not of the form key=value\n"
     assert not path.exists()
 
 
@@ -120,6 +130,18 @@ def test_pipeline_writes_report_and_csv(grid_cfg, tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["I"] == "81"
     assert float(rows[0]["ratio"]) < 4
+
+
+def test_pipeline_file_is_write_report_json_output(grid_cfg, tmp_path, capsys):
+    jpath = tmp_path / "cli.json"
+    code, out, _ = run(capsys, "pipeline", str(grid_cfg), "-o", str(jpath))
+    assert code == 0 and out == f"wrote {jpath}\n"
+    want = tmp_path / "lib.json"
+    write_report_json(full_report(load_config(grid_cfg)), want)
+    assert jpath.read_bytes() == want.read_bytes()
+    # without -o the same bytes go to stdout
+    code, out, _ = run(capsys, "pipeline", str(grid_cfg))
+    assert code == 0 and out.encode() == want.read_bytes()
 
 
 def test_verify_passes_on_shipped_config(grid_cfg, capsys):

@@ -1,10 +1,12 @@
 """Exact incidence counting, coplanarity statistics, and quadric helpers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from incilab._linalg import nullspace
 from incilab.configs import GeneratorSpec, generate
 from incilab.geom import (
     Rational3Point,
@@ -709,3 +711,54 @@ def test_regulus_rejects_non_skew_input():
     far = L(P(0, 0, 7), (1, 1, 0))
     with pytest.raises(ValueError):
         regulus_through(meet1, meet2, far)
+    parallel = L(P(0, 0, 1), (1, 0, 0))
+    for trio in ((far, meet1, parallel), (far, meet1, meet1)):
+        with pytest.raises(ValueError, match="not skew"):
+            regulus_through(*trio)
+
+
+def regulus_oracle(trio):
+    """The quadric's nullspace from `Fraction` rows: the degree-2 monomials
+    at `point_at(t)` of each line for t = 0, 1, 2."""
+    rows = []
+    for line in trio:
+        for t in (0, 1, 2):
+            x, y, z = line.point_at(t).coords
+            rows.append([x**a * y**b * z**c for a, b, c in MONOMIALS_DEG2])
+    return nullspace(rows)
+
+
+q_coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+small_dir = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+@st.composite
+def line_trios(draw):
+    """Three lines with rational bases; the third one is sometimes made to
+    meet the first, parallel to it, or equal to it."""
+    trio = [L(P(*draw(st.tuples(q_coord, q_coord, q_coord))), draw(small_dir)) for _ in range(3)]
+    how = draw(st.sampled_from(["free", "meet", "parallel", "same"]))
+    if how == "meet":
+        trio[2] = L(trio[0].point_at(draw(q_coord)), trio[2].dir)
+    elif how == "parallel":
+        trio[2] = L(trio[2].base, trio[0].dir)
+    elif how == "same":
+        trio[2] = trio[0]
+    return trio
+
+
+@settings(deadline=None, max_examples=150)
+@given(line_trios())
+@example([L(P(Fraction(1, 2), 0, 0), (0, 1, 1)), L(P(0, Fraction(-1, 3), 0), (1, 0, 2)),
+          L(P(0, 0, Fraction(2, 5)), (1, 1, 0))])
+def test_regulus_rows_on_ints_match_fraction_points(trio):
+    # integer rows X^a Y^b Z^c w^(2-a-b-c) against Fraction points, and the
+    # plane_key skew test against plane_through_lines
+    if any(plane_through_lines(a, b) != "skew" for a, b in itertools.combinations(trio, 2)):
+        with pytest.raises(ValueError, match="not skew"):
+            regulus_through(*trio)
+        return
+    (want,) = regulus_oracle(trio)
+    quad = regulus_through(*trio)
+    assert quad == Quadric(want)
+    assert all(quad.contains_line(line) for line in trio)

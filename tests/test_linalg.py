@@ -1,4 +1,5 @@
-"""Fraction-free nullspace against the Fraction RREF it replaced."""
+"""Fraction-free nullspace against the Fraction RREF it replaced: the same
+basis, cleared over one least denominator."""
 
 from fractions import Fraction
 
@@ -90,9 +91,12 @@ def limited_matrices(draw):
 def test_nullspace_matches_fraction_rref(case):
     rows, ncols, limit = case
     got = nullspace(rows, ncols, limit=limit)
-    assert got == nullspace_oracle(rows, ncols)[:limit]
+    want = nullspace_oracle(rows, ncols)[:limit]
+    # the returned vectors together, over the lcm of all their denominators
+    _, flat = cleared([v for vec in want for v in vec])
+    assert got == [tuple(flat[k : k + ncols]) for k in range(0, len(flat), ncols)]
     for vec in got:
-        assert all(isinstance(v, Fraction) for v in vec)
+        assert all(type(v) is int for v in vec)
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
@@ -108,6 +112,10 @@ def test_nullspace_empty_and_integer_inputs():
     assert nullspace([[0, 0]]) == [(1, 0), (0, 1)]
     # full row rank: the free column after the last pivot row
     assert nullspace([[1, 2]]) == [(-2, 1)]
+    # a negative pivot: the free column keeps its positive entry
+    assert nullspace([[-2, 1]]) == [(1, 2)]
+    # denominators 3 and 2: both vectors over 6, not each over its own
+    assert nullspace([[6, 2, 3]]) == [(-2, 6, 0), (-3, 0, 6)]
     # ints and Fractions give the same basis
     assert nullspace([[2, 4, 6], [1, 1, 1]]) == nullspace(
         [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(1, 5)] * 3]
@@ -121,6 +129,9 @@ def test_nullspace_empty_and_integer_inputs():
 # the first pivot row comes from below, so column 1 is a pivot column only
 # after that swap, and the first free column is 2
 @example(([[0, 1, 1], [1, 0, 1]], 3, 1))
+# column 1 becomes 0 after the first step only if that step divides by the
+# pivot -2, not by the previous pivot 1: then it would be read as free
+@example(([[-2, -1, 0], [-1, 0, 0]], 3, 1))
 def test_column_source_is_read_up_to_the_last_free_column_only(case):
     # the same matrix handed over a column at a time, cleared row by row:
     # the same basis, and the scan reads columns 0, 1, ... once each, up to

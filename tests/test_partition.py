@@ -67,6 +67,10 @@ def rational_points(count, seed, spread=60):
 def test_level_degree_cap_values():
     # smallest d with C(d+3,3) - 1 >= 2^j
     assert [level_degree_cap(j) for j in range(1, 6)] == [1, 2, 2, 3, 4]
+    for j in range(1, 201):
+        d = level_degree_cap(j)
+        assert math.comb(d + 3, 3) - 1 >= 2**j
+        assert d == 1 or math.comb(d + 2, 3) - 1 < 2**j
     with pytest.raises(ValueError):
         level_degree_cap(0)
 

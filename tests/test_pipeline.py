@@ -67,8 +67,8 @@ def test_level_count_tracks_degree_budget():
 
 def test_levels_for_degree_is_the_largest_budget_within_d():
     budgets = [degree_budget(t) for t in range(1, 31)]
-    assert budgets[-1] > 2000
-    for d in range(1, 2001):
+    assert budgets[-1] > 3000
+    for d in range(1, 3001):
         t = _levels_for_degree(d)
         assert t >= 1
         assert t == max(k for k, b in enumerate(budgets, 1) if b <= d)
