@@ -332,7 +332,9 @@ def midrange_bound(m: int, n: int, s: int, b=Fraction(2)):
     variant = Fraction(9, 2) if m * m > n ** 3 else Fraction(4)
     l2b = rational_log(b, 2)
     l2n = rational_log(n, 2)
-    if l2b is not None and l2n is not None:
+    if l2n == 0:  # n = 1: the exponent is 0, and power_product takes no base 0
+        prefactor = Fraction(1)
+    elif l2b is not None and l2n is not None:
         expo_val, expo_exact = power_product([(variant * l2b * l2n, Fraction(1, 2))], "up")
         if expo_exact:
             prefactor = qpow(2, expo_val, "up")

@@ -17,14 +17,18 @@ more than testing every point against every line.  The pairwise
 Coplanarity reads each line as integer Pluecker data: its stored base B
 over w, primitive direction d and moment B x d.  The reciprocal products of
 one line with all later lines come from one big-int linear combination of
-packed columns.  The pairs inside a plane already complete are masked out
-of that result before it is read, so no pair is visited in Python unless
-it is coplanar and needs its key: the primitive integer coefficients of
-its plane (`plane_key`).  No `Fraction` or plane object is built per pair.
-Per-pair `plane_key` and the pairwise `plane_through_lines` bucketing stay
-as the references that the tests and `incilab verify` check the kernel
-against.  A `Quadric` decides its points and lines on its integer form,
-with `algebra` as the reference.
+packed columns (`_plane_buckets`).  The pairs inside a plane already
+complete are masked out of that result before it is read, so no pair is
+visited in Python unless it is coplanar and needs its key: the primitive
+integer coefficients of its plane (`plane_key`).  No `Fraction` or plane
+object is built per pair.  `coplanar_buckets` keeps every plane with all
+its lines.  `max_coplanar_lines` wants only the richest plane, so it groups
+the lines into classes by direction: the filter never reads a parallel
+pair, and a plane of one class is found as collinear points in 2D and keyed
+only when it can be the answer.  Per-pair `plane_key` and the pairwise
+`plane_through_lines` bucketing stay as the references that the tests and
+`incilab verify` check both against.  A `Quadric` decides its points and
+lines on its integer form, with `algebra` as the reference.
 """
 
 from __future__ import annotations
@@ -285,10 +289,10 @@ def _aligned_matches(buf: bytes, pattern: bytes):
         at = buf.find(pattern, (at // width + 1) * width)
 
 
-def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
-    """Plane key -> indexes of all input lines in that plane, for each plane
-    spanned by two lines, keyed on integer Pluecker data (`plane_key`) in the
-    order of each plane's first pair (i, j), i < j, lexicographically.
+def _plane_buckets(reps, classes=()) -> dict[tuple, set[int]]:
+    """Plane key -> member indexes, found by the packed filter below, for
+    each plane that two lines of `plucker_reps` span, except that no pair
+    inside one of `classes` (lists of ascending indexes) is read.
 
     The skew pairs are filtered out with big-int arithmetic.  With
     u_i = (w_i*d_i, M_i) and v_j = (M_j, w_j*d_j), u_i . v_j is `plane_key`'s
@@ -304,21 +308,22 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
     The zero pairs are the fields equal to 2^(F-1), found by `bytes.find` on
     the big-endian bytes at field-aligned offsets, in ascending j.
 
-    A pair is skipped inside the filter when its two lines already share a
-    complete plane: when line i creates a key whose bucket then holds at
-    least 3 lines, the plane's cover mask, bit 0 set in field n-1-x of each
-    member x, is recorded for each member.  Before line i's fields are read,
-    its recorded masks are OR'd in.  A covered field holds exactly 2^(F-1),
-    since the two lines are coplanar, so it becomes 2^(F-1)+1 and no longer
-    matches; an OR cannot carry, so a field covered by several planes (a
-    repeated line) reads 2^(F-1)+1 as well.  Every match thus reaches
-    `plane_key`.  Two distinct lines in one recorded plane span exactly that
-    plane, and identical lines span none, so a covered pair would add
-    nothing and create no key.  A plane of k distinct lines thus costs k-1
-    `plane_key` calls.  A mask is freed once the scan has passed its
-    plane's last member.
+    A pair is skipped inside the filter when its two lines share a cover
+    mask, bit 0 set in field n-1-x of each line x it covers.  Each class is
+    one cover from the start.  When line i creates a key, the bucket gains
+    the later lines of i's class that lie in the plane, one integer dot
+    product each; if it then holds at least 3 lines, its members become a
+    cover too.  Before line i's fields are read, the covers holding it are
+    OR'd in.  A covered field of a coplanar pair holds exactly 2^(F-1), so
+    it becomes 2^(F-1)+1 and no longer matches; an OR cannot carry, so a
+    field covered by several masks reads 2^(F-1)+1 as well.  Every match
+    thus reaches `plane_key`.  Two distinct lines in one recorded plane span
+    exactly that plane, and identical lines span none, so a pair covered by
+    a plane would add nothing and create no key.  A plane of k distinct
+    lines thus costs k-1 `plane_key` calls, one fewer for each line of its
+    first line's class.  A mask is freed once the scan has passed the line
+    it was recorded for.
     """
-    reps = plucker_reps(lines)
     n = len(reps)
     buckets: dict[tuple[int, int, int, int], set[int]] = {}
     if n < 2:
@@ -335,8 +340,17 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
     for k in range(6):
         raw = b"".join((u[(k + 3) % 6] + half).to_bytes(width, "big") for u in us)
         cols.append(int.from_bytes(raw, "big") - bias)
-    # covers[x]: the cover mask of each recorded plane that holds line x
+    # covers[x]: the cover masks that hold line x
     covers: list[list[int]] = [[] for _ in range(n)]
+
+    def add_cover(members):
+        bits = sum(1 << 8 * width * (n - 1 - x) for x in members)
+        for x in members:
+            covers[x].append(bits)
+
+    for members in classes:
+        add_cover(members)
+    mates = {x: members for members in classes for x in members}
     for i in range(n - 1):
         cnt = n - 1 - i
         mask = (1 << 8 * width * cnt) - 1
@@ -354,18 +368,77 @@ def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
                 continue
             bucket = buckets.get(key)
             if bucket is None:
-                buckets[key] = {i, j}
+                buckets[key] = bucket = {i, j}
                 created.append(key)
+                a, b, c, e = key
+                for x in mates.get(i, ()):
+                    w, (bx, by, bz), _d, _m = reps[x]
+                    if x > i and a * bx + b * by + c * bz + e * w == 0:
+                        bucket.add(x)
             else:
                 bucket.update((i, j))
         for key in created:
-            members = buckets[key]
-            if len(members) >= 3:
-                cover = sum(1 << 8 * width * (n - 1 - x) for x in members)
-                for x in members:
-                    covers[x].append(cover)
+            if len(buckets[key]) >= 3:
+                add_cover(buckets[key])
         covers[i].clear()
     return buckets
+
+
+def coplanar_buckets(lines: Sequence[RationalLine]) -> dict[tuple, set[int]]:
+    """Plane key -> indexes of all input lines in that plane, for each plane
+    spanned by two lines, keyed on integer Pluecker data (`plane_key`) in the
+    order of each plane's first pair (i, j), i < j, lexicographically.  Every
+    coplanar pair goes through the packed filter of `_plane_buckets`."""
+    return _plane_buckets(plucker_reps(lines))
+
+
+def _richest_parallel_plane(reps, members, best):
+    """The larger of best and (size, key) for each plane that holds only
+    lines of `members`, which share one direction d; (size, key) pairs are
+    compared as tuples, so a tie goes to the larger key.
+
+    Three parallel lines are coplanar exactly when their feet are collinear
+    in the plane through the origin where d's pivot coordinate is 0, since
+    the canonical base lies there.  Each foot's two other coordinates over
+    the lcm of the members' w are integer points; repeated lines share a
+    point and count once each.  The points are sorted, so the offset from a
+    point to each later one has a positive first nonzero entry, and dividing
+    it by its gcd gives one key for a direction and its negative.  For each
+    point, the later points are grouped by that key: a group and the
+    point's own copies are the lines of one plane, and the largest group
+    gives the richest plane through the point.  Only a group that reaches
+    best is keyed, through its first line.
+    """
+    d = reps[members[0]][2]
+    p, q = (1, 2) if d[0] else ((0, 2) if d[1] else (0, 1))
+    lcm = math.lcm(*(reps[x][0] for x in members))
+    feet: dict[tuple[int, int], list[int]] = {}  # point -> [copies, a line]
+    for x in members:
+        w, base, _d, _m = reps[x]
+        point = (base[p] * (lcm // w), base[q] * (lcm // w))
+        entry = feet.get(point)
+        if entry is None:
+            feet[point] = [1, x]
+        else:
+            entry[0] += 1
+    points = sorted(feet.items())
+    for t in range(len(points) - 1):
+        (ax, ay), (here, anchor) = points[t]
+        sizes: dict[tuple[int, int], int] = {}
+        get = sizes.get
+        for (bx, by), (cnt, _x) in points[t + 1 :]:
+            g = math.gcd(bx - ax, by - ay)
+            key = ((bx - ax) // g, (by - ay) // g)
+            sizes[key] = get(key, here) + cnt
+        size = max(sizes.values())
+        if size < best[0]:
+            continue
+        for (bx, by), (_cnt, x) in points[t + 1 :]:
+            g = math.gcd(bx - ax, by - ay)
+            # pop: each group is keyed once, at its first line
+            if sizes.pop(((bx - ax) // g, (by - ay) // g), 0) == size:
+                best = max(best, (size, plane_key(reps[anchor], reps[x])))
+    return best
 
 
 def max_coplanar_lines(
@@ -374,18 +447,30 @@ def max_coplanar_lines(
     """Largest number of input lines lying in one plane, with a witness.
 
     Returns (0, None) for no lines and (1, None) when no two lines are
-    coplanar.  Intersecting or parallel pairs pin down their common plane,
-    so bucketing pairs by that plane (`coplanar_buckets`) finds the maximum
-    exactly.  Ties go to the larger coefficient tuple and only the witness
+    coplanar.  The witness is the plane of the largest coefficient tuple
+    among the planes of that size.  The lines are grouped into classes by
+    their canonical direction.  A plane that holds two lines of different
+    classes comes from `_plane_buckets` with each class as a cover, so no
+    parallel pair is read.  A plane that holds lines of one class only is
+    found in 2D by `_richest_parallel_plane`, and only a class with at least
+    as many lines as the best plane so far is searched.  Only the witness
     becomes a plane.
     """
     if not lines:
         return 0, None
-    buckets = coplanar_buckets(lines)
-    if not buckets:
+    by_dir: dict[tuple[int, int, int], list[int]] = {}
+    for x, line in enumerate(lines):
+        by_dir.setdefault(line.dir, []).append(x)
+    reps = plucker_reps(lines)
+    classes = [members for members in by_dir.values() if len(members) > 1]
+    buckets = _plane_buckets(reps, classes)
+    best = max(((len(v), key) for key, v in buckets.items()), default=(0, None))
+    for members in classes:
+        if len(members) >= best[0]:
+            best = _richest_parallel_plane(reps, members, best)
+    if best[1] is None:
         return 1, None
-    key, members = max(buckets.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    return len(members), RationalPlane(*key)
+    return best[0], RationalPlane(*best[1])
 
 
 def _max_coplanar_lines_pairwise(

@@ -232,6 +232,11 @@ def test_midrange_bound_golden():
     assert value == 12901679104
 
 
+def test_midrange_bound_takes_one_point_and_one_line():
+    # log2 1 = 0, so the prefactor 2^0 is exactly 1
+    assert midrange_bound(1, 1, 1)[2] == 4
+
+
 def test_midrange_bound_above_boundary_uses_steeper_variant():
     below = midrange_bound(2**24, 2**16, 1)[2]
     above = midrange_bound(2**25, 2**16, 1)[2]

@@ -419,6 +419,87 @@ def test_max_coplanar_lines_counts_repeated_lines():
     assert max_coplanar_lines([a, a, c])[0] == 3
 
 
+@st.composite
+def parallel_classes(draw):
+    """Up to three directions with up to eight lines each, bases on a small
+    grid with denominators up to 3, some lines repeated, shuffled: many
+    planes hold several parallel lines, and many hold only those."""
+    coord = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    lines = []
+    for d in draw(st.lists(small_dir, min_size=1, max_size=3, unique=True)):
+        size = draw(st.integers(1, 8))
+        lines += [L(P(draw(coord), draw(coord), draw(coord)), d) for _ in range(size)]
+    lines += draw(st.lists(st.sampled_from(lines), max_size=2))
+    return draw(st.permutations(lines))
+
+
+# every line lies in z = 0: the first line keys the plane once per line of
+# another class, and its class-mates join the bucket when it is created
+_ELEKES = [L(P(0, b, 0), (1, a, 0)) for a in range(3) for b in range(3)]
+# z = 0 holds three lines of two classes, and x = 1 three parallel lines:
+# the class of x = 1 has exactly s lines and its plane has the larger key
+_TIE = [L(P(0, 0, 0), (1, 0, 0)), L(P(0, 1, 0), (1, 0, 0)), L(P(0, 0, 0), (0, 1, 0))] + [
+    L(P(1, k, 0), (0, 0, 1)) for k in range(3)
+]
+# no three lines share a plane; y + 2z = 4 wins, spanned by the second and
+# the last foot in sorted order
+_PAIRS = [L(P(0, y, z), (1, 0, 0)) for y, z in ((0, 0), (2, 1), (2, 0), (0, 2))]
+# the feet (1, 1), (0, 0), (1, 1), (2, 2) of one class, out of order: the
+# repeated line makes the plane y = z hold four lines
+_REPEATED = [L(P(0, y, y), (1, 0, 0)) for y in (1, 0, 1, 2)] + [L(P(0, 0, 0), (0, 1, 0))]
+# z = 0 holds four lines of two classes; the three parallel lines in x = 1
+# are fewer, so their class is never searched
+_SKIPPED = [L(P(0, y, 0), (1, 0, 0)) for y in (0, 1)] + [
+    L(P(x, 0, 0), (0, 1, 0)) for x in (0, 5)
+] + [L(P(1, k, 0), (0, 0, 1)) for k in (2, 3, 4)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(parallel_classes())
+@example(_ELEKES)
+@example(_TIE)
+@example(_PAIRS)
+@example(_REPEATED)
+@example(_SKIPPED)
+def test_max_coplanar_lines_matches_pairwise_reference_on_parallel_classes(lines):
+    assert max_coplanar_lines(lines) == _max_coplanar_lines_pairwise(lines)
+
+
+def test_max_coplanar_lines_examples_by_hand():
+    assert max_coplanar_lines(_ELEKES) == (9, RationalPlane(0, 0, 1, 0))
+    assert max_coplanar_lines(_TIE) == (3, RationalPlane(1, 0, 0, -1))
+    assert max_coplanar_lines(_PAIRS) == (2, RationalPlane(0, 1, 2, -4))
+    assert max_coplanar_lines(_REPEATED) == (4, RationalPlane(0, 1, -1, 0))
+    assert max_coplanar_lines(_SKIPPED) == (4, RationalPlane(0, 0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "family, params, keys",
+    [
+        ("elekes2d", {"N": 6}, 180),
+        ("grid3d", {"N": 10}, 300),
+        ("coplanar_pack", {"k": 3, "N": 4}, 144),
+    ],
+    ids=["elekes2d-6", "grid3d-10", "coplanar_pack-3-4"],
+)
+def test_max_coplanar_lines_keys_only_planes_that_can_win(monkeypatch, family, params, keys):
+    """No parallel pair reaches the filter, a new plane takes its creator's
+    class-mates at once, and a plane of one class is keyed only when it can
+    be the answer: grid3d N=10 keys its 30 axis planes 10 times each, and
+    none of its 5 700 two-line planes (`coplanar_buckets` keys 9 348)."""
+    lines = generate(GeneratorSpec(family, params)).lines
+    expected = max_coplanar_lines(lines)
+    calls = []
+
+    def counted(ri, rj):
+        calls.append(None)
+        return plane_key(ri, rj)
+
+    monkeypatch.setattr("incilab.incidence.plane_key", counted)
+    assert max_coplanar_lines(lines) == expected
+    assert len(calls) == keys
+
+
 def test_coplanar_buckets_on_hyperbolic_paraboloid():
     # rulings of z = xy with large signed Pluecker entries; a floor shift of
     # a signed packed column loses the pair (3, 4)
@@ -516,6 +597,8 @@ _f = L(P(0, 0, 3), (1, 0, -1))
 @example([_a, _c, _d, _a])
 # both copies of a are members of both recorded planes, z = 0 and y = 0
 @example([_b, _e, _a, _c, _a, _f])
+# the copy of a spans nothing with line 0, so it joins z = 0 through (1, 2)
+@example([_a, _a, _c])
 def test_coplanar_buckets_match_per_pair_keys_on_lattice_lines(lines):
     fast, ref = coplanar_buckets(lines), per_pair_buckets(lines)
     assert list(fast.items()) == list(ref.items())

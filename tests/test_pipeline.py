@@ -532,6 +532,17 @@ def test_full_report_on_the_boundary_regime():
     assert any("stage 2 skipped" in f for f in rep.flags)
 
 
+def test_full_report_on_one_point_on_one_line():
+    # m^2 == n^3 with n = 1: log2 n = 0, so the border-range prefactor is 1
+    point = Rational3Point(0, 0, 0)
+    cfg = Configuration((point,), (RationalLine(point, (1, 0, 0)),))
+    rep = full_report(cfg, seed=0)
+    assert (rep.m, rep.n, rep.s, rep.I) == (1, 1, 1, 1)
+    assert rep.bound_midrange == 4  # 1 * (1 + 1 + m + n)
+    assert [st.stage for st in rep.stages] == ["1"]
+    assert any("stage 2 skipped" in f for f in rep.flags)
+
+
 def test_full_report_wraps_plan_failures():
     with pytest.raises(PipelineError) as exc:
         full_report(gen("concurrent", k=5))

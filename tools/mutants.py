@@ -15,6 +15,10 @@ killed.  It exits 1 when a snippet is missing or ambiguous, when the
 unmutated copy fails, or when a mutant survives (some named node still
 passes).
 
+Every pytest run gets the same `--hypothesis-seed`, so a `@given` test
+draws the same examples on every ledger run, and the example database is
+neither read nor written: a kill that rests on a drawn example repeats.
+
 Run it after changing a kernel the ledger covers: a refactor that moves a
 snippet must update its entry, and a kernel change adds its own mutants.
 """
@@ -34,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tools" / "mutants.json"
 COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+HYPOTHESIS_SEED = 0
 
 
 def failed_nodes(workdir: Path, nodes: list[str], timeout: float | None = None) -> set[str]:
@@ -44,7 +49,10 @@ def failed_nodes(workdir: Path, nodes: list[str], timeout: float | None = None) 
     # no bytecode: a restored file can match a mutant's cached size and mtime
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", *nodes],
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rfE",
+            f"--hypothesis-seed={HYPOTHESIS_SEED}", *nodes,
+        ],
         cwd=workdir,
         env=env,
         stdout=subprocess.PIPE,
