@@ -307,11 +307,26 @@ def degree_plan(m: int, n: int) -> DegreePlan:
 # -- the border range ---------------------------------------------------------
 
 
+def _ladder_index(n: int, b: Fraction) -> int:
+    """round(sqrt(x)) for x = log_b n, decided on integers, with ties to even
+    as `round` takes them.  For k >= 0, sqrt(x) >= k + 1/2 exactly when
+    n^4 >= b^((2k+1)^2), so k = round(sqrt(x)) when
+    b^((2k-1)^2) <= n^4 < b^((2k+1)^2); n^4 = b^((2k-1)^2) is the tie
+    sqrt(x) = k - 1/2, which goes to k - 1 when k is odd."""
+    k = 0
+    while cmp_power_products([(n, 4)], [(b, (2 * k + 1) ** 2)]) >= 0:
+        k += 1
+    if k % 2 and cmp_power_products([(n, 4)], [(b, (2 * k - 1) ** 2)]) == 0:
+        k -= 1
+    return k
+
+
 def midrange_bound(m: int, n: int, s: int, b=Fraction(2)):
     """Ladder-free bound for m near n^{3/2}.
 
     Returns (j0, k, value): the ladder depth j0 = sqrt(log n / log b), the
-    clamped density k = max(1, m / n^{alpha_{j0}}), and the bound
+    clamped density k = max(1, m / n^{alpha_j}) at the ladder index
+    j = round(j0), decided on integers (`_ladder_index`), and the bound
     2^{2 sqrt(log2 b * log2 n)} (m^{1/2} n^{3/4} + m^{2/3} n^{1/3} s^{1/3}
     + m + n), with the sqrt(4.5) exponent variant above the boundary.
     """
@@ -324,7 +339,7 @@ def midrange_bound(m: int, n: int, s: int, b=Fraction(2)):
         j0 = val if exact else math.sqrt(float(ln_ratio))
     else:
         j0 = math.sqrt(float_log(n, float(b)))
-    j_index = max(0, round(float(j0)))
+    j_index = _ladder_index(n, b)
     alpha = alpha_sequence("small-m", j_index)
     k_val, _ = power_product([(Fraction(m), Fraction(1)), (Fraction(n), -alpha)], "down")
     k = max(Fraction(1), k_val)

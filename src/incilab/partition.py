@@ -39,13 +39,19 @@ with the fewest zeros.  Each window gives one threshold: lo when lo == hi,
 else the midpoint of lo and the next value or hi, which meets no value and
 so ends the search.
 
-No value is computed twice in a level: each class's points are gathered
-once, each fixed direction's keys are kept in class order next to their
-sorted copies for the planes and the slabs (the random directions differ
-between the two families, and the kept keys are dropped before the
-balanced family), a slab's half-integer first cut c1 is compared with the
-keys as floor(c1), and a balanced basis vector's values are computed when a
-plan entry first uses it.  `build_partition` divides the winner's terms by
+No value is computed twice in a level, and none that cannot decide it.
+Each class's points are gathered once.  A plane direction's windows are
+decided class by class: its classes are keyed one at a time as `_window`
+reads them, and none after the one where the windows part, which no later
+class can undo.  Each fixed direction's keys are kept in class order next
+to their sorted copies, and the slabs complete them and read them again
+(the random directions differ between the two families, and the kept keys
+are dropped before the balanced family).  A slab's half-integer first cut
+c1 is compared with the keys as floor(c1).  Each lifted monomial column
+costs one product per point, the column one degree lower times a
+coordinate, and a second only when L^k != 1 (`_Lifted`).  A balanced basis
+vector's values are computed when a plan entry first uses it, from its
+nonzero entries only.  `build_partition` divides the winner's terms by
 their gcd, negates them and its signs when the lex-largest term is
 negative, as `primitive_normalize` would, keeps them as the level, and
 evaluates no level at a class point.  The partition records each input
@@ -290,17 +296,30 @@ def _window_pick(values_by_class, lo: int, hi: int) -> tuple[int, int]:
     return lo + min([hi, *above]), 0
 
 
+def _window(values_by_class, below, above, span=0):
+    """(lo, hi), the thresholds c with at most below[k] of class k's sz
+    sorted keys under c and at most above[k] < sz over it, or None: each
+    class's window [keys[sz-1-above], keys[below]], met.  A class with
+    below >= sz leaves the top open, and with every top open the window ends
+    at lo + span.  The classes are read in turn, and none after the first
+    where the windows part, lo > hi: lo only grows and a bounded hi only
+    falls, so no later class can join them."""
+    lo = hi = None
+    for vs, b, a in zip(values_by_class, below, above):
+        v = vs[len(vs) - 1 - a]
+        if lo is None or v > lo:
+            lo = v
+        if b < len(vs) and (hi is None or vs[b] < hi):
+            hi = vs[b]
+        if hi is not None and lo > hi:
+            return None
+    return lo, lo + span if hi is None else hi
+
+
 def _threshold_candidate(values_by_class, below, above, span=0):
-    """(2c, zeros) for a threshold c with at most below[k] of class k's sz
-    sorted keys under it and at most above[k] < sz over it, or None: c in
-    the window [keys[sz-1-above], keys[below]].  A class with below >= sz
-    leaves the window's top open, and with every top open it ends at
-    lo + span."""
-    lo = max(vs[len(vs) - 1 - a] for vs, a in zip(values_by_class, above))
-    hi = min((vs[b] for vs, b in zip(values_by_class, below) if b < len(vs)), default=lo + span)
-    if lo > hi:
-        return None
-    return _window_pick(values_by_class, lo, hi)
+    """(2c, zeros) for a threshold c in the classes' `_window`, or None."""
+    window = _window(values_by_class, below, above, span)
+    return None if window is None else _window_pick(values_by_class, *window)
 
 
 def _product_signs(s, r) -> list[list[int]]:
@@ -418,6 +437,50 @@ def regulus_divides_form(form, l1: RationalLine, l2: RationalLine, l3: RationalL
     return True
 
 
+class _Lifted:
+    """Each class's lifted monomials at its search points (X, Y, Z, L):
+    X^a * Y^b * Z^e * L^k, with k = d - a - b - e, is L^d times the monomial
+    x^a * y^b * z^e at x = X/L, an int.  Column c is that of exps[c], for
+    the sorted nonconstant exponents of degree at most d, built when asked,
+    after the columns before it."""
+
+    def __init__(self, class_pts, exps, L: int, d: int):
+        self.exps, self.L, self.d = exps, L, d
+        self.coords = [list(zip(*P))[:3] for P in class_pts]  # each class's Xs, Ys, Zs
+        self.plain: dict = {}  # each column read, without its L^k
+        self.cols: list = []
+
+    def column(self, c):
+        """Column c, at one product per point: the column one degree lower,
+        with the last nonzero exponent lowered (read already, as exps is
+        sorted), or the coordinate itself, times that coordinate, and then
+        times L^k only when L^k != 1."""
+        e = self.exps[c]
+        axis = 2 if e[2] else 1 if e[1] else 0
+        low = tuple(v - (i == axis) for i, v in enumerate(e))
+        xs = [cs[axis] for cs in self.coords]
+        if any(low):
+            xs = [[m * x for m, x in zip(ms, cx)] for ms, cx in zip(self.plain[low], xs)]
+        self.plain[e] = xs
+        Lk = self.L ** (self.d - sum(e))
+        self.cols.append(xs if Lk == 1 else [[m * Lk for m in ms] for ms in xs])
+        return self.cols[-1]
+
+    def values(self, vec):
+        """Each class's values of vec . the lifted monomials, in class order:
+        only vec's nonzero entries are read, which lie in the columns built,
+        class by class and a column at a time."""
+        terms = [(k, self.cols[c]) for c, k in enumerate(vec) if k]
+        out = []
+        for j in range(len(self.coords)):
+            (k, col), *rest = terms
+            vs = [k * v for v in col[j]]
+            for k, col in rest:
+                vs = [s + k * v for s, v in zip(vs, col[j])]
+            out.append(vs)
+        return out
+
+
 class _Search:
     """One level's candidate enumeration over the current classes; values
     are in the units of pts, the search points of `_scaled`, and a threshold
@@ -433,6 +496,12 @@ class _Search:
     cap, and zeros is the number of class points where it vanishes.  Only
     the winner's signs() is called.  No candidate is evaluated as a
     polynomial.
+
+    The work is what decides a level: a plane direction's classes are
+    keyed one at a time, and none after the one where its windows part
+    (`_plane`); a lifted monomial column costs one product per point, and a
+    balanced value reads only its basis vector's nonzero entries
+    (`_Lifted`).
     """
 
     def __init__(self, pts, L, classes, cap, epsilon, rng):
@@ -448,9 +517,9 @@ class _Search:
         self.forced_zeros = sum(
             max(0, len(c) - 2 * q) for c, q in zip(self.classes, self.qs)
         )
-        # the structured directions' (values, keys) from `_keys`, built by
-        # `_planes` and read again by `_slabs`; the random directions differ
-        # between the two
+        # the structured directions' (values, keys) from `_keyed`, built a
+        # class at a time by `_planes` and completed and read again by
+        # `_slabs`; the random directions differ between the two
         self.key_memo: dict[tuple[int, int, int], tuple[list[list[int]], list[list[int]]]] = {}
 
     def directions(self):
@@ -477,16 +546,40 @@ class _Search:
                     best = (zeros, terms, signs)
         return None if best is None else best[1:]
 
-    def _keys(self, u):
-        """(values, keys): each class's keys u.X in class order, and their
-        sorted copies."""
+    def _class_keys(self, u, P):
+        """One class's keys u.X in class order, and their sorted copy."""
+        a, b, c = u
+        vs = [a * x + b * y + c * z for x, y, z, _ in P]
+        return vs, sorted(vs)
+
+    def _keyed(self, u):
+        """(values, keys): the lists of each class's keys u.X in class order
+        and of their sorted copies, for the classes keyed so far, and an
+        iterator over every class's sorted keys that keys a class, appending
+        to both lists, only when it reaches one not yet keyed.  A structured
+        direction's lists are kept in the memo."""
         got = self.key_memo.get(u)
         if got is None:
-            a, b, c = u
-            values = [[a * x + b * y + c * z for x, y, z, _ in P] for P in self.class_pts]
-            got = values, [sorted(vs) for vs in values]
+            got = [], []
             if u in _STRUCTURED_DIRS:
                 self.key_memo[u] = got
+        values, keys = got
+
+        def keying():
+            for k, P in enumerate(self.class_pts):
+                if k == len(keys):
+                    vs, sorted_vs = self._class_keys(u, P)
+                    values.append(vs)
+                    keys.append(sorted_vs)
+                yield keys[k]
+
+        return got, keying()
+
+    def _keys(self, u):
+        """(values, keys) of `_keyed`, every class keyed."""
+        got, keying = self._keyed(u)
+        for _ in keying:
+            pass
         return got
 
     def _level(self, exps, vec, d: int, values, c2: int):
@@ -504,12 +597,21 @@ class _Search:
     # the first structured directions are the exponents of x, y and z
     def _planes(self):
         for u in self.directions():
-            values, keys = self._keys(u)
-            got = _threshold_candidate(keys, self.qs, self.qs)
+            got = self._plane(u)
             if got is not None:
-                c2, zeros = got
-                terms, signs = self._level(_STRUCTURED_DIRS[:3], u, 1, values, c2)
-                yield terms, zeros, signs
+                yield got
+
+    def _plane(self, u):
+        """The candidate of the plane direction u, or None.  Its classes are
+        keyed one at a time as `_window` reads them, so a direction whose
+        windows part keys no class after the one where they do."""
+        (values, keys), keying = self._keyed(u)
+        window = _window(keying, self.qs, self.qs)
+        if window is None:
+            return None
+        c2, zeros = _window_pick(keys, *window)
+        terms, signs = self._level(_STRUCTURED_DIRS[:3], u, 1, values, c2)
+        return terms, zeros, signs
 
     # family: products of two parallel planes (u.x - c1)(u.x - c2)
     def _slabs(self):
@@ -517,7 +619,7 @@ class _Search:
             return
         for u in self.directions():
             values, keys = self._keys(u)
-            distinct = sorted({v for vs in keys for v in vs})
+            distinct = sorted(set().union(*keys))
             gaps = list(zip(distinct, distinct[1:]))
             if len(gaps) > 12:
                 gaps = [gaps[k * len(gaps) // 12] for k in range(12)]
@@ -562,29 +664,23 @@ class _Search:
         # the 8th free column (at most len(classes) + 6, as the rank is at
         # most len(classes) - 1), asks for the columns up to it one at a
         # time, and the basis vectors are zero past the last one read.
-        # Monomials of X = L*x lifted to degree d: L^d * x^a, all ints
-        Lpow = [self.L**k for k in range(d + 1)]
-        lifted_cols = []  # per column read, each class's lifted monomials
+        lifted = _Lifted(self.class_pts, exps, self.L, d)
 
         def column(c):
             """Centroid differences c_j - c_0 at monomial c, times n_0 * n_j * L^d > 0."""
-            a, b, e = exps[c]
-            Lk = Lpow[d - a - b - e]
-            ms = [[x**a * y**b * z**e * Lk for x, y, z, _ in P] for P in self.class_pts]
-            lifted_cols.append(ms)
+            ms = lifted.column(c)
             n0, s0 = len(ms[0]), sum(ms[0])
             return [n0 * sum(m) - len(m) * s0 for m in ms[1:]]
 
         basis = nullspace(ncols=len(exps), limit=8, column=column)
         if not basis:
             return
-        lifted = [list(zip(*cols)) for cols in zip(*lifted_cols)]  # per class, per point
         vals: list = [None] * len(basis)
 
         def values(b):
             """Each class's values of basis vector b, computed on first use."""
             if vals[b] is None:
-                vals[b] = [[sum(map(mul, basis[b], m)) for m in ms] for ms in lifted]
+                vals[b] = lifted.values(basis[b])
             return vals[b]
 
         plan = [((k,), (1,)) for k in range(len(basis))]

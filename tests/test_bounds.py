@@ -1,5 +1,6 @@
 """Bound evaluators, exponent ladders, degree plans, and the border range."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,44 @@ def test_midrange_bound_golden():
     assert j0 == 4
     assert Fraction(40) <= k < Fraction(41)  # m / n^{7/6} = 2^{16/3}
     assert value == 12901679104
+
+
+def _decimal_ladder_index(n, b):
+    """round(sqrt(log_b n)), ties to even, from 60-digit `decimal` logs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        x = D(n).ln() / (D(b.numerator).ln() - D(b.denominator).ln())
+        return int(x.sqrt().to_integral_value(decimal.ROUND_HALF_EVEN))
+
+
+@pytest.mark.parametrize("b", [Fraction(2), Fraction(3), Fraction(5, 2)])
+def test_midrange_ladder_index_matches_a_decimal_reference(b, monkeypatch):
+    # m^2 = n^3 with n = r^2 and m = r^3, for small r and r up to 3^24,
+    # where sqrt(log_b n) runs past 8
+    picked = []
+    real = bounds.alpha_sequence
+    monkeypatch.setattr(
+        bounds, "alpha_sequence", lambda regime, j: picked.append(j) or real(regime, j)
+    )
+    roots = [*range(1, 60), *(2**j + 1 for j in range(6, 41, 3)), *(3**j for j in range(4, 25, 4))]
+    for r in roots:
+        want = _decimal_ladder_index(r * r, b)
+        assert bounds._ladder_index(r * r, b) == want
+        midrange_bound(r**3, r * r, 1, b)
+        assert picked.pop() == want
+
+
+def test_midrange_ladder_index_ties_go_to_even():
+    # sqrt(log_b n) = 1/2, 3/2 and 5/2 exactly: round takes 0, 2 and 2, and
+    # the index keeps them, as round(j0) did
+    for m, n, b, j0, want in [
+        (3, 2, 16, Fraction(1, 2), 0),
+        (2**27, 2**18, 256, Fraction(3, 2), 2),
+        (2**75, 2**50, 256, Fraction(5, 2), 2),
+    ]:
+        assert midrange_bound(m, n, 1, b)[0] == j0
+        assert bounds._ladder_index(n, Fraction(b)) == want == round(j0)
 
 
 def test_midrange_bound_takes_one_point_and_one_line():

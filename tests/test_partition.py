@@ -20,6 +20,7 @@ from incilab.partition import (
     _STRUCTURED_DIRS,
     PartitionBudgetError,
     PartitionPoly,
+    _Lifted,
     _Search,
     _form,
     _homogenized,
@@ -327,6 +328,118 @@ def test_key_memo_keeps_structured_directions_until_balanced():
     assert search._keys((1, 1, 1)) is kept  # built once per level
     next(search._balanced())
     assert search.key_memo == {}
+
+
+@st.composite
+def plane_classes(draw):
+    """1-8 classes of 1-40 keys from a narrow range, so keys tie inside and
+    across classes, a slack of 0, 1/10 or 1/4, and L in 2-4."""
+    keys = st.lists(st.integers(-12, 12), min_size=1, max_size=40)
+    classes = draw(st.lists(keys, min_size=1, max_size=8))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4)]))
+    return classes, eps, draw(st.integers(2, 4))
+
+
+@settings(deadline=None, max_examples=200)
+@given(plane_classes())
+# a one-key window, lo == hi == 1, is a plane
+@example(([[0, 1, 2]], Fraction(0), 2))
+# the windows part at the second class, whose top 12 must not lift hi
+@example(([[0, 1, 2, 3], [10, 11, 12, 13], [5, 5, 6]], Fraction(0), 3))
+# they part at the second class of four, so two classes are keyed
+@example(([[10, 11, 12, 13], [0, 1, 2, 3], [5, 6], [7]], Fraction(1, 10), 2))
+def test_plane_windows_are_decided_class_by_class(case):
+    # the keys of direction x are the drawn ints: each point is (key, 0, 0, L)
+    classes, eps, L = case
+    pts = [(k, 0, 0, L) for keys in classes for k in keys]
+    ends = list(itertools.accumulate(map(len, classes), initial=0))
+    indexes = [list(range(a, b)) for a, b in zip(ends, ends[1:])]
+    search = _Search(pts, L, indexes, 1, eps, random.Random(0))
+    keys, qs = [sorted(vs) for vs in classes], search.qs
+    # the first class whose window parts from those of the classes before it
+    parted = None
+    for j in range(len(keys)):
+        lo = max(vs[len(vs) - 1 - q] for vs, q in zip(keys[: j + 1], qs))
+        if lo > min(vs[q] for vs, q in zip(keys[: j + 1], qs)):  # q < sz
+            parted = j
+            break
+    got = search._plane((1, 0, 0))
+    want = _threshold_candidate(keys, qs, qs)
+    assert (got is None) == (parted is not None) == (want is None)
+    values, built = search.key_memo[(1, 0, 0)]
+    assert len(built) == (len(keys) if parted is None else parted + 1)
+    assert built == keys[: len(built)] and values == classes[: len(built)]
+    if got is not None:
+        terms, zeros, _ = got
+        assert (terms.get((0, 0, 0), 0), zeros) == (-want[0], want[1])
+
+
+def test_plane_family_keys_octant_classes_until_their_windows_part():
+    # eight classes cut by the three axis planes, the shape of a depth-4
+    # build's last level: no plane bisects them all, and each direction's
+    # windows part after 2-5 of the 8 classes, so the 23 directions build
+    # 52 class key lists, not 23 * 8 = 184
+    rng = random.Random(7)
+    coords = sorted({tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(200)})
+    pts = [(*c, 1) for c in coords if 0 not in c]
+    octant = [tuple(v > 0 for v in p[:3]) for p in pts]
+    classes = [[i for i, o in enumerate(octant) if o == k] for k in sorted(set(octant))]
+    built = []
+
+    class Counting(_Search):
+        def _class_keys(self, u, P):
+            built.append(u)
+            return super()._class_keys(u, P)
+
+    search = Counting(pts, 1, classes, level_degree_cap(4), Fraction(1, 10), random.Random(4))
+    assert len(classes) == 8 and list(search._planes()) == []
+    assert len(built) == 52
+    assert sorted(len(keys) for _, keys in search.key_memo.values()) == [2] * 12 + [3, 3, 5]
+    # the slabs complete the structured directions' keys, keying no class twice
+    list(search._slabs())
+    assert all(len(keys) == 8 for _, keys in search.key_memo.values())
+    structured = [u for u in built if u in _STRUCTURED_DIRS]
+    assert len(structured) == len(set(_STRUCTURED_DIRS)) * 8
+
+
+def _dense_columns(class_pts, exps, L, d):
+    """Each monomial's column, x**a * y**b * z**e * L**k point by point."""
+    return [
+        [[x**a * y**b * z**e * L ** (d - a - b - e) for x, y, z, _ in P] for P in class_pts]
+        for a, b, e in exps
+    ]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.integers(1, 4),
+    st.lists(
+        st.lists(st.tuples(*[st.integers(-6, 6)] * 3), min_size=1, max_size=6),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(1, 5),
+    st.integers(1, 34),
+    st.lists(st.integers(-3, 3), min_size=34, max_size=34),
+)
+# L > 1 and a vector whose first nonzero entry is at column 2, past the
+# columns x^a y^b of the lower coordinates
+@example(
+    3, [[(1, 2, 3), (-2, 5, 1)], [(4, -1, 2)]], 3, 19, [0, 0, 2] + [0] * 9 + [-1] + [0] * 5 + [3] * 16
+)
+def test_lifted_columns_and_values_match_the_dense_products(d, classes, L, ncols, entries):
+    exps = sorted(e for e in itertools.product(range(d + 1), repeat=3) if 0 < sum(e) <= d)
+    ncols = min(ncols, len(exps))
+    class_pts = [[(*c, L) for c in cls] for cls in classes]
+    lifted = _Lifted(class_pts, exps, L, d)
+    dense = _dense_columns(class_pts, exps[:ncols], L, d)
+    # a degree-1 column at L^k = 1 is the coordinates' own tuples
+    assert [[list(vs) for vs in lifted.column(c)] for c in range(ncols)] == dense
+    # a vector is zero past the last column read, as a basis vector is
+    vec = entries[:ncols] + [0] * (len(exps) - ncols)
+    assume(any(vec))
+    per_point = [list(zip(*cols)) for cols in zip(*dense)]  # per class, per point
+    assert lifted.values(vec) == [[sum(map(mul, vec, m)) for m in ms] for ms in per_point]
 
 
 # The two-pick search, kept as the reference: each window yielded its

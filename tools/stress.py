@@ -9,12 +9,15 @@ partition's `to_json_dict()`, serialized with sorted keys, or the type and
 message of the error the call raised.  The script runs every entry and
 prints the number of calls, the number of budget errors, the budget errors
 per level, the levels each search family won, the levels the fewest-zeros
-fallback decided and the entries whose outcome changed.  It exits 1 when
-any outcome changed.  `--record` runs the calls that `corpus()` lists and
-rewrites the file with their outcomes.  The wins are counted by swapping
-`partition._Search` for a recording subclass while the calls run.
+fallback decided, the corpus's wall time, the number of per-class key lists
+the plane and slab families built, and the entries whose outcome changed.
+It exits 1 when any outcome changed.  `--record` runs the calls that
+`corpus()` lists and rewrites the file with their outcomes.  The wins and
+the key lists are counted by swapping `partition._Search` for a recording
+subclass while the calls run, so a change to the search can quote its work
+before and after.
 
-It is not part of the test suite; the corpus takes about 8 s on a 2-vCPU
+It is not part of the test suite; the corpus takes about 7 s on a 2-vCPU
 host.  Run it after changing the bisector search; a change meant to keep
 every partition must report 0 changed outcomes.  The package is imported
 from PYTHONPATH when it is set there, else from the src/ next to this
@@ -29,6 +32,7 @@ import json
 import random
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -102,10 +106,15 @@ class _Tagged:
 
 def recording(wins: Counter) -> type:
     """A `partition._Search` that counts in `wins` each level's winning
-    family, and under "fallback" the levels that the fewest-zeros fallback
-    decided.  It draws and yields the same candidates as the search."""
+    family, under "fallback" the levels that the fewest-zeros fallback
+    decided, and under "key lists" each class's keys of one direction that
+    it built.  It draws and yields the same candidates as the search."""
 
     class Recording(partition._Search):
+        def _class_keys(self, u, P):
+            wins["key lists"] += 1
+            return super()._class_keys(u, P)
+
         def _tagged(self, family, stream):
             for terms, zeros, signs in stream:
                 yield terms, zeros, _Tagged(family, zeros, signs)
@@ -161,6 +170,7 @@ def main(argv=None) -> int:
 
     wins: Counter = Counter()
     search, partition._Search = partition._Search, recording(wins)
+    start = time.perf_counter()
     try:
         if args.record:
             recorded = None
@@ -170,6 +180,7 @@ def main(argv=None) -> int:
             entries = run([{k: v for k, v in e.items() if k != "outcome"} for e in recorded])
     finally:
         partition._Search = search
+    wall = time.perf_counter() - start
 
     errors = [e["outcome"] for e in entries if "error" in e["outcome"]]
     budget = [o["message"] for o in errors if o["error"] == "PartitionBudgetError"]
@@ -183,6 +194,7 @@ def main(argv=None) -> int:
         f"level wins: {wins['planes']} planes, {wins['slabs']} slabs, {wins['balanced']} balanced; "
         f"{wins['fallback']} decided by the fewest-zeros fallback\n"
     )
+    sys.stdout.write(f"{wins['key lists']} per-class key lists built; corpus ran in {wall:.1f} s\n")
 
     if recorded is None:
         write(entries)
